@@ -66,15 +66,29 @@ def _read_file(path):
         raise EpmuError(f"cannot read {path}: {e}") from e
 
 
+def _cap_arg(text):
+    """A --cap value: a count of states, so never negative."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {cap}")
+    return cap
+
+
 def _cap(args):
     if getattr(args, "cap", None) is not None:
         return args.cap
     env = os.environ.get("EPMU_CAP")
     if env:
         try:
-            return int(env)
+            cap = int(env)
         except ValueError as e:
             raise EpmuError(f"EPMU_CAP is not an integer: {env!r}") from e
+        if cap < 0:
+            raise EpmuError(f"EPMU_CAP must not be negative: {cap}")
+        return cap
     return DEFAULT_CAP
 
 
@@ -293,7 +307,7 @@ def build_parser():
     sp.add_argument("--system", required=True)
     add_formula_args(sp)
     sp.add_argument("--report", help="write a JSON report here")
-    sp.add_argument("--cap", type=int, help="state cap for refinements")
+    sp.add_argument("--cap", type=_cap_arg, help="state cap for refinements")
     sp.add_argument("--trace", action="store_true")
     sp.add_argument("--allow-deadlock", action="store_true")
     sp.set_defaults(fn=cmd_check)
@@ -309,7 +323,7 @@ def build_parser():
     sp.add_argument("--agent", required=True)
     sp.add_argument("--emit-dot")
     sp.add_argument("--json", action="store_true")
-    sp.add_argument("--cap", type=int)
+    sp.add_argument("--cap", type=_cap_arg)
     sp.set_defaults(fn=cmd_distinguish)
 
     sp = sub.add_parser("oracle", help="bounded-tree brute-force evaluation")
@@ -317,7 +331,7 @@ def build_parser():
     add_formula_args(sp)
     sp.add_argument("--depth", type=int, required=True)
     sp.add_argument("--json", action="store_true")
-    sp.add_argument("--cap", type=int)
+    sp.add_argument("--cap", type=_cap_arg)
     sp.set_defaults(fn=cmd_oracle)
 
     sp = sub.add_parser("translate", help="build model-checking instances")
@@ -330,14 +344,14 @@ def build_parser():
     tp.add_argument("--p2", required=True)
     tp.add_argument("--dual", action="store_true")
     tp.add_argument("--out", required=True)
-    tp.add_argument("--cap", type=int)
+    tp.add_argument("--cap", type=_cap_arg)
     tp.set_defaults(fn=cmd_translate)
 
     tp = tsub.add_parser("parity", help="parity-winning-region encoding")
     tp.add_argument("--game", required=True, help=".pg priority-annotated file")
     tp.add_argument("--player", type=int, default=0, choices=(0, 1))
     tp.add_argument("--out", required=True)
-    tp.add_argument("--cap", type=int)
+    tp.add_argument("--cap", type=_cap_arg)
     tp.set_defaults(fn=cmd_translate)
 
     return p
@@ -357,6 +371,11 @@ def main(argv=None):
         return EXIT_REJECTED
     except EpmuError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as e:
+        # exit 1 must only ever mean "does not hold", never a crash
+        detail = " ".join(str(e).split())
+        print(f"error: {type(e).__name__}: {detail}", file=sys.stderr)
         return EXIT_ERROR
 
 

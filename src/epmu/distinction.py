@@ -3,6 +3,8 @@ the distinguishedness test used by the checker."""
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import CapacityExceeded, NonChainAgents, UnknownAgent
@@ -10,6 +12,7 @@ from .system import (
     DEFAULT_CAP,
     InSplitting,
     MultiAgentSystem,
+    _check_shape,
     compose_insplitting,
     identity_insplitting,
 )
@@ -17,25 +20,59 @@ from .system import (
 
 class DistinctionSystem(MultiAgentSystem):
     """A system whose states are (base state, belief set) pairs, together
-    with the in-splitting map back to the base system."""
+    with the in-splitting map back to the base system.
 
-    def __init__(self, base, agent, pairs, q0_id, delta, names):
+    Built straight from the breadth-first search of `distinction`: state i
+    is the i-th pair found and `out[i]` lists the ids of its successors, so
+    the states are 0..n-1, all reachable from 0, and the sorting and
+    reachability pass of MultiAgentSystem is not needed.  The shape checks
+    still run."""
+
+    def __init__(self, base, agent, pairs, out):
+        states = range(len(pairs))
+        labels = {i: base.labels[s] for i, (s, _) in enumerate(pairs)}
+        delta = frozenset((i, j) for i, targets in enumerate(out) for j in targets)
+        _check_shape(states, 0, delta, base.atoms, labels, base.obs)
         self.base = base
         self.agent = agent
-        self.pair_of = dict(pairs)  # id -> (s, frozenset S)
-        labels = {i: base.label(s) for i, (s, _) in pairs.items()}
-        super().__init__(
-            states=list(pairs),
-            q0=q0_id,
-            delta=delta,
-            atoms=base.atoms,
-            labels=labels,
-            obs=base.obs,
-            names=names,
-        )
-        self.insplit = InSplitting(
-            self, base, {i: self.pair_of[i][0] for i in self.states}
-        )
+        self.pair_of = dict(enumerate(pairs))  # id -> (s, frozenset S)
+        self.dropped_states = ()
+        self.states = tuple(states)
+        self.q0 = 0
+        self.delta = delta
+        self.atoms = base.atoms
+        self.labels = labels
+        self.agents = base.agents
+        self.obs = dict(base.obs)
+        self.names = _BeliefNames(base, self.pair_of)
+        self._succ = {i: tuple(sorted(targets)) for i, targets in enumerate(out)}
+        self.insplit = InSplitting(self, base, {i: s for i, (s, _) in enumerate(pairs)})
+
+
+class _BeliefNames(Mapping):
+    """The "(s,{...})" name of every distinction state, built on first
+    lookup: a check never prints them, and nested ones grow long."""
+
+    def __init__(self, base, pair_of):
+        self._base = base
+        self._pair_of = pair_of
+        self._built = {}
+
+    def __getitem__(self, i):
+        name = self._built.get(i)
+        if name is None:
+            s, S = self._pair_of[i]
+            name = self._built[i] = _belief_name(self._base, s, S)
+        return name
+
+    def __contains__(self, i):
+        return i in self._pair_of
+
+    def __iter__(self):
+        return iter(self._pair_of)
+
+    def __len__(self):
+        return len(self._pair_of)
 
 
 def _belief_name(base, s, S):
@@ -43,41 +80,57 @@ def _belief_name(base, s, S):
     return f"({base.state_name(s)},{{{members}}})"
 
 
+def _post_by_view(m, S, view):
+    """The successors of the states in S, grouped by what the agent sees."""
+    groups = {}
+    for s in S:
+        for r in m.successors(s):
+            groups.setdefault(view[r], set()).add(r)
+    return {o: frozenset(rs) for o, rs in groups.items()}
+
+
 def distinction(m, agent, cap=DEFAULT_CAP):
     """Reachable part of the subset construction for one agent.
 
     Each state (s, S) pairs a base state with the set of base states that
     carry the same observation history; the initial state is (q0, {q0}).
+    A successor of (s, S) is (r, R), where r is a successor of s and R the
+    successors of S that look like r to the agent; r lies in R because s
+    lies in S.  The successors of each belief set are computed once, grouped
+    by observation, and shared by every pair with that set, so the cost is
+    the size of the output plus the post-image of each distinct belief set,
+    not a scan of all states per successor.
+
+    States are numbered in breadth-first order; CapacityExceeded is raised
+    as soon as a new state would take the count past cap.
     """
     if agent not in m.obs:
         raise UnknownAgent(agent)
+    view = {q: m.obs_label(q, agent) for q in m.states}
     start = (m.q0, frozenset([m.q0]))
     id_of = {start: 0}
-    pair_list = [start]
-    queue = [start]
-    delta = []
+    pairs = [start]
+    out = []  # out[i]: successor ids of state i, in the order of m's successors
+    post = {}  # belief set -> its successors grouped by observation
+    queue = deque([start])
     while queue:
-        s, S = queue.pop(0)
-        sid = id_of[(s, S)]
+        s, S = queue.popleft()
+        groups = post.get(S)
+        if groups is None:
+            groups = post[S] = _post_by_view(m, S, view)
+        targets = []
         for r in m.successors(s):
-            obs_r = m.obs_label(r, agent)
-            R = frozenset(
-                r2
-                for r2 in m.states
-                if m.obs_label(r2, agent) == obs_r
-                and any((s2, r2) in m.delta for s2 in S)
-            )
-            tgt = (r, R)
-            if tgt not in id_of:
-                if len(pair_list) + 1 > cap:
-                    raise CapacityExceeded(len(pair_list) + 1, cap, "subset construction")
-                id_of[tgt] = len(pair_list)
-                pair_list.append(tgt)
+            tgt = (r, groups[view[r]])
+            tid = id_of.get(tgt)
+            if tid is None:
+                if len(pairs) + 1 > cap:
+                    raise CapacityExceeded(len(pairs) + 1, cap, "subset construction")
+                tid = id_of[tgt] = len(pairs)
+                pairs.append(tgt)
                 queue.append(tgt)
-            delta.append((sid, id_of[tgt]))
-    pairs = {i: p for i, p in enumerate(pair_list)}
-    names = {i: _belief_name(m, s, S) for i, (s, S) in pairs.items()}
-    return DistinctionSystem(m, agent, pairs, 0, delta, names)
+            targets.append(tid)
+        out.append(targets)
+    return DistinctionSystem(m, agent, pairs, out)
 
 
 # ---------------------------------------------------------------------------

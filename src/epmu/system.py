@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 
 from .errors import CapacityExceeded, SystemFormatError, UnknownAtom
@@ -19,21 +20,9 @@ class MultiAgentSystem:
 
     def __init__(self, states, q0, delta, atoms, labels, obs, names=None):
         states = sorted(set(states))
-        if q0 not in states:
-            raise SystemFormatError(f"initial state {q0} is not a state")
         atoms = frozenset(atoms)
-        for q, lab in labels.items():
-            for p in lab:
-                if p not in atoms:
-                    raise UnknownAtom(p)
-        for a, pa in obs.items():
-            for p in pa:
-                if p not in atoms:
-                    raise UnknownAtom(p)
         delta = {(q, r) for q, r in delta}
-        for q, r in delta:
-            if q not in states or r not in states:
-                raise SystemFormatError(f"transition ({q},{r}) uses unknown state")
+        _check_shape(set(states), q0, delta, atoms, labels, obs)
 
         # restrict to the part reachable from q0
         succ = {q: set() for q in states}
@@ -59,16 +48,9 @@ class MultiAgentSystem:
         self.obs = {a: frozenset(pa) for a, pa in obs.items()}
         self.names = {q: names[q] for q in states if names and q in names}
         self._succ = {q: tuple(sorted(r for r in succ[q] if r in reachable)) for q in states}
-        pred = {q: set() for q in states}
-        for q, r in self.delta:
-            pred[r].add(q)
-        self._pred = {q: tuple(sorted(pred[q])) for q in states}
 
     def successors(self, q):
         return self._succ[q]
-
-    def predecessors(self, q):
-        return self._pred[q]
 
     def label(self, q):
         return self.labels[q]
@@ -91,6 +73,19 @@ class MultiAgentSystem:
 
     def __repr__(self):
         return f"MultiAgentSystem({len(self.states)} states, q0={self.q0})"
+
+
+def _check_shape(states, q0, delta, atoms, labels, obs):
+    """Reject an initial state or a transition end outside `states`, and an
+    atom outside `atoms` in a label or an observable set."""
+    if not isinstance(q0, Hashable) or q0 not in states:
+        raise SystemFormatError(f"initial state {q0} is not a state")
+    for lab in (*labels.values(), *obs.values()):
+        if not atoms.issuperset(lab):
+            raise UnknownAtom(next(p for p in lab if p not in atoms))
+    for q, r in delta:
+        if q not in states or r not in states:
+            raise SystemFormatError(f"transition ({q},{r}) uses unknown state")
 
 
 @dataclass(frozen=True)
@@ -137,11 +132,16 @@ def system_from_dict(data):
             raise SystemFormatError(f"missing key {key!r}")
     states, labels, names = [], {}, {}
     for entry in data["states"]:
+        if not isinstance(entry, dict) or "id" not in entry:
+            raise SystemFormatError(f"state {entry!r} has no \"id\"")
         q = entry["id"]
         states.append(q)
         labels[q] = entry.get("atoms", [])
         if "name" in entry:
             names[q] = entry["name"]
+    for t in data["transitions"]:
+        if not isinstance(t, (list, tuple)) or len(t) != 2:
+            raise SystemFormatError(f"transition {t!r} is not a pair [from, to]")
     obs = {a: spec.get("obs", []) for a, spec in data["agents"].items()}
     return MultiAgentSystem(
         states=states,

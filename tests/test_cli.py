@@ -15,6 +15,16 @@ def sys2_file(tmp_path, sys2):
 
 
 @pytest.fixture
+def loop_file(tmp_path):
+    from epmu.system import MultiAgentSystem
+
+    m = MultiAgentSystem([1], 1, [(1, 1)], ["p"], {1: {"p"}}, {"a": {"p"}})
+    p = tmp_path / "loop.mas"
+    p.write_text(system_to_json(m))
+    return str(p)
+
+
+@pytest.fixture
 def mixed_file(tmp_path, sys1):
     from epmu.system import MultiAgentSystem
 
@@ -63,6 +73,45 @@ class TestCheck:
             "check", "--system", sys2_file, "--formula", "EX K a . p", "--cap", "3",
         ])
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"states": [{"atoms": ["p"]}], "initial": 1, "transitions": [[1, 1]]},
+            {"states": [{"id": 1}], "initial": 1, "transitions": [[1, 1], [0]]},
+        ],
+        ids=["state-without-id", "one-ended-transition"],
+    )
+    def test_malformed_system_exit_three(self, tmp_path, capsys, data):
+        p = tmp_path / "bad.mas"
+        p.write_text(json.dumps(data | {"atoms": ["p"], "agents": {"a": {"obs": ["p"]}}}))
+        assert main(["check", "--system", str(p), "--formula", "p"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_unexpected_failure_exit_three(self, tmp_path, capsys):
+        # agents given as a list, not an object: no EpmuError names it
+        p = tmp_path / "odd.mas"
+        p.write_text(json.dumps({
+            "states": [{"id": 1}], "initial": 1, "transitions": [[1, 1]],
+            "atoms": [], "agents": [],
+        }))
+        assert main(["check", "--system", str(p), "--formula", "true"]) == 3
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    def test_negative_cap_exit_three(self, loop_file, capsys):
+        # a one-state refinement never reaches the cap check, so it must be
+        # the argument itself that is refused
+        code = main([
+            "check", "--cap", "-1", "--system", loop_file, "--formula", "K a . p",
+        ])
+        assert code == 3
+        assert "holds" not in capsys.readouterr().out
+
+    def test_negative_env_cap_exit_three(self, loop_file, monkeypatch, capsys):
+        monkeypatch.setenv("EPMU_CAP", "-1")
+        assert main(["check", "--system", loop_file, "--formula", "K a . p"]) == 3
+        assert "holds" not in capsys.readouterr().out
 
     def test_env_cap(self, sys2_file, monkeypatch):
         monkeypatch.setenv("EPMU_CAP", "3")

@@ -12,9 +12,9 @@ from epmu.distinction import (
     poss_op,
     refine_for_agents,
 )
-from epmu.errors import NonChainAgents
+from epmu.errors import CapacityExceeded, NonChainAgents
 from epmu.gen import random_system
-from epmu.system import MultiAgentSystem, verify_in_splitting
+from epmu.system import MultiAgentSystem, system_to_dict, verify_in_splitting
 
 
 class TestDistinction:
@@ -54,6 +54,90 @@ class TestDistinction:
 
         with pytest.raises(CapacityExceeded):
             distinction(sys2, "a", cap=3)
+
+
+def _scan_distinction(m, agent, cap):
+    """Reference subset construction: each successor belief is found by
+    scanning every base state.  Returns the system and its (s, S) pairs."""
+    start = (m.q0, frozenset([m.q0]))
+    id_of = {start: 0}
+    pair_list = [start]
+    queue = [start]
+    delta = []
+    while queue:
+        s, S = queue.pop(0)
+        for r in m.successors(s):
+            obs_r = m.obs_label(r, agent)
+            R = frozenset(
+                r2
+                for r2 in m.states
+                if m.obs_label(r2, agent) == obs_r
+                and any((s2, r2) in m.delta for s2 in S)
+            )
+            if (r, R) not in id_of:
+                if len(pair_list) + 1 > cap:
+                    raise CapacityExceeded(len(pair_list) + 1, cap, "subset construction")
+                id_of[(r, R)] = len(pair_list)
+                pair_list.append((r, R))
+                queue.append((r, R))
+            delta.append((id_of[(s, S)], id_of[(r, R)]))
+    pairs = dict(enumerate(pair_list))
+
+    def name(s, S):
+        members = ",".join(m.state_name(q) for q in sorted(S))
+        return f"({m.state_name(s)},{{{members}}})"
+
+    ref = MultiAgentSystem(
+        list(pairs), 0, delta, m.atoms, {i: m.label(s) for i, (s, _) in pairs.items()},
+        m.obs, {i: name(s, S) for i, (s, S) in pairs.items()},
+    )
+    return ref, pairs
+
+
+class TestDistinctionAgainstScan:
+    """distinction() builds the same system as the plain scan, state ids and
+    names included, one and two refinements deep."""
+
+    def assert_same(self, d, ref, pairs):
+        assert d.pair_of == pairs
+        assert d.states == ref.states and d.q0 == ref.q0
+        assert d.delta == ref.delta
+        assert d._succ == ref._succ
+        assert d.insplit.chi == {i: s for i, (s, _) in pairs.items()}
+        assert [d.state_name(i) for i in d.states] == [ref.state_name(i) for i in ref.states]
+        assert system_to_dict(d) == system_to_dict(ref)
+
+    def test_random_chains(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            m = random_system(rng, max_states=6, chain_obs=True)
+            for a, b in (("a", "b"), ("b", "a")):
+                d = distinction(m, a)
+                ref, pairs = _scan_distinction(m, a, cap=10**6)
+                self.assert_same(d, ref, pairs)
+                d2 = distinction(d, b)
+                ref2, pairs2 = _scan_distinction(ref, b, cap=10**6)
+                self.assert_same(d2, ref2, pairs2)
+
+    def test_capacity_fires_at_the_same_count(self):
+        def outcome(build, m, cap):
+            try:
+                return len(build(m, "a", cap=cap))
+            except CapacityExceeded as e:
+                return str(e)
+
+        def scan(m, agent, cap):
+            return _scan_distinction(m, agent, cap)[0]
+
+        rng = random.Random(11)
+        raised = 0
+        for _ in range(15):
+            m = random_system(rng, max_states=5, chain_obs=True)
+            for cap in range(len(scan(m, "a", 10**6)) + 1):
+                want = outcome(scan, m, cap)
+                assert outcome(distinction, m, cap) == want
+                raised += isinstance(want, str)
+        assert raised > 15
 
 
 class TestGamma:
