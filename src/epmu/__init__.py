@@ -19,6 +19,7 @@ from .errors import (
     DepthInsufficient,
     EpmuError,
     FormulaSyntaxError,
+    FormulaTooDeep,
     FragmentRejected,
     MonotonicityViolated,
     NonChainAgents,
@@ -32,7 +33,6 @@ from .formula import (
     dual,
     parse_formula,
     pretty,
-    simplify,
     to_positive_form,
     unfold_fixpoint,
 )

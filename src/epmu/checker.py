@@ -1,16 +1,25 @@
 """The decision procedure for the non-mixing fragment.
 
-Closed subformulas are evaluated bottom-up while one refinement chain of
-subset constructions is threaded left-to-right through the syntactic tree;
-already-computed state sets are transported forward by pullback.  Fixpoint
-bodies with free variables are evaluated by Kleene iteration inside a region
-system refined for all agents whose epistemic operators are non-closed there.
+One evaluator, ``evaluate``, gives the state set of a syntactic-tree node
+against one of two knowledge backends:
+
+- ``RefinementChain`` evaluates closed nodes.  Each closed K/P extends the
+  chain by a subset construction for its agent, and earlier sets are pulled
+  back along it, so one chain is threaded left-to-right through the tree.  A
+  binder gets a region: its nearest closed descendants are evaluated on the
+  chain, which is then refined once for all agents whose epistemic operators
+  are non-closed in the body, and their Γ is computed there.
+- ``Region`` is a fixed system: pullback is the identity, K/P read its Γs,
+  closed nodes read precomputed sets, and nested binders iterate in place.
+
+``eval_state_naive`` runs the evaluator on a region over the input system
+with memoryless Γs and no precomputed sets.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import formula as fm
 from .distinction import (
@@ -22,18 +31,23 @@ from .distinction import (
     poss_op,
     refine_for_agents,
 )
-from .errors import EpmuError, FragmentRejected, MonotonicityViolated
+from .errors import EpmuError, FragmentRejected, MonotonicityViolated, depth_guarded
 from .syntree import build_syntree, check_non_mixing, frontier_nodes
-from .system import DEFAULT_CAP, compose_insplitting
+from .system import DEFAULT_CAP, compose_insplitting, identity_insplitting
 
 
 class RefinementChain:
     """Systems connected by in-splitting steps; systems[0] is the input,
-    the last entry is the current finest system."""
+    the last entry is the current finest system.  As a knowledge backend it
+    evaluates closed nodes and extends itself at K/P and at binders."""
 
-    def __init__(self, base):
+    fsets = None  # closed nodes are evaluated here, never looked up
+
+    def __init__(self, base, cap=DEFAULT_CAP):
         self.systems = [base]
         self.steps = []  # steps[i]: systems[i+1] -> systems[i]
+        self.cap = cap
+        self.iteration_counts = []
 
     @property
     def final(self):
@@ -57,12 +71,61 @@ class RefinementChain:
 
     def composite(self):
         """The in-splitting final -> base."""
-        from .system import identity_insplitting
-
         comp = identity_insplitting(self.systems[0])
         for step in self.steps:
             comp = compose_insplitting(comp, step)
         return comp
+
+    def knowledge(self, f, S):
+        """A closed K/P: one subset construction for its agent, over which Γ
+        has a closed form."""
+        d = distinction(self.final, f.agent, cap=self.cap)
+        self.extend(d.insplit)
+        S = d.insplit.pullback(S)
+        gamma = closed_form_gamma(d)
+        op = know_op if isinstance(f, fm.Know) else poss_op
+        return op(gamma, S)
+
+    def region(self, node):
+        """The region of a binder whose body has free variables: evaluate the
+        nearest closed descendants, refine once for all non-closed agents of
+        the body, and compute their Γ on the refined system."""
+        marked = []
+        for fn in frontier_nodes(node):
+            S = evaluate(fn, self, {})
+            marked.append((fn.path, S, self.mark()))
+        agents = node.children[0].agncl
+        if agents:
+            _, comp = refine_for_agents(self.final, agents, cap=self.cap)
+            self.extend(comp)
+        fsets = {path: self.pull_forward(S, mark) for path, S, mark in marked}
+        gammas = {a: compute_gamma(self.final, a, cap=self.cap) for a in agents}
+        return Region(self.final, gammas, fsets, self.iteration_counts)
+
+
+class Region:
+    """A fixed system with one Γ per agent.  With fsets (frontier node path
+    -> set) closed nodes read their precomputed sets; without, they are
+    evaluated in place."""
+
+    def __init__(self, system, gammas, fsets=None, iteration_counts=None):
+        self.final = system
+        self.gammas = gammas
+        self.fsets = fsets
+        self.iteration_counts = [] if iteration_counts is None else iteration_counts
+
+    def mark(self):
+        return None
+
+    def pull_forward(self, S, mark):
+        return S
+
+    def knowledge(self, f, S):
+        op = know_op if isinstance(f, fm.Know) else poss_op
+        return op(self.gammas[f.agent], S)
+
+    def region(self, node):
+        return self
 
 
 @dataclass
@@ -72,13 +135,6 @@ class Verdict:
     refinement_sizes: list
     iteration_counts: list
     wall_time: float
-    fragment_witness: object = None
-
-
-@dataclass
-class _Ctx:
-    cap: int = DEFAULT_CAP
-    iteration_counts: list = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -120,14 +176,44 @@ def kleene(op, seed, bound, mode="lfp"):
 
 
 # ---------------------------------------------------------------------------
-# Closed evaluation with chain threading
+# The evaluator
 
 
-def eval_closed(node, chain, ctx):
-    """Evaluate a closed syntactic-tree node; returns a state set over
-    chain.final, possibly extending the chain."""
+def evaluate(node, kb, env):
+    """State set of a syntactic-tree node over kb.final, where kb is a
+    RefinementChain or a Region and env maps bound variables to sets."""
     f = node.form
-    m = chain.final
+    if node.closed and kb.fsets is not None:
+        return kb.fsets[node.path]
+    # The branches a Kleene loop visits come before the leaves: on parity
+    # games they run millions of times.
+    if isinstance(f, fm.Var):
+        return env[f.name]
+    if isinstance(f, (fm.And, fm.Or)):
+        left, right = node.children
+        S1 = evaluate(left, kb, env)
+        mark = kb.mark()
+        S2 = evaluate(right, kb, env)
+        S1 = kb.pull_forward(S1, mark)
+        return S1 & S2 if isinstance(f, fm.And) else S1 | S2
+    if isinstance(f, (fm.AX, fm.EX)):
+        S = evaluate(node.children[0], kb, env)
+        return ax_f(kb.final, S) if isinstance(f, fm.AX) else ex_f(kb.final, S)
+    if isinstance(f, fm.EPISTEMIC):
+        return kb.knowledge(f, evaluate(node.children[0], kb, env))
+    if isinstance(f, fm.BINDERS):
+        region = kb.region(node)
+        body = node.children[0]
+        seed = frozenset() if isinstance(f, fm.Mu) else frozenset(region.final.states)
+        mode = "lfp" if isinstance(f, fm.Mu) else "gfp"
+
+        def op(S):
+            return evaluate(body, region, {**env, f.var: S})
+
+        result, iters = kleene(op, seed, len(region.final), mode)
+        region.iteration_counts.append(iters)
+        return result
+    m = kb.final
     if isinstance(f, fm.TrueF):
         return frozenset(m.states)
     if isinstance(f, fm.FalseF):
@@ -136,101 +222,9 @@ def eval_closed(node, chain, ctx):
         return atom_set(m, f.name)
     if isinstance(f, fm.NegAtom):
         return frozenset(m.states) - atom_set(m, f.name)
-    if isinstance(f, (fm.And, fm.Or)):
-        left, right = node.children
-        S1 = eval_closed(left, chain, ctx)
-        mark = chain.mark()
-        S2 = eval_closed(right, chain, ctx)
-        S1 = chain.pull_forward(S1, mark)
-        return S1 & S2 if isinstance(f, fm.And) else S1 | S2
-    if isinstance(f, (fm.AX, fm.EX)):
-        S = eval_closed(node.children[0], chain, ctx)
-        return ax_f(chain.final, S) if isinstance(f, fm.AX) else ex_f(chain.final, S)
-    if isinstance(f, (fm.Know, fm.Poss)):
-        S = eval_closed(node.children[0], chain, ctx)
-        d = distinction(chain.final, f.agent, cap=ctx.cap)
-        chain.extend(d.insplit)
-        S = d.insplit.pullback(S)
-        gamma = closed_form_gamma(d)
-        op = know_op if isinstance(f, fm.Know) else poss_op
-        return op(gamma, S)
-    if isinstance(f, (fm.Mu, fm.Nu)):
-        return eval_fixpoint_region(node, chain, ctx)
     if isinstance(f, (fm.DiamondAct, fm.BoxAct)):
         raise EpmuError("action modalities must be compiled away before checking")
     raise TypeError(f"unexpected node {f!r}")
-
-
-def eval_fixpoint_region(node, chain, ctx):
-    """A binder whose body has free variables: precompute the nearest closed
-    descendants, refine once for all non-closed agents of the body, then
-    Kleene-iterate the body inside the refined system."""
-    body = node.children[0]
-    fsets = {}
-    for fn in frontier_nodes(node):
-        mark = chain.mark()
-        S = eval_closed(fn, chain, ctx)
-        for path in fsets:
-            fsets[path] = chain.pull_forward(fsets[path], mark)
-        fsets[fn.path] = S
-
-    agents = body.agncl
-    if agents:
-        mark = chain.mark()
-        refined, comp = refine_for_agents(chain.final, agents, cap=ctx.cap)
-        chain.extend(comp)
-        for path in fsets:
-            fsets[path] = chain.pull_forward(fsets[path], mark)
-    region = chain.final
-    gammas = {a: compute_gamma(region, a, cap=ctx.cap) for a in agents}
-
-    var = node.form.var
-    seed = frozenset() if isinstance(node.form, fm.Mu) else frozenset(region.states)
-    mode = "lfp" if isinstance(node.form, fm.Mu) else "gfp"
-
-    def op(S):
-        return eval_region(body, region, gammas, {var: S}, fsets, ctx)
-
-    result, iters = kleene(op, seed, len(region), mode)
-    ctx.iteration_counts.append(iters)
-    return result
-
-
-def eval_region(node, region, gammas, env, fsets, ctx):
-    """State-set semantics of a (generally non-closed) node inside a fixed
-    region system; closed descendants read their precomputed sets."""
-    f = node.form
-    if node.closed:
-        if node.is_top:
-            return frozenset(region.states)
-        return fsets[node.path]
-    if isinstance(f, fm.Var):
-        return env[f.name]
-    if isinstance(f, (fm.And, fm.Or)):
-        S1 = eval_region(node.children[0], region, gammas, env, fsets, ctx)
-        S2 = eval_region(node.children[1], region, gammas, env, fsets, ctx)
-        return S1 & S2 if isinstance(f, fm.And) else S1 | S2
-    if isinstance(f, (fm.AX, fm.EX)):
-        S = eval_region(node.children[0], region, gammas, env, fsets, ctx)
-        return ax_f(region, S) if isinstance(f, fm.AX) else ex_f(region, S)
-    if isinstance(f, (fm.Know, fm.Poss)):
-        S = eval_region(node.children[0], region, gammas, env, fsets, ctx)
-        op = know_op if isinstance(f, fm.Know) else poss_op
-        return op(gammas[f.agent], S)
-    if isinstance(f, (fm.Mu, fm.Nu)):
-        # nested non-closed binder: iterate inside the same region system
-        seed = frozenset() if isinstance(f, fm.Mu) else frozenset(region.states)
-        mode = "lfp" if isinstance(f, fm.Mu) else "gfp"
-
-        def op(S):
-            return eval_region(
-                node.children[0], region, gammas, {**env, f.var: S}, fsets, ctx
-            )
-
-        result, iters = kleene(op, seed, len(region), mode)
-        ctx.iteration_counts.append(iters)
-        return result
-    raise TypeError(f"unexpected node in region: {f!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -242,18 +236,19 @@ def check_with_sets(m, f, cap=DEFAULT_CAP):
     t0 = time.perf_counter()
     pf = fm.to_positive_form(f)
     tree = build_syntree(pf)
+    if not tree.closed:
+        raise EpmuError(f"free fixpoint variables: {', '.join(sorted(fm.free_vars(pf)))}")
     gate = check_non_mixing(tree, m.obs)
     if not gate:
         raise FragmentRejected(gate.witness)
-    ctx = _Ctx(cap=cap)
-    chain = RefinementChain(m)
-    S = eval_closed(tree, chain, ctx)
-    holds = chain.final.q0 in S
+    chain = RefinementChain(m, cap)
+    S = depth_guarded("evaluation", evaluate, tree, chain, {})
     verdict = Verdict(
-        holds=holds,
-        initial_state=chain.final.state_name(chain.final.q0),
+        holds=chain.final.q0 in S,
+        # belief-set names nest once per subset construction
+        initial_state=depth_guarded("evaluation", chain.final.state_name, chain.final.q0),
         refinement_sizes=[len(s) for s in chain.systems],
-        iteration_counts=list(ctx.iteration_counts),
+        iteration_counts=list(chain.iteration_counts),
         wall_time=time.perf_counter() - t0,
     )
     return verdict, chain, S
@@ -295,49 +290,14 @@ def eval_state_naive(m, f, cap=DEFAULT_CAP):
     atoms), with no subset construction anywhere.  Forgets run history, hence
     unsound under perfect recall; tests use it as the negative witness for
     the commutation requirement."""
-    pf = fm.to_positive_form(f)
+    tree = build_syntree(fm.to_positive_form(f))
     gammas = {}
-
-    def memoryless_gamma(agent):
+    for a in {n.form.agent for n in tree if isinstance(n.form, fm.EPISTEMIC)}:
         pairs = frozenset(
             (q, r)
             for q in m.states
             for r in m.states
-            if m.obs_label(q, agent) == m.obs_label(r, agent)
+            if m.obs_label(q, a) == m.obs_label(r, a)
         )
-        return GammaRelation(agent, m, pairs)
-
-    def ev(g, env):
-        if isinstance(g, fm.TrueF):
-            return frozenset(m.states)
-        if isinstance(g, fm.FalseF):
-            return frozenset()
-        if isinstance(g, fm.Atom):
-            return atom_set(m, g.name)
-        if isinstance(g, fm.NegAtom):
-            return frozenset(m.states) - atom_set(m, g.name)
-        if isinstance(g, fm.Var):
-            return env[g.name]
-        if isinstance(g, fm.And):
-            return ev(g.left, env) & ev(g.right, env)
-        if isinstance(g, fm.Or):
-            return ev(g.left, env) | ev(g.right, env)
-        if isinstance(g, fm.AX):
-            return ax_f(m, ev(g.child, env))
-        if isinstance(g, fm.EX):
-            return ex_f(m, ev(g.child, env))
-        if isinstance(g, (fm.Know, fm.Poss)):
-            if g.agent not in gammas:
-                gammas[g.agent] = memoryless_gamma(g.agent)
-            op = know_op if isinstance(g, fm.Know) else poss_op
-            return op(gammas[g.agent], ev(g.child, env))
-        if isinstance(g, (fm.Mu, fm.Nu)):
-            seed = frozenset() if isinstance(g, fm.Mu) else frozenset(m.states)
-            mode = "lfp" if isinstance(g, fm.Mu) else "gfp"
-            result, _ = kleene(
-                lambda S: ev(g.body, {**env, g.var: S}), seed, len(m), mode
-            )
-            return result
-        raise TypeError(f"unexpected node {g!r}")
-
-    return ev(pf, {})
+        gammas[a] = GammaRelation(a, m, pairs)
+    return depth_guarded("evaluation", evaluate, tree, Region(m, gammas), {})

@@ -85,3 +85,19 @@ class UnsupportedCoalition(EpmuError):
     def __init__(self, agents):
         self.agents = agents
         super().__init__(f"only singleton coalitions are supported, got {sorted(agents)}")
+
+
+class FormulaTooDeep(EpmuError):
+    """A formula nests deeper than a recursive phase can follow."""
+
+    def __init__(self, phase):
+        self.phase = phase  # parse | positive form | syntax tree | evaluation
+        super().__init__(f"formula is nested too deeply for the {phase} phase")
+
+
+def depth_guarded(phase, fn, *args):
+    """fn(*args), with a RecursionError turned into FormulaTooDeep(phase)."""
+    try:
+        return fn(*args)
+    except RecursionError:
+        raise FormulaTooDeep(phase) from None

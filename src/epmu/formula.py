@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import FormulaSyntaxError, NonMonotoneVariable, UnknownAgent
+from .errors import FormulaSyntaxError, NonMonotoneVariable, UnknownAgent, depth_guarded
 
 
 class Formula:
@@ -214,13 +214,6 @@ def is_fixpoint_free(f):
     return all(is_fixpoint_free(c) for c in f.children())
 
 
-def is_plain(f):
-    """True when f contains no epistemic operator."""
-    if isinstance(f, EPISTEMIC):
-        return False
-    return all(is_plain(c) for c in f.children())
-
-
 def _rebuild(f, new_children):
     if isinstance(f, (And, Or)):
         return type(f)(new_children[0], new_children[1])
@@ -258,8 +251,15 @@ def subst(f, var, repl):
 def to_positive_form(f):
     """Push negations to atoms, rename bound variables apart, drop vacuous
     binders.  Raises NonMonotoneVariable for odd-polarity bound occurrences."""
-    g = _push(f, False, frozenset())
-    return _rename_apart(g)
+    g = depth_guarded("positive form", _push, f, False, frozenset())
+    return depth_guarded("positive form", _rename_apart, g)
+
+
+# The operator each connective becomes under negation.
+_DUAL = {
+    And: Or, Or: And, AX: EX, EX: AX, Know: Poss, Poss: Know,
+    DiamondAct: BoxAct, BoxAct: DiamondAct, Mu: Nu, Nu: Mu,
+}
 
 
 def _push(f, neg, flipped):
@@ -277,38 +277,17 @@ def _push(f, neg, flipped):
         return f
     if isinstance(f, Not):
         return _push(f.child, not neg, flipped)
-    if isinstance(f, And):
-        op = Or if neg else And
+    op = _DUAL.get(type(f)) if neg else type(f)
+    if isinstance(f, (And, Or)):
         return op(_push(f.left, neg, flipped), _push(f.right, neg, flipped))
-    if isinstance(f, Or):
-        op = And if neg else Or
-        return op(_push(f.left, neg, flipped), _push(f.right, neg, flipped))
-    if isinstance(f, AX):
-        return (EX if neg else AX)(_push(f.child, neg, flipped))
-    if isinstance(f, EX):
-        return (AX if neg else EX)(_push(f.child, neg, flipped))
-    if isinstance(f, Know):
-        op = Poss if neg else Know
+    if isinstance(f, (AX, EX)):
+        return op(_push(f.child, neg, flipped))
+    if isinstance(f, EPISTEMIC):
         return op(f.agent, _push(f.child, neg, flipped))
-    if isinstance(f, Poss):
-        op = Know if neg else Poss
-        return op(f.agent, _push(f.child, neg, flipped))
-    if isinstance(f, DiamondAct):
-        op = BoxAct if neg else DiamondAct
+    if isinstance(f, (DiamondAct, BoxAct)):
         return op(f.acts, _push(f.child, neg, flipped))
-    if isinstance(f, BoxAct):
-        op = DiamondAct if neg else BoxAct
-        return op(f.acts, _push(f.child, neg, flipped))
-    if isinstance(f, Mu):
+    if isinstance(f, BINDERS):
         # ~mu Z.phi == nu Z.~phi[Z/~Z]
-        op = Nu if neg else Mu
-        flips = (flipped ^ {f.var}) if neg else (flipped - {f.var})
-        body = _push(f.body, neg, frozenset(flips))
-        if f.var not in free_vars(body):
-            return body
-        return op(f.var, body)
-    if isinstance(f, Nu):
-        op = Mu if neg else Nu
         flips = (flipped ^ {f.var}) if neg else (flipped - {f.var})
         body = _push(f.body, neg, frozenset(flips))
         if f.var not in free_vars(body):
@@ -354,52 +333,6 @@ def unfold_fixpoint(f, k):
     if not kids:
         return f
     return _rebuild(f, [unfold_fixpoint(c, k) for c in kids])
-
-
-def simplify(f):
-    """Constant folding with universally valid laws only (delta may be
-    non-serial, so EX true / AX false are left alone)."""
-    kids = [simplify(c) for c in f.children()]
-    if isinstance(f, Not):
-        c = kids[0]
-        if isinstance(c, TrueF):
-            return FALSE
-        if isinstance(c, FalseF):
-            return TRUE
-        return Not(c)
-    if isinstance(f, And):
-        l, r = kids
-        if isinstance(l, FalseF) or isinstance(r, FalseF):
-            return FALSE
-        if isinstance(l, TrueF):
-            return r
-        if isinstance(r, TrueF):
-            return l
-        return And(l, r)
-    if isinstance(f, Or):
-        l, r = kids
-        if isinstance(l, TrueF) or isinstance(r, TrueF):
-            return TRUE
-        if isinstance(l, FalseF):
-            return r
-        if isinstance(r, FalseF):
-            return l
-        return Or(l, r)
-    if isinstance(f, AX) and isinstance(kids[0], TrueF):
-        return TRUE
-    if isinstance(f, EX) and isinstance(kids[0], FalseF):
-        return FALSE
-    if isinstance(f, BoxAct) and isinstance(kids[0], TrueF):
-        return TRUE
-    if isinstance(f, DiamondAct) and isinstance(kids[0], FalseF):
-        return FALSE
-    if isinstance(f, Know) and isinstance(kids[0], TrueF):
-        return TRUE  # ~_a is reflexive
-    if isinstance(f, Poss) and isinstance(kids[0], FalseF):
-        return FALSE
-    if not kids:
-        return f
-    return _rebuild(f, kids)
 
 
 def dual(f):
@@ -627,7 +560,7 @@ def parse_formula(text, agents=None):
     """Parse concrete syntax into an AST; derived operators (->, E, C) are
     expanded here.  If an agent roster is given, unknown agents are rejected."""
     p = _Parser(text, agents)
-    f = p.formula()
+    f = depth_guarded("parse", p.formula)
     t = p.peek()
     if t.kind != "eof":
         raise FormulaSyntaxError(f"trailing input {t.text!r}", t.line, t.col)

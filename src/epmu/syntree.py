@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import formula as fm
-from .errors import UnknownAgent
+from .errors import UnknownAgent, depth_guarded
 
 
 @dataclass
@@ -21,14 +21,16 @@ class SynNode:
     form: object  # Formula; None for the top child under a variable
     closed: bool
     agncl: frozenset = frozenset()
-    frontier: bool = False  # closed node with a non-closed parent
     is_top: bool = False
     children: list = field(default_factory=list)
 
     def __iter__(self):
-        yield self
-        for c in self.children:
-            yield from c
+        """Pre-order, left to right; iterative, so deep trees are fine."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
 
 def _label(f):
@@ -67,17 +69,26 @@ def _label(f):
 
 def build_syntree(f):
     """Build the annotated tree for a positive-form formula."""
-    return _build(f, ())
+    return depth_guarded("syntax tree", _build, f, ())[0]
 
 
 def _build(f, path):
-    node = SynNode(path, _label(f), f, closed=fm.is_closed(f))
+    """The node of f and the free variables of f, found bottom-up."""
+    label = _label(f)
     if isinstance(f, fm.Var):
         top = SynNode(path + (1,), "true", fm.TRUE, closed=True, is_top=True)
-        node.children.append(top)
+        free = {f.name}
+        children = [top]
     else:
+        free = set()
+        children = []
         for i, c in enumerate(f.children(), start=1):
-            node.children.append(_build(c, path + (i,)))
+            child, child_free = _build(c, path + (i,))
+            children.append(child)
+            free |= child_free
+        if isinstance(f, fm.BINDERS):
+            free.discard(f.var)
+    node = SynNode(path, label, f, closed=not free, children=children)
     # AgNCl: agents of epistemic operators reachable through non-closed nodes
     if not node.closed:
         acc = set()
@@ -87,9 +98,7 @@ def _build(f, path):
             if not child.closed:
                 acc |= child.agncl
         node.agncl = frozenset(acc)
-    for child in node.children:
-        child.frontier = child.closed and not node.closed
-    return node
+    return node, free
 
 
 def frontier_nodes(node):

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import formula as fm
 from .errors import (
@@ -65,16 +65,6 @@ class LabeledSystem:
 
     def outgoing(self, q):
         return [(acts, r) for q2, acts, r in self.trans if q2 == q]
-
-    def joint_actions(self):
-        return [
-            _canon_acts(zip(self.agents, combo))
-            for combo in itertools.product(*(self.alphabets[a] for a in self.agents))
-        ]
-
-    def successors_for(self, q, acts):
-        acts = _canon_acts(acts)
-        return [r for q2, a2, r in self.trans if q2 == q and a2 == acts]
 
     def __len__(self):
         return len(self.states)
@@ -140,7 +130,6 @@ def labeled_system_to_dict(g):
 class CompiledModal:
     system: MultiAgentSystem
     act_atom: dict  # (agent, action) -> atom name
-    state_pair: dict = field(default_factory=dict)  # id -> (base state, acts | None)
 
     def compile_formula(self, f):
         return compile_modal_formula(f, self.act_atom)
@@ -203,7 +192,7 @@ def compile_modal(g, cap=DEFAULT_CAP):
         obs=obs,
         names=names,
     )
-    return CompiledModal(system, act_atom, dict(enumerate(pair_list)))
+    return CompiledModal(system, act_atom)
 
 
 def compile_modal_formula(f, act_atom):

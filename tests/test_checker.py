@@ -9,7 +9,13 @@ from epmu.checker import (
     kleene,
     node_set_on_prefix,
 )
-from epmu.errors import FragmentRejected, MonotonicityViolated
+from epmu.errors import (
+    EpmuError,
+    FormulaTooDeep,
+    FragmentRejected,
+    MonotonicityViolated,
+    depth_guarded,
+)
 from epmu.formula import parse_formula, to_positive_form
 from epmu.oracle import eval_tree
 from epmu.system import MultiAgentSystem, bounded_unfold
@@ -80,6 +86,25 @@ class TestCheck:
         # left conjunct refines; right conjunct must see the extended chain
         f = parse_formula("(K a . p | ~p) & EX K a . p")
         assert check(sys2, f).holds
+
+
+class TestDeepFormulas:
+    def test_long_conjunction_names_the_phase(self, sys1):
+        f = parse_formula(" & ".join(["p"] * 500))
+        with pytest.raises(FormulaTooDeep) as e:
+            check(sys1, f)
+        assert e.value.phase in ("positive form", "syntax tree", "evaluation")
+
+    def test_depth_guard_names_the_phase(self):
+        def dive(n):
+            return dive(n + 1)
+
+        with pytest.raises(FormulaTooDeep, match="evaluation phase"):
+            depth_guarded("evaluation", dive, 0)
+
+    def test_free_variable_rejected(self, sys1):
+        with pytest.raises(EpmuError, match="free fixpoint variables: Z"):
+            check(sys1, fm.Or(fm.Atom("p"), fm.Var("Z")))
 
 
 class TestKleene:

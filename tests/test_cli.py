@@ -99,6 +99,16 @@ class TestCheck:
         assert main(["check", "--system", str(p), "--formula", "true"]) == 3
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "formula,phase",
+        [("EX " * 1000 + "p", "parse"), (" & ".join(["p"] * 500), "positive form")],
+        ids=["deep-EX", "long-conjunction"],
+    )
+    def test_deep_formula_exit_three(self, loop_file, capsys, formula, phase):
+        assert main(["check", "--system", loop_file, "--formula", formula]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: formula is nested too deeply for the {phase} phase\n"
+
     def test_negative_cap_exit_three(self, loop_file, capsys):
         # a one-state refinement never reaches the cap check, so it must be
         # the argument itself that is refused

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from epmu import formula as fm
-from epmu.errors import FormulaSyntaxError, NonMonotoneVariable
+from epmu.errors import FormulaSyntaxError, FormulaTooDeep, NonMonotoneVariable
+from epmu.gen import random_plain_formula, random_single_binder_formula
 from epmu.formula import (
     AX,
     EX,
@@ -96,6 +99,12 @@ class TestParse:
             assert parse_formula(pretty(f)) == f
 
 
+    def test_deep_nesting_names_the_phase(self):
+        with pytest.raises(FormulaTooDeep) as e:
+            parse_formula("EX " * 1000 + "p")
+        assert e.value.phase == "parse" and "parse" in str(e.value)
+
+
 class TestPositiveForm:
     def test_dual_of_ax(self):
         assert to_positive_form(Not(AX(Not(Atom("p"))))) == EX(Atom("p"))
@@ -187,6 +196,18 @@ class TestSynTree:
             for c in node.children:
                 if not node.closed and not c.closed:
                     assert c.agncl <= node.agncl
+
+    def test_closedness_matches_free_vars(self):
+        rng = random.Random(31)
+        forms = [random_plain_formula(rng, 14, ("p", "q")) for _ in range(150)]
+        forms += [random_single_binder_formula(rng, ("p",), ("a", "b")) for _ in range(50)]
+        forms += [Mu("Z", Nu("Y", Or(Var("Z"), And(Var("Y"), Mu("X", EX(Var("X")))))))]
+        binders = 0
+        for f in forms:
+            for node in build_syntree(f):
+                assert node.closed == fm.is_closed(node.form), node.path
+                binders += isinstance(node.form, fm.BINDERS)
+        assert binders > 100
 
     def test_frontier_nodes(self):
         f = to_positive_form(parse_formula("mu Z . p | EX Z"))
