@@ -12,6 +12,10 @@ against one of two knowledge backends:
 - ``Region`` is a fixed system: pullback is the identity, K/P read its Γs,
   closed nodes read precomputed sets, and nested binders iterate in place.
 
+``AX``/``EX`` read the per-system successor sets
+(``MultiAgentSystem.succ_sets``, built once per system), so each Kleene step
+compares frozensets in C instead of scanning successors in Python.
+
 ``eval_state_naive`` runs the evaluator on a region over the input system
 with memoryless Γs and no precomputed sets.
 """
@@ -83,7 +87,7 @@ class RefinementChain:
         self.extend(d.insplit)
         S = d.insplit.pullback(S)
         gamma = closed_form_gamma(d)
-        op = know_op if isinstance(f, fm.Know) else poss_op
+        op = know_op if type(f) is fm.Know else poss_op
         return op(gamma, S)
 
     def region(self, node):
@@ -121,7 +125,7 @@ class Region:
         return S
 
     def knowledge(self, f, S):
-        op = know_op if isinstance(f, fm.Know) else poss_op
+        op = know_op if type(f) is fm.Know else poss_op
         return op(self.gammas[f.agent], S)
 
     def region(self, node):
@@ -142,13 +146,15 @@ class Verdict:
 
 
 def ax_f(m, S):
-    S = set(S)
-    return frozenset(q for q in m.states if all(r in S for r in m.successors(q)))
+    """States all of whose successors lie in S (a deadlock vacuously)."""
+    S = frozenset(S)
+    return frozenset([q for q, rs in m.succ_sets if rs <= S])
 
 
 def ex_f(m, S):
-    S = set(S)
-    return frozenset(q for q in m.states if any(r in S for r in m.successors(q)))
+    """States with a successor in S."""
+    S = frozenset(S)
+    return frozenset([q for q, rs in m.succ_sets if not rs.isdisjoint(S)])
 
 
 def atom_set(m, name):
@@ -185,27 +191,33 @@ def evaluate(node, kb, env):
     f = node.form
     if node.closed and kb.fsets is not None:
         return kb.fsets[node.path]
-    # The branches a Kleene loop visits come before the leaves: on parity
-    # games they run millions of times.
-    if isinstance(f, fm.Var):
+    # Dispatch on the exact class (no formula class has subclasses), with
+    # the branches a Kleene loop visits first: on parity games they run
+    # millions of times.  kb.final is read only after the children are
+    # evaluated, since a closed K/P below extends the chain.
+    t = type(f)
+    if t is fm.Var:
         return env[f.name]
-    if isinstance(f, (fm.And, fm.Or)):
+    if t is fm.And or t is fm.Or:
         left, right = node.children
         S1 = evaluate(left, kb, env)
         mark = kb.mark()
         S2 = evaluate(right, kb, env)
         S1 = kb.pull_forward(S1, mark)
-        return S1 & S2 if isinstance(f, fm.And) else S1 | S2
-    if isinstance(f, (fm.AX, fm.EX)):
+        return S1 & S2 if t is fm.And else S1 | S2
+    if t is fm.AX:
         S = evaluate(node.children[0], kb, env)
-        return ax_f(kb.final, S) if isinstance(f, fm.AX) else ex_f(kb.final, S)
-    if isinstance(f, fm.EPISTEMIC):
+        return ax_f(kb.final, S)
+    if t is fm.EX:
+        S = evaluate(node.children[0], kb, env)
+        return ex_f(kb.final, S)
+    if t is fm.Know or t is fm.Poss:
         return kb.knowledge(f, evaluate(node.children[0], kb, env))
-    if isinstance(f, fm.BINDERS):
+    if t is fm.Mu or t is fm.Nu:
         region = kb.region(node)
         body = node.children[0]
-        seed = frozenset() if isinstance(f, fm.Mu) else frozenset(region.final.states)
-        mode = "lfp" if isinstance(f, fm.Mu) else "gfp"
+        seed = frozenset() if t is fm.Mu else frozenset(region.final.states)
+        mode = "lfp" if t is fm.Mu else "gfp"
 
         def op(S):
             return evaluate(body, region, {**env, f.var: S})
@@ -214,15 +226,15 @@ def evaluate(node, kb, env):
         region.iteration_counts.append(iters)
         return result
     m = kb.final
-    if isinstance(f, fm.TrueF):
+    if t is fm.TrueF:
         return frozenset(m.states)
-    if isinstance(f, fm.FalseF):
+    if t is fm.FalseF:
         return frozenset()
-    if isinstance(f, fm.Atom):
+    if t is fm.Atom:
         return atom_set(m, f.name)
-    if isinstance(f, fm.NegAtom):
+    if t is fm.NegAtom:
         return frozenset(m.states) - atom_set(m, f.name)
-    if isinstance(f, (fm.DiamondAct, fm.BoxAct)):
+    if t is fm.DiamondAct or t is fm.BoxAct:
         raise EpmuError("action modalities must be compiled away before checking")
     raise TypeError(f"unexpected node {f!r}")
 

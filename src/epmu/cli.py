@@ -66,15 +66,16 @@ def _read_file(path):
         raise EpmuError(f"cannot read {path}: {e}") from e
 
 
-def _cap_arg(text):
-    """A --cap value: a count of states, so never negative."""
+def _count_arg(text):
+    """A --cap (states) or --depth (steps) value: a count, so never negative;
+    argparse names the option in the error."""
     try:
-        cap = int(text)
+        n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if cap < 0:
-        raise argparse.ArgumentTypeError(f"must not be negative: {cap}")
-    return cap
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {n}")
+    return n
 
 
 def _cap(args):
@@ -307,7 +308,7 @@ def build_parser():
     sp.add_argument("--system", required=True)
     add_formula_args(sp)
     sp.add_argument("--report", help="write a JSON report here")
-    sp.add_argument("--cap", type=_cap_arg, help="state cap for refinements")
+    sp.add_argument("--cap", type=_count_arg, help="state cap for refinements")
     sp.add_argument("--trace", action="store_true")
     sp.add_argument("--allow-deadlock", action="store_true")
     sp.set_defaults(fn=cmd_check)
@@ -323,15 +324,15 @@ def build_parser():
     sp.add_argument("--agent", required=True)
     sp.add_argument("--emit-dot")
     sp.add_argument("--json", action="store_true")
-    sp.add_argument("--cap", type=_cap_arg)
+    sp.add_argument("--cap", type=_count_arg)
     sp.set_defaults(fn=cmd_distinguish)
 
     sp = sub.add_parser("oracle", help="bounded-tree brute-force evaluation")
     sp.add_argument("--system", required=True)
     add_formula_args(sp)
-    sp.add_argument("--depth", type=int, required=True)
+    sp.add_argument("--depth", type=_count_arg, required=True)
     sp.add_argument("--json", action="store_true")
-    sp.add_argument("--cap", type=_cap_arg)
+    sp.add_argument("--cap", type=_count_arg)
     sp.set_defaults(fn=cmd_oracle)
 
     sp = sub.add_parser("translate", help="build model-checking instances")
@@ -344,14 +345,14 @@ def build_parser():
     tp.add_argument("--p2", required=True)
     tp.add_argument("--dual", action="store_true")
     tp.add_argument("--out", required=True)
-    tp.add_argument("--cap", type=_cap_arg)
+    tp.add_argument("--cap", type=_count_arg)
     tp.set_defaults(fn=cmd_translate)
 
     tp = tsub.add_parser("parity", help="parity-winning-region encoding")
     tp.add_argument("--game", required=True, help=".pg priority-annotated file")
     tp.add_argument("--player", type=int, default=0, choices=(0, 1))
     tp.add_argument("--out", required=True)
-    tp.add_argument("--cap", type=_cap_arg)
+    tp.add_argument("--cap", type=_count_arg)
     tp.set_defaults(fn=cmd_translate)
 
     return p

@@ -251,7 +251,7 @@ def subst(f, var, repl):
 def to_positive_form(f):
     """Push negations to atoms, rename bound variables apart, drop vacuous
     binders.  Raises NonMonotoneVariable for odd-polarity bound occurrences."""
-    g = depth_guarded("positive form", _push, f, False, frozenset())
+    g, _ = depth_guarded("positive form", _push, f, False, frozenset())
     return depth_guarded("positive form", _rename_apart, g)
 
 
@@ -261,38 +261,48 @@ _DUAL = {
     DiamondAct: BoxAct, BoxAct: DiamondAct, Mu: Nu, Nu: Mu,
 }
 
+_NO_VARS = frozenset()
+
 
 def _push(f, neg, flipped):
-    if isinstance(f, TrueF):
-        return FALSE if neg else TRUE
-    if isinstance(f, FalseF):
-        return TRUE if neg else FALSE
-    if isinstance(f, Atom):
-        return NegAtom(f.name) if neg else f
-    if isinstance(f, NegAtom):
-        return Atom(f.name) if neg else f
-    if isinstance(f, Var):
+    """The positive form of f (of ~f when neg) and its free variables, found
+    bottom-up so that a binder need not walk its body again."""
+    t = type(f)
+    if t is Atom:
+        return (NegAtom(f.name) if neg else f), _NO_VARS
+    if t is NegAtom:
+        return (Atom(f.name) if neg else f), _NO_VARS
+    if t is TrueF:
+        return (FALSE if neg else TRUE), _NO_VARS
+    if t is FalseF:
+        return (TRUE if neg else FALSE), _NO_VARS
+    if t is Var:
         if neg != (f.name in flipped):
             raise NonMonotoneVariable(f.name)
-        return f
-    if isinstance(f, Not):
+        return f, frozenset([f.name])
+    if t is Not:
         return _push(f.child, not neg, flipped)
-    op = _DUAL.get(type(f)) if neg else type(f)
-    if isinstance(f, (And, Or)):
-        return op(_push(f.left, neg, flipped), _push(f.right, neg, flipped))
-    if isinstance(f, (AX, EX)):
-        return op(_push(f.child, neg, flipped))
-    if isinstance(f, EPISTEMIC):
-        return op(f.agent, _push(f.child, neg, flipped))
-    if isinstance(f, (DiamondAct, BoxAct)):
-        return op(f.acts, _push(f.child, neg, flipped))
-    if isinstance(f, BINDERS):
+    op = _DUAL.get(t) if neg else t
+    if t is And or t is Or:
+        left, left_free = _push(f.left, neg, flipped)
+        right, right_free = _push(f.right, neg, flipped)
+        return op(left, right), left_free | right_free
+    if t is Mu or t is Nu:
         # ~mu Z.phi == nu Z.~phi[Z/~Z]
         flips = (flipped ^ {f.var}) if neg else (flipped - {f.var})
-        body = _push(f.body, neg, frozenset(flips))
-        if f.var not in free_vars(body):
-            return body
-        return op(f.var, body)
+        body, free = _push(f.body, neg, frozenset(flips))
+        if f.var not in free:
+            return body, free
+        return op(f.var, body), free - {f.var}
+    if t is AX or t is EX:
+        child, free = _push(f.child, neg, flipped)
+        return op(child), free
+    if t is Know or t is Poss:
+        child, free = _push(f.child, neg, flipped)
+        return op(f.agent, child), free
+    if t is DiamondAct or t is BoxAct:
+        child, free = _push(f.child, neg, flipped)
+        return op(f.acts, child), free
     raise TypeError(f"unexpected node {f!r}")
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from collections.abc import Hashable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import CapacityExceeded, SystemFormatError, UnknownAtom
 
@@ -51,6 +52,13 @@ class MultiAgentSystem:
 
     def successors(self, q):
         return self._succ[q]
+
+    @cached_property
+    def succ_sets(self):
+        """(state, frozenset of its successors) for every state, in state
+        order; the set operators of the checker compare these in C."""
+        succ = self._succ
+        return tuple([(q, frozenset(succ[q])) for q in self.states])
 
     def label(self, q):
         return self.labels[q]

@@ -76,24 +76,40 @@ def parse_labeled_system(text):
 
 
 def labeled_system_from_dict(data):
-    if "actions" not in data:
-        raise SystemFormatError("labeled system needs an 'actions' section")
+    return LabeledSystem(**_labeled_args(data))
+
+
+def _labeled_args(data, state_keys=("id",)):
+    """LabeledSystem arguments from a JSON object.  A missing key (including
+    each of `state_keys` in every state) or a label that is not a
+    [from, actions, to] triple raises SystemFormatError naming it."""
+    for key in ("states", "initial", "atoms", "agents", "actions"):
+        if key not in data:
+            raise SystemFormatError(f"missing key {key!r}")
     actions = data["actions"]
+    for key in ("labels", "alphabets"):
+        if not isinstance(actions, dict) or key not in actions:
+            raise SystemFormatError(f"missing key 'actions.{key}'")
     states, labels, names = [], {}, {}
     for entry in data["states"]:
+        for key in state_keys:
+            if not isinstance(entry, dict) or key not in entry:
+                raise SystemFormatError(f"state {entry!r} has no {key!r}")
         q = entry["id"]
         states.append(q)
         labels[q] = entry.get("atoms", [])
         if "name" in entry:
             names[q] = entry["name"]
-    obs = {a: spec.get("obs", []) for a, spec in data["agents"].items()}
-    return LabeledSystem(
+    for t in actions["labels"]:
+        if not isinstance(t, (list, tuple)) or len(t) != 3:
+            raise SystemFormatError(f"label {t!r} is not a triple [from, actions, to]")
+    return dict(
         states=states,
         q0=data["initial"],
-        trans=[(q, acts, r) for q, acts, r in actions["labels"]],
+        trans=[tuple(t) for t in actions["labels"]],
         atoms=data["atoms"],
         labels=labels,
-        obs=obs,
+        obs={a: spec.get("obs", []) for a, spec in data["agents"].items()},
         alphabets=actions["alphabets"],
         names=names,
     )
@@ -367,28 +383,9 @@ class ParityGame(LabeledSystem):
 
 def parse_parity_game(text):
     data = _load_json(text)
-    states, labels, names, priority = [], {}, {}, {}
-    for entry in data["states"]:
-        q = entry["id"]
-        states.append(q)
-        labels[q] = entry.get("atoms", [])
-        priority[q] = entry["priority"]
-        if "name" in entry:
-            names[q] = entry["name"]
-    obs = {a: spec.get("obs", []) for a, spec in data["agents"].items()}
-    actions = data["actions"]
-    return ParityGame(
-        states=states,
-        q0=data["initial"],
-        trans=[(q, acts, r) for q, acts, r in actions["labels"]],
-        atoms=data["atoms"],
-        labels=labels,
-        obs=obs,
-        alphabets=actions["alphabets"],
-        names=names,
-        priority=priority,
-        players=data.get("players"),
-    )
+    args = _labeled_args(data, state_keys=("id", "priority"))
+    priority = {entry["id"]: entry["priority"] for entry in data["states"]}
+    return ParityGame(**args, priority=priority, players=data.get("players"))
 
 
 def parity_encoding(game, player_index):

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from epmu import formula as fm
 from epmu.checker import (
+    ax_f,
     check,
     check_with_sets,
     eval_state_naive,
@@ -9,6 +12,7 @@ from epmu.checker import (
     kleene,
     node_set_on_prefix,
 )
+from epmu.distinction import distinction
 from epmu.errors import (
     EpmuError,
     FormulaTooDeep,
@@ -18,6 +22,7 @@ from epmu.errors import (
 )
 from epmu.formula import parse_formula, to_positive_form
 from epmu.oracle import eval_tree
+from epmu.gen import random_system
 from epmu.system import MultiAgentSystem, bounded_unfold
 
 
@@ -155,3 +160,49 @@ class TestNodeProjection:
         want = {x for x in ns.nodes}
         got_valid = {x for x in got if len(x) - 1 <= ns.valid_depth}
         assert got_valid == want
+
+
+def _kernel_systems():
+    """Seeded random systems, one and two subset constructions over them,
+    and a system with a deadlocked state."""
+    rng = random.Random(7)
+    out = []
+    for _ in range(30):
+        m = random_system(rng, max_states=7, chain_obs=True)
+        d = distinction(m, "b")
+        out += [m, d, distinction(d, "a")]
+    out.append(MultiAgentSystem([1, 2, 3], 1, [(1, 2), (1, 3), (3, 3)], ["p"], {}, {"a": []}))
+    return out
+
+
+class TestModalKernels:
+    """ax_f/ex_f against their definitions over successors(q)."""
+
+    @staticmethod
+    def subsets(m, rng):
+        yield frozenset()
+        yield frozenset(m.states)
+        for _ in range(8):
+            yield frozenset(q for q in m.states if rng.random() < 0.5)
+
+    def test_succ_sets_match_successors(self):
+        for m in _kernel_systems():
+            assert [q for q, _ in m.succ_sets] == list(m.states)
+            for q, rs in m.succ_sets:
+                assert rs == frozenset(m.successors(q))
+            assert m.succ_sets is m.succ_sets  # cached
+
+    def test_against_definition(self):
+        rng = random.Random(11)
+        systems = _kernel_systems()
+        # a deadlocked state is vacuously in AX S and never in EX S
+        assert any(m.deadlocks() for m in systems)
+        for m in systems:
+            for S in self.subsets(m, rng):
+                want_ax = {q for q in m.states if all(r in S for r in m.successors(q))}
+                want_ex = {q for q in m.states if any(r in S for r in m.successors(q))}
+                for arg in (S, set(S), sorted(S)):
+                    assert ax_f(m, arg) == want_ax
+                    assert ex_f(m, arg) == want_ex
+                    assert type(ax_f(m, arg)) is frozenset
+                    assert type(ex_f(m, arg)) is frozenset

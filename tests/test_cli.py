@@ -240,6 +240,15 @@ class TestOracle:
         data = json.loads(capsys.readouterr().out)
         assert data["root_holds"] is True
 
+    def test_negative_depth_exit_three(self, sys2_file, capsys):
+        code = main([
+            "oracle", "--system", sys2_file, "--formula", "p", "--depth", "-3",
+        ])
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --depth: must not be negative: -3" in err
+
 
 class TestTranslate:
     def test_atl_until_files(self, tmp_path, capsys):
@@ -292,3 +301,20 @@ class TestTranslate:
             "check", "--system", str(out / "compiled.mas"),
             "--formula-file", str(out / "formula.mu"),
         ]) == 0
+
+    def test_game_state_without_priority_exit_three(self, tmp_path, capsys):
+        g = ParityGame(
+            [1], 1, [(1, {"e": "x", "o": "u"}, 1)],
+            ["s1"], {1: {"s1"}}, {"e": {"s1"}, "o": {"s1"}},
+            {"e": ["x"], "o": ["u"]},
+            priority={1: 2}, players=("e", "o"),
+        )
+        src = tmp_path / "nopriority.pg"
+        src.write_text(json.dumps(labeled_system_to_dict(g)))
+        code = main([
+            "translate", "parity", "--game", str(src), "--out", str(tmp_path / "o"),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: state ") and "has no 'priority'" in err
+        assert "KeyError" not in err

@@ -142,6 +142,9 @@ class TestPositiveForm:
 
     def test_vacuous_binder_dropped(self):
         assert to_positive_form(Mu("Z", Atom("p"))) == Atom("p")
+        # Z is bound by the inner binder only, so the outer one is vacuous
+        f = parse_formula("mu Z . p & nu Z . q & AX Z")
+        assert to_positive_form(f) == parse_formula("p & nu Z . q & AX Z")
 
     def test_dual_involution(self):
         f = to_positive_form(parse_formula("mu Z . p | K a . EX Z"))

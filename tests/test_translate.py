@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from epmu.translate import (
     labeled_system_from_dict,
     labeled_system_to_dict,
     parity_encoding,
+    parse_parity_game,
 )
 
 
@@ -65,6 +67,72 @@ class TestLabeledSystem:
         assert again.trans == g.trans
         assert again.alphabets == g.alphabets
         assert again.labels == g.labels
+
+
+def _drop(path):
+    """An edit of a labeled-system dict that deletes the key at path."""
+
+    def edit(d):
+        *head, last = path
+        for key in head:
+            d = d[key]
+        del d[last]
+
+    return edit
+
+
+def _bad_label(d):
+    d["actions"]["labels"][0] = d["actions"]["labels"][0][:2]
+
+
+# (edit of a valid dict, text the error must contain)
+MALFORMED_LABELED = {
+    "no-id": (_drop(("states", 0, "id")), "'id'"),
+    "no-actions": (_drop(("actions",)), "'actions'"),
+    "no-labels": (_drop(("actions", "labels")), "'actions.labels'"),
+    "no-alphabets": (_drop(("actions", "alphabets")), "'actions.alphabets'"),
+    "no-initial": (_drop(("initial",)), "'initial'"),
+    "label-not-triple": (_bad_label, "not a triple"),
+}
+
+
+MALFORMED_GAME = {
+    **MALFORMED_LABELED,
+    "no-priority": (_drop(("states", 0, "priority")), "'priority'"),
+}
+
+
+def loop_parity_dict():
+    d = labeled_system_to_dict(loop_parity(2))
+    d["states"][0]["priority"] = 2
+    d["players"] = ["e", "o"]
+    return d
+
+
+class TestMalformedFiles:
+    """A wrong shape raises SystemFormatError naming the key, never a
+    KeyError or a ValueError from unpacking."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_LABELED))
+    def test_labeled_system(self, case):
+        edit, expected = MALFORMED_LABELED[case]
+        d = labeled_system_to_dict(tiny_labeled())
+        edit(d)
+        with pytest.raises(SystemFormatError, match=expected):
+            labeled_system_from_dict(d)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_GAME))
+    def test_parity_game(self, case):
+        edit, expected = MALFORMED_GAME[case]
+        d = loop_parity_dict()
+        edit(d)
+        with pytest.raises(SystemFormatError, match=expected):
+            parse_parity_game(json.dumps(d))
+
+    def test_valid_game_parses(self):
+        g = parse_parity_game(json.dumps(loop_parity_dict()))
+        assert g.priority == {1: 2}
+        assert g.players == ("e", "o")
 
 
 class TestCompileModal:
