@@ -8,16 +8,22 @@ against one of two knowledge backends:
   back along it, so one chain is threaded left-to-right through the tree.  A
   binder gets a region: its nearest closed descendants are evaluated on the
   chain, which is then refined once for all agents whose epistemic operators
-  are non-closed in the body, and their Γ is computed there.
+  are non-closed in the body, and their Γ is taken there.
 - ``Region`` is a fixed system: pullback is the identity, K/P read its Γs,
-  closed nodes read precomputed sets, and nested binders iterate in place.
+  and nested binders iterate in place.  It carries a memo from each node to
+  the values of the node's free variables and the set they gave.  Since the
+  system and the Γs are fixed, a node whose variables have the same values
+  has the same set, so the evaluator returns the stored one.  The frontier
+  sets the chain hands over are entries with an empty key.  A node that is
+  or holds a binder is never stored, so every Kleene loop still runs and
+  the iteration counts do not depend on the memo.
 
 ``AX``/``EX`` read the per-system successor sets
 (``MultiAgentSystem.succ_sets``, built once per system), so each Kleene step
 compares frozensets in C instead of scanning successors in Python.
 
 ``eval_state_naive`` runs the evaluator on a region over the input system
-with memoryless Γs and no precomputed sets.
+with memoryless Γs and an empty memo.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ class RefinementChain:
     the last entry is the current finest system.  As a knowledge backend it
     evaluates closed nodes and extends itself at K/P and at binders."""
 
-    fsets = None  # closed nodes are evaluated here, never looked up
+    memo = None  # closed nodes are evaluated here, never looked up
 
     def __init__(self, base, cap=DEFAULT_CAP):
         self.systems = [base]
@@ -93,36 +99,36 @@ class RefinementChain:
     def region(self, node):
         """The region of a binder whose body has free variables: evaluate the
         nearest closed descendants, refine once for all non-closed agents of
-        the body, and compute their Γ on the refined system."""
+        the body, and take their Γ on the refined system.  The last
+        construction is distinguished for its own agent, whose Γ therefore
+        has a closed form there; the others need compute_gamma."""
         marked = []
         for fn in frontier_nodes(node):
             S = evaluate(fn, self, {})
-            marked.append((fn.path, S, self.mark()))
+            marked.append((fn, S, self.mark()))
         agents = node.children[0].agncl
+        gammas = {}
         if agents:
-            _, comp = refine_for_agents(self.final, agents, cap=self.cap)
+            d, comp = refine_for_agents(self.final, agents, cap=self.cap)
             self.extend(comp)
-        fsets = {path: self.pull_forward(S, mark) for path, S, mark in marked}
-        gammas = {a: compute_gamma(self.final, a, cap=self.cap) for a in agents}
-        return Region(self.final, gammas, fsets, self.iteration_counts)
+            gammas = {a: compute_gamma(d, a, cap=self.cap) for a in agents - {d.agent}}
+            gammas[d.agent] = closed_form_gamma(d)
+        memo = {fn: ((), self.pull_forward(S, mark)) for fn, S, mark in marked}
+        return Region(self.final, gammas, memo, self.iteration_counts)
 
 
 class Region:
-    """A fixed system with one Γ per agent.  With fsets (frontier node path
-    -> set) closed nodes read their precomputed sets; without, they are
-    evaluated in place."""
+    """A fixed system with one Γ per agent and a memo: node -> (values of
+    its free variables, set), one entry per node, the last one evaluated.
+    RefinementChain.region seeds the memo with the frontier sets under the
+    empty key; eval_state_naive starts it empty, so closed nodes are
+    evaluated in place and then stored under the empty key."""
 
-    def __init__(self, system, gammas, fsets=None, iteration_counts=None):
+    def __init__(self, system, gammas, memo=None, iteration_counts=None):
         self.final = system
         self.gammas = gammas
-        self.fsets = fsets
+        self.memo = {} if memo is None else memo
         self.iteration_counts = [] if iteration_counts is None else iteration_counts
-
-    def mark(self):
-        return None
-
-    def pull_forward(self, S, mark):
-        return S
 
     def knowledge(self, f, S):
         op = know_op if type(f) is fm.Know else poss_op
@@ -189,8 +195,6 @@ def evaluate(node, kb, env):
     """State set of a syntactic-tree node over kb.final, where kb is a
     RefinementChain or a Region and env maps bound variables to sets."""
     f = node.form
-    if node.closed and kb.fsets is not None:
-        return kb.fsets[node.path]
     # Dispatch on the exact class (no formula class has subclasses), with
     # the branches a Kleene loop visits first: on parity games they run
     # millions of times.  kb.final is read only after the children are
@@ -198,22 +202,32 @@ def evaluate(node, kb, env):
     t = type(f)
     if t is fm.Var:
         return env[f.name]
+    memo = kb.memo
+    if memo is not None:
+        key = node.key(env)
+        hit = memo.get(node)
+        # the identity test first: unchanged variables keep their objects
+        if hit is not None and (hit[0] is key or hit[0] == key):
+            return hit[1]
     if t is fm.And or t is fm.Or:
         left, right = node.children
         S1 = evaluate(left, kb, env)
-        mark = kb.mark()
-        S2 = evaluate(right, kb, env)
-        S1 = kb.pull_forward(S1, mark)
-        return S1 & S2 if t is fm.And else S1 | S2
-    if t is fm.AX:
+        if memo is None:  # on the chain a closed K/P on the right extends it
+            mark = kb.mark()
+            S2 = evaluate(right, kb, env)
+            S1 = kb.pull_forward(S1, mark)
+        else:
+            S2 = evaluate(right, kb, env)
+        S = S1 & S2 if t is fm.And else S1 | S2
+    elif t is fm.AX:
         S = evaluate(node.children[0], kb, env)
-        return ax_f(kb.final, S)
-    if t is fm.EX:
+        S = ax_f(kb.final, S)
+    elif t is fm.EX:
         S = evaluate(node.children[0], kb, env)
-        return ex_f(kb.final, S)
-    if t is fm.Know or t is fm.Poss:
-        return kb.knowledge(f, evaluate(node.children[0], kb, env))
-    if t is fm.Mu or t is fm.Nu:
+        S = ex_f(kb.final, S)
+    elif t is fm.Know or t is fm.Poss:
+        S = kb.knowledge(f, evaluate(node.children[0], kb, env))
+    elif t is fm.Mu or t is fm.Nu:
         region = kb.region(node)
         body = node.children[0]
         seed = frozenset() if t is fm.Mu else frozenset(region.final.states)
@@ -225,18 +239,23 @@ def evaluate(node, kb, env):
         result, iters = kleene(op, seed, len(region.final), mode)
         region.iteration_counts.append(iters)
         return result
-    m = kb.final
-    if t is fm.TrueF:
-        return frozenset(m.states)
-    if t is fm.FalseF:
-        return frozenset()
-    if t is fm.Atom:
-        return atom_set(m, f.name)
-    if t is fm.NegAtom:
-        return frozenset(m.states) - atom_set(m, f.name)
-    if t is fm.DiamondAct or t is fm.BoxAct:
-        raise EpmuError("action modalities must be compiled away before checking")
-    raise TypeError(f"unexpected node {f!r}")
+    else:
+        m = kb.final
+        if t is fm.TrueF:
+            S = frozenset(m.states)
+        elif t is fm.FalseF:
+            S = frozenset()
+        elif t is fm.Atom:
+            S = atom_set(m, f.name)
+        elif t is fm.NegAtom:
+            S = frozenset(m.states) - atom_set(m, f.name)
+        elif t is fm.DiamondAct or t is fm.BoxAct:
+            raise EpmuError("action modalities must be compiled away before checking")
+        else:
+            raise TypeError(f"unexpected node {f!r}")
+    if memo is not None and not node.binds:
+        memo[node] = (key, S)
+    return S
 
 
 # ---------------------------------------------------------------------------

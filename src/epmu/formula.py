@@ -411,6 +411,7 @@ class _Parser:
         self.pos = 0
         self.agents = agents
         self._fresh = 0
+        self._vars = None  # every variable name in the text, on first need
 
     def peek(self):
         return self.tokens[self.pos]
@@ -438,11 +439,16 @@ class _Parser:
             raise UnknownAgent(t.text)
         return t.text
 
-    def fresh_var(self, avoid):
+    def fresh_var(self):
+        """The next CK<n> that no variable in the text is named, so it
+        captures nothing free in the operand; the names are collected once
+        per parse, not by walking each operand."""
+        if self._vars is None:
+            self._vars = {t.text for t in self.tokens if t.kind == "VAR"}
         while True:
             self._fresh += 1
             name = f"CK{self._fresh}"
-            if name not in avoid:
+            if name not in self._vars:
                 return name
 
     def formula(self):
@@ -508,7 +514,7 @@ class _Parser:
             b = self.agent()
             self.expect("}")
             child = self.unary()
-            z = self.fresh_var(free_vars(child))
+            z = self.fresh_var()
             return Nu(z, And(child, And(Know(a, Var(z)), Know(b, Var(z)))))
         if t.kind == "<":
             self.next()

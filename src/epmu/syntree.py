@@ -1,20 +1,25 @@
 """Annotated syntactic trees and the non-mixing fragment gate.
 
-Each node records its subformula, closedness, and the set of agents whose
-epistemic operators are reachable from it along entirely non-closed paths.
-A node labeled with a variable gets an extra child labeled with top, so every
-variable node has a closed subformula below it.
+Each node records its subformula, its free variables and closedness, and the
+set of agents whose epistemic operators are reachable from it along entirely
+non-closed paths.  A node labeled with a variable gets an extra child labeled
+with top, so every variable node has a closed subformula below it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from . import formula as fm
 from .errors import UnknownAgent, depth_guarded
 
 
-@dataclass
+def _no_key(env):
+    return ()
+
+
+@dataclass(eq=False)  # nodes hash and compare by identity
 class SynNode:
     path: tuple
     label: str
@@ -23,6 +28,16 @@ class SynNode:
     agncl: frozenset = frozenset()
     is_top: bool = False
     children: list = field(default_factory=list)
+    free: frozenset = frozenset()
+    binds: bool = False  # a fixpoint binder is this node or below it
+
+    def key(self, env):
+        """The values of the free variables in env as one comparable key: ()
+        when closed, the set itself for one variable, a tuple in name order
+        for more.  The getter is built on the first call and then replaces
+        this method on the instance."""
+        self.key = itemgetter(*sorted(self.free)) if self.free else _no_key
+        return self.key(env)
 
     def __iter__(self):
         """Pre-order, left to right; iterative, so deep trees are fine."""
@@ -75,6 +90,7 @@ def build_syntree(f):
 def _build(f, path):
     """The node of f and the free variables of f, found bottom-up."""
     label = _label(f)
+    binds = False
     if isinstance(f, fm.Var):
         top = SynNode(path + (1,), "true", fm.TRUE, closed=True, is_top=True)
         free = {f.name}
@@ -86,9 +102,13 @@ def _build(f, path):
             child, child_free = _build(c, path + (i,))
             children.append(child)
             free |= child_free
+            binds = binds or child.binds
         if isinstance(f, fm.BINDERS):
             free.discard(f.var)
-    node = SynNode(path, label, f, closed=not free, children=children)
+            binds = True
+    node = SynNode(path, label, f, closed=not free, children=children, binds=binds)
+    if free:
+        node.free = frozenset(free)
     # AgNCl: agents of epistemic operators reachable through non-closed nodes
     if not node.closed:
         acc = set()

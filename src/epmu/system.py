@@ -134,6 +134,18 @@ def _load_json(text):
     return data
 
 
+def _agent_obs(agents):
+    """Agent name -> observable atoms, from the "agents" object of a system
+    or game file; a shape that is not an object of objects raises
+    SystemFormatError naming it."""
+    if not isinstance(agents, dict):
+        raise SystemFormatError(f"'agents' is not an object: {agents!r}")
+    for a, spec in agents.items():
+        if not isinstance(spec, dict):
+            raise SystemFormatError(f"agent {a!r} has a spec that is not an object: {spec!r}")
+    return {a: spec.get("obs", []) for a, spec in agents.items()}
+
+
 def system_from_dict(data):
     for key in ("states", "initial", "transitions", "atoms", "agents"):
         if key not in data:
@@ -150,14 +162,13 @@ def system_from_dict(data):
     for t in data["transitions"]:
         if not isinstance(t, (list, tuple)) or len(t) != 2:
             raise SystemFormatError(f"transition {t!r} is not a pair [from, to]")
-    obs = {a: spec.get("obs", []) for a, spec in data["agents"].items()}
     return MultiAgentSystem(
         states=states,
         q0=data["initial"],
         delta=[tuple(t) for t in data["transitions"]],
         atoms=data["atoms"],
         labels=labels,
-        obs=obs,
+        obs=_agent_obs(data["agents"]),
         names=names,
     )
 

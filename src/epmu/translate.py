@@ -16,7 +16,7 @@ from .errors import (
     UnknownAtom,
     UnsupportedCoalition,
 )
-from .system import DEFAULT_CAP, MultiAgentSystem, _load_json
+from .system import DEFAULT_CAP, MultiAgentSystem, _agent_obs, _load_json
 
 
 def _canon_acts(acts):
@@ -53,6 +53,9 @@ class LabeledSystem:
         self.plain = plain
         keep = set(plain.states)
         self.trans = tuple(t for t in self.trans if t[0] in keep and t[2] in keep)
+        self._out = {}  # state -> [(acts, r), ...] in the order of self.trans
+        for q, acts, r in self.trans:
+            self._out.setdefault(q, []).append((acts, r))
         self.states = plain.states
         self.q0 = plain.q0
         self.atoms = plain.atoms
@@ -64,7 +67,7 @@ class LabeledSystem:
         return self.labels[q]
 
     def outgoing(self, q):
-        return [(acts, r) for q2, acts, r in self.trans if q2 == q]
+        return list(self._out.get(q, ()))
 
     def __len__(self):
         return len(self.states)
@@ -81,8 +84,9 @@ def labeled_system_from_dict(data):
 
 def _labeled_args(data, state_keys=("id",)):
     """LabeledSystem arguments from a JSON object.  A missing key (including
-    each of `state_keys` in every state) or a label that is not a
-    [from, actions, to] triple raises SystemFormatError naming it."""
+    each of `state_keys` in every state), a label that is not a
+    [from, actions, to] triple with an object of actions, or an agent spec
+    that is not an object raises SystemFormatError naming it."""
     for key in ("states", "initial", "atoms", "agents", "actions"):
         if key not in data:
             raise SystemFormatError(f"missing key {key!r}")
@@ -103,13 +107,15 @@ def _labeled_args(data, state_keys=("id",)):
     for t in actions["labels"]:
         if not isinstance(t, (list, tuple)) or len(t) != 3:
             raise SystemFormatError(f"label {t!r} is not a triple [from, actions, to]")
+        if not isinstance(t[1], dict):
+            raise SystemFormatError(f"label {t!r}: its actions are not an object")
     return dict(
         states=states,
         q0=data["initial"],
         trans=[tuple(t) for t in actions["labels"]],
         atoms=data["atoms"],
         labels=labels,
-        obs={a: spec.get("obs", []) for a, spec in data["agents"].items()},
+        obs=_agent_obs(data["agents"]),
         alphabets=actions["alphabets"],
         names=names,
     )
@@ -423,10 +429,13 @@ def parity_encoding(game, player_index):
     )
 
     zvar = {k: f"Zp{k}" for k in range(1, n + 1)}
+    # Highest priority first: the innermost binder's term (priority 1) is
+    # then the outermost disjunct, and the disjunction of all the others is
+    # one subterm that is constant while that binder iterates.
     body = None
     for alpha in extended.alphabets[me]:
         inner = None
-        for k in range(1, n + 1):
+        for k in range(n, 0, -1):
             steps = None
             for beta in extended.alphabets[opp]:
                 acts = _canon_acts(((me, alpha), (opp, beta)))

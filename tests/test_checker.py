@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from epmu import checker
 from epmu import formula as fm
 from epmu.checker import (
     ax_f,
@@ -206,3 +207,47 @@ class TestModalKernels:
                     assert ex_f(m, arg) == want_ex
                     assert type(ax_f(m, arg)) is frozenset
                     assert type(ex_f(m, arg)) is frozenset
+
+
+class TestRegionMemo:
+    """A region returns a node's stored set while its free variables keep
+    their values, and never stores a binder or a node above one."""
+
+    def test_outer_only_subterm_evaluated_once_per_outer_step(self, sys1, monkeypatch):
+        calls = []
+
+        def counting_ax_f(m, S):
+            calls.append(S)
+            return ax_f(m, S)
+
+        monkeypatch.setattr(checker, "ax_f", counting_ax_f)
+        v = check(sys1, parse_formula("nu X . mu Y . (q & AX X) | EX Y"))
+        assert v.holds and v.iteration_counts == [3, 3, 2]
+        inner, outer = v.iteration_counts[:-1], v.iteration_counts[-1]
+        # AX X mentions only X: one call per outer step, not per inner one
+        assert len(calls) == outer < sum(inner)
+
+    # (formula, random_system seed, holds, refinement_sizes, iteration_counts),
+    # computed before regions had a memo.  The innermost binder never
+    # mentions Y, so a memoised binder, or a memoised node above it, would
+    # skip inner loops and shorten the counts.
+    THREE_BINDERS = [
+        (
+            "nu X . mu Y . (mu Z . (p & X) | EX Z) | (q & EX Y)",
+            40, True, [8], [5, 5, 2, 5, 5, 2, 2],
+        ),
+        (
+            "nu X . mu Y . (q & AX (mu Z . (p & X) | EX Z)) | EX Y",
+            40, True, [8], [5, 5, 5, 3, 5, 5, 5, 3, 2],
+        ),
+        (
+            "nu X . mu Y . (q & P a . (mu Z . (r & X) | EX Z)) | EX Y",
+            45, True, [5, 5], [3, 3, 3, 3, 4, 4, 4, 3, 2],
+        ),
+    ]
+
+    @pytest.mark.parametrize("text,seed,holds,sizes,iters", THREE_BINDERS)
+    def test_every_kleene_loop_runs(self, text, seed, holds, sizes, iters):
+        m = random_system(random.Random(seed), max_states=8, chain_obs=True)
+        v = check(m, parse_formula(text))
+        assert (v.holds, v.refinement_sizes, v.iteration_counts) == (holds, sizes, iters)

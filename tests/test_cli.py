@@ -99,6 +99,26 @@ class TestCheck:
         assert main(["check", "--system", str(p), "--formula", "true"]) == 3
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
+    def test_unhashable_state_id_exit_three(self, tmp_path, capsys):
+        # no EpmuError names this shape yet: the generic handler reports it
+        p = tmp_path / "unhashable.mas"
+        p.write_text(json.dumps({
+            "states": [{"id": [1]}], "initial": [1], "transitions": [[[1], [1]]],
+            "atoms": [], "agents": {"a": {}},
+        }))
+        assert main(["check", "--system", str(p), "--formula", "true"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+    def test_agents_not_an_object_exit_three(self, tmp_path, capsys):
+        p = tmp_path / "agents.mas"
+        p.write_text(json.dumps({
+            "states": [{"id": 1}], "initial": 1, "transitions": [[1, 1]],
+            "atoms": [], "agents": ["a"],
+        }))
+        assert main(["check", "--system", str(p), "--formula", "true"]) == 3
+        assert capsys.readouterr().err == "error: 'agents' is not an object: ['a']\n"
+
     @pytest.mark.parametrize(
         "formula,phase",
         [("EX " * 1000 + "p", "parse"), (" & ".join(["p"] * 500), "positive form")],
@@ -301,6 +321,37 @@ class TestTranslate:
             "check", "--system", str(out / "compiled.mas"),
             "--formula-file", str(out / "formula.mu"),
         ]) == 0
+
+    @pytest.mark.parametrize(
+        "mode,edit,named",
+        [
+            ("parity", lambda d: d["actions"]["labels"][0].__setitem__(1, "xu"), "label [1, 'xu', 1]"),
+            ("parity", lambda d: d["agents"].__setitem__("e", ["s1"]), "agent 'e'"),
+            ("atl-until", lambda d: d["actions"]["labels"][0].__setitem__(1, "xu"), "label [1, 'xu', 1]"),
+            ("atl-until", lambda d: d["agents"].__setitem__("e", ["s1"]), "agent 'e'"),
+        ],
+        ids=["game-actions-string", "game-agent-list", "labeled-actions-string", "labeled-agent-list"],
+    )
+    def test_bad_actions_or_agent_exit_three(self, tmp_path, capsys, mode, edit, named):
+        g = ParityGame(
+            [1], 1, [(1, {"e": "x", "o": "u"}, 1)],
+            ["s1"], {1: {"s1"}}, {"e": {"s1"}, "o": {"s1"}},
+            {"e": ["x"], "o": ["u"]},
+            priority={1: 2}, players=("e", "o"),
+        )
+        d = labeled_system_to_dict(g)
+        d["states"][0]["priority"] = 2
+        edit(d)
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps(d))
+        args = ["--game", str(src)] if mode == "parity" else [
+            "--system", str(src), "--agent", "e", "--p1", "s1", "--p2", "s1",
+        ]
+        code = main(["translate", mode, *args, "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert "ValueError" not in err and "AttributeError" not in err
 
     def test_game_state_without_priority_exit_three(self, tmp_path, capsys):
         g = ParityGame(

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -253,3 +254,60 @@ class TestNonMixing:
         f = to_positive_form(parse_formula("nu Z . p & K c . Z"))
         with pytest.raises(UnknownAgent):
             check_non_mixing(build_syntree(f), {"a": {"p"}})
+
+
+def _ck_free_corpus(seed, count):
+    """Seeded formula texts with nested C{a,b}, binders, free variables and
+    negation, none naming a CK variable."""
+    rng = random.Random(seed)
+
+    def go(depth, bound):
+        if depth == 0 or rng.random() < 0.15:
+            return rng.choice(["p", "q", "true", "W"] + sorted(bound))
+        kind = rng.choice(["C", "C", "C", "E", "K", "P", "AX", "EX", "~", "&", "|", "->", "mu", "nu"])
+        if kind in ("&", "|", "->"):
+            return f"({go(depth - 1, bound)}) {kind} ({go(depth - 1, bound)})"
+        if kind in ("mu", "nu"):
+            v = rng.choice("XYZ")
+            return f"{kind} {v} . ({go(depth - 1, bound | {v})})"
+        prefix = {"C": "C{a,b}", "E": "E{a,b}", "K": "K a .", "P": "P b ."}.get(kind, kind)
+        return f"{prefix} ({go(depth - 1, bound)})"
+
+    return [go(rng.randint(1, 7), frozenset()) for _ in range(count)]
+
+
+class TestCommonKnowledgeNames:
+    """C{a,b} binds a fresh CK<n>: numbered in parse order, never a name
+    that is free in its operand, chosen without walking the operand."""
+
+    def test_numbered_inside_out(self):
+        f = parse_formula("C{a,b} C{a,b} p")
+        assert f.var == "CK2" and f.body.left.var == "CK1"
+
+    def test_avoids_free_operand_variables(self):
+        f = parse_formula("C{a,b} (CK1 | p)")
+        assert f.var != "CK1" and fm.free_vars(f) == {"CK1"}
+        g = parse_formula("C{a,b} C{a,b} (CK1 | CK2 | CK3)")
+        assert fm.free_vars(g) == {"CK1", "CK2", "CK3"}
+        assert {g.var, g.body.left.var}.isdisjoint({"CK1", "CK2", "CK3"})
+
+    def test_nesting_walks_no_operand(self, monkeypatch):
+        def walk(f):
+            raise AssertionError("an operand was walked")
+
+        monkeypatch.setattr(fm, "free_vars", walk)
+        f = parse_formula("C{a,b} " * 300 + "p")
+        assert f.var == "CK300"
+
+    def test_positive_forms_unchanged(self):
+        # digest of the positive forms (or the error class) of the corpus,
+        # computed when each C{a,b} still walked its operand
+        out = []
+        for text in _ck_free_corpus(5, 400):
+            assert "CK" not in text
+            try:
+                out.append(pretty(to_positive_form(parse_formula(text))))
+            except NonMonotoneVariable as e:
+                out.append(type(e).__name__)
+        digest = hashlib.sha256("\n".join(out).encode()).hexdigest()
+        assert digest == "5499de4bb30eebc760eadc88aa9b4e4a64ca8d4d834513affe64e735a780dfed"

@@ -68,6 +68,17 @@ class TestLabeledSystem:
         assert again.alphabets == g.alphabets
         assert again.labels == g.labels
 
+    def test_outgoing_matches_scan(self):
+        games = small_game_family(40, random.Random(13), max_states=4)
+        games += [atl_until_instance(g, "a0", "p1", "p2")[0] for g in games]
+        for g in games:
+            for q in list(g.states) + ["absent"]:
+                scan = [(acts, r) for q2, acts, r in g.trans if q2 == q]
+                assert g.outgoing(q) == scan
+            # each call returns a list of its own
+            g.outgoing(g.q0).clear()
+            assert g.outgoing(g.q0)
+
 
 def _drop(path):
     """An edit of a labeled-system dict that deletes the key at path."""
@@ -128,6 +139,25 @@ class TestMalformedFiles:
         edit(d)
         with pytest.raises(SystemFormatError, match=expected):
             parse_parity_game(json.dumps(d))
+
+    @pytest.mark.parametrize(
+        "edit,expected",
+        [
+            (lambda d: d["actions"]["labels"][0].__setitem__(1, "xu"), "label .*'xu'"),
+            (lambda d: d["actions"]["labels"][0].__setitem__(1, [["e", "x"], ["o", "u"]]), r"label .*\['e', 'x'\]"),
+            (lambda d: d["agents"].__setitem__("e", ["s1"]), "agent 'e'"),
+            (lambda d: d.__setitem__("agents", ["e", "o"]), "'agents' is not an object"),
+        ],
+        ids=["actions-string", "actions-list", "agent-spec-list", "agents-list"],
+    )
+    def test_bad_actions_and_agents_named(self, edit, expected):
+        for d, parse in (
+            (labeled_system_to_dict(loop_parity(2)), lambda d: labeled_system_from_dict(d)),
+            (loop_parity_dict(), lambda d: parse_parity_game(json.dumps(d))),
+        ):
+            edit(d)
+            with pytest.raises(SystemFormatError, match=expected):
+                parse(d)
 
     def test_valid_game_parses(self):
         g = parse_parity_game(json.dumps(loop_parity_dict()))
