@@ -251,8 +251,8 @@ def subst(f, var, repl):
 def to_positive_form(f):
     """Push negations to atoms, rename bound variables apart, drop vacuous
     binders.  Raises NonMonotoneVariable for odd-polarity bound occurrences."""
-    g, _ = depth_guarded("positive form", _push, f, False, frozenset())
-    return depth_guarded("positive form", _rename_apart, g)
+    g, free = depth_guarded("positive form", _push, f, False, frozenset())
+    return depth_guarded("positive form", _rename_apart, g, free)
 
 
 # The operator each connective becomes under negation.
@@ -306,7 +306,10 @@ def _push(f, neg, flipped):
     raise TypeError(f"unexpected node {f!r}")
 
 
-def _rename_apart(f):
+def _rename_apart(f, free):
+    """Give each binder a name no other binder has: a repeated name gets the
+    first of name1, name2, … that is neither taken by a binder nor one of
+    the free variables of f, so no free occurrence is captured."""
     used = set()
 
     def walk(g, env):
@@ -316,7 +319,7 @@ def _rename_apart(f):
             name = g.var
             if name in used:
                 i = 1
-                while f"{name}{i}" in used:
+                while f"{name}{i}" in used or f"{name}{i}" in free:
                     i += 1
                 name = f"{name}{i}"
             used.add(name)
@@ -353,60 +356,47 @@ def dual(f):
 # ---------------------------------------------------------------------------
 # Concrete syntax
 
+# A "key" token is its own kind; "bad" is any character no other group takes.
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
-  | (?P<arrow>->)
-  | (?P<sym>[~&|().,<>\[\]{}=])
-  | (?P<word>[A-Za-z][A-Za-z0-9_]*)
+  | (?P<key>->|[~&|().,<>\[\]{}=]|(?:true|false|mu|nu|AX|EX|K|P|E|C)(?![A-Za-z0-9_]))
+  | (?P<VAR>[A-Z][A-Za-z0-9_]*)
+  | (?P<ident>[a-z][A-Za-z0-9_]*)
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
-_KEYWORDS = {"true", "false", "mu", "nu", "AX", "EX", "K", "P", "E", "C"}
+# Binary connectives: precedence (higher binds tighter) and constructor;
+# "->" groups to the right, the others to the left.
+_BINARY = {"->": (1, None), "|": (2, Or), "&": (3, And)}
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
+def _syntax_error(text, offset, message):
+    """FormulaSyntaxError at the line and column of text[offset]."""
+    line = text.count("\n", 0, offset) + 1
+    return FormulaSyntaxError(message, line, offset - text.rfind("\n", 0, offset))
 
 
 def _tokenize(text):
+    """(kind, text, offset) tuples, ending with an "eof" token."""
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", line, col)
-        chunk = m.group(0)
-        if m.lastgroup == "word":
-            if chunk in _KEYWORDS:
-                tokens.append(_Token(chunk, chunk, line, col))
-            elif chunk[0].isupper():
-                tokens.append(_Token("VAR", chunk, line, col))
-            else:
-                tokens.append(_Token("ident", chunk, line, col))
-        elif m.lastgroup != "ws":
-            tokens.append(_Token(chunk, chunk, line, col))
-        nl = chunk.count("\n")
-        if nl:
-            line += nl
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        chunk = m.group()
+        if kind == "bad":
+            raise _syntax_error(text, m.start(), f"unexpected character {chunk!r}")
+        tokens.append((chunk if kind == "key" else kind, chunk, m.start()))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text, agents=None):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.agents = agents
@@ -414,91 +404,76 @@ class _Parser:
         self._vars = None  # every variable name in the text, on first need
 
     def peek(self):
-        return self.tokens[self.pos]
+        return self.tokens[self.pos][0]
 
     def next(self):
         t = self.tokens[self.pos]
         self.pos += 1
         return t
 
+    def error(self, t, message):
+        return _syntax_error(self.text, t[2], message)
+
     def expect(self, kind):
         t = self.next()
-        if t.kind != kind:
-            raise FormulaSyntaxError(
-                f"expected {kind!r}, got {t.text!r}", t.line, t.col
-            )
-        return t
-
-    def error(self, msg):
-        t = self.peek()
-        raise FormulaSyntaxError(f"{msg}, got {t.text or 'end of input'!r}", t.line, t.col)
+        if t[0] != kind:
+            raise self.error(t, f"expected {kind!r}, got {t[1]!r}")
+        return t[1]
 
     def agent(self):
-        t = self.expect("ident")
-        if self.agents is not None and t.text not in self.agents:
-            raise UnknownAgent(t.text)
-        return t.text
+        a = self.expect("ident")
+        if self.agents is not None and a not in self.agents:
+            raise UnknownAgent(a)
+        return a
 
     def fresh_var(self):
         """The next CK<n> that no variable in the text is named, so it
         captures nothing free in the operand; the names are collected once
         per parse, not by walking each operand."""
         if self._vars is None:
-            self._vars = {t.text for t in self.tokens if t.kind == "VAR"}
+            self._vars = {text for kind, text, _ in self.tokens if kind == "VAR"}
         while True:
             self._fresh += 1
             name = f"CK{self._fresh}"
             if name not in self._vars:
                 return name
 
-    def formula(self):
-        return self.implies()
-
-    def implies(self):
-        left = self.disj()
-        if self.peek().kind == "->":
-            self.next()
-            right = self.implies()
-            return Or(Not(left), right)
-        return left
-
-    def disj(self):
-        f = self.conj()
-        while self.peek().kind == "|":
-            self.next()
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self):
+    def formula(self, prec=1):
+        """Operands joined by binary connectives that bind at least as
+        tightly as prec (precedence climbing)."""
         f = self.unary()
-        while self.peek().kind == "&":
-            self.next()
-            f = And(f, self.unary())
+        while self.peek() in _BINARY:
+            op_prec, op = _BINARY[self.peek()]
+            if op_prec < prec:
+                break
+            self.pos += 1
+            if op is None:  # f -> g == ~f | g
+                f = Or(Not(f), self.formula(op_prec))
+            else:
+                f = op(f, self.formula(op_prec + 1))
         return f
 
     def unary(self):
-        t = self.peek()
-        if t.kind == "~":
-            self.next()
+        """A prefix operator and its operand, or an atom, a variable, a
+        parenthesised formula or a binder (whose body extends maximally)."""
+        t = self.next()
+        kind = t[0]
+        if kind == "~":
             return Not(self.unary())
-        if t.kind == "AX":
-            self.next()
+        if kind == "AX":
             return AX(self.unary())
-        if t.kind == "EX":
-            self.next()
+        if kind == "EX":
             return EX(self.unary())
-        if t.kind in ("K", "P"):
-            self.next()
+        if kind in ("K", "P"):
             a = self.agent()
             self.expect(".")
             child = self.unary()
-            return Know(a, child) if t.kind == "K" else Poss(a, child)
-        if t.kind == "E":
-            self.next()
+            return Know(a, child) if kind == "K" else Poss(a, child)
+        if kind == "E":
             self.expect("{")
             names = [self.agent()]
-            while self.peek().kind == ",":
-                self.next()
+            while self.peek() == ",":
+                self.pos += 1
                 names.append(self.agent())
             self.expect("}")
             child = self.unary()
@@ -506,8 +481,7 @@ class _Parser:
             for a in reversed(names[:-1]):
                 f = And(Know(a, child), f)
             return f
-        if t.kind == "C":
-            self.next()
+        if kind == "C":
             self.expect("{")
             a = self.agent()
             self.expect(",")
@@ -516,60 +490,45 @@ class _Parser:
             child = self.unary()
             z = self.fresh_var()
             return Nu(z, And(child, And(Know(a, Var(z)), Know(b, Var(z)))))
-        if t.kind == "<":
-            self.next()
+        if kind == "<":
             acts = self.act_tuple(">")
             return DiamondAct(acts, self.unary())
-        if t.kind == "[":
-            self.next()
+        if kind == "[":
             acts = self.act_tuple("]")
             return BoxAct(acts, self.unary())
-        return self.primary()
+        if kind == "true":
+            return TRUE
+        if kind == "false":
+            return FALSE
+        if kind == "ident":
+            return Atom(t[1])
+        if kind == "VAR":
+            return Var(t[1])
+        if kind == "(":
+            f = self.formula()
+            self.expect(")")
+            return f
+        if kind in ("mu", "nu"):
+            var = self.expect("VAR")
+            self.expect(".")
+            body = self.formula()
+            return Mu(var, body) if kind == "mu" else Nu(var, body)
+        raise self.error(t, f"expected a formula, got {t[1] or 'end of input'!r}")
 
     def act_tuple(self, close):
         pairs = []
         while True:
             a = self.agent()
             self.expect("=")
-            act = self.expect("ident").text
-            pairs.append((a, act))
+            pairs.append((a, self.expect("ident")))
             t = self.next()
-            if t.kind == close:
+            if t[0] == close:
                 break
-            if t.kind != ",":
-                raise FormulaSyntaxError(
-                    f"expected ',' or {close!r} in action tuple, got {t.text!r}",
-                    t.line,
-                    t.col,
+            if t[0] != ",":
+                raise self.error(
+                    t, f"expected ',' or {close!r} in action tuple, got {t[1]!r}"
                 )
         return tuple(sorted(pairs))
-
-    def primary(self):
-        t = self.peek()
-        if t.kind == "true":
-            self.next()
-            return TRUE
-        if t.kind == "false":
-            self.next()
-            return FALSE
-        if t.kind == "ident":
-            self.next()
-            return Atom(t.text)
-        if t.kind == "VAR":
-            self.next()
-            return Var(t.text)
-        if t.kind == "(":
-            self.next()
-            f = self.formula()
-            self.expect(")")
-            return f
-        if t.kind in ("mu", "nu"):
-            self.next()
-            var = self.expect("VAR").text
-            self.expect(".")
-            body = self.formula()
-            return Mu(var, body) if t.kind == "mu" else Nu(var, body)
-        self.error("expected a formula")
 
 
 def parse_formula(text, agents=None):
@@ -577,9 +536,9 @@ def parse_formula(text, agents=None):
     expanded here.  If an agent roster is given, unknown agents are rejected."""
     p = _Parser(text, agents)
     f = depth_guarded("parse", p.formula)
-    t = p.peek()
-    if t.kind != "eof":
-        raise FormulaSyntaxError(f"trailing input {t.text!r}", t.line, t.col)
+    t = p.next()
+    if t[0] != "eof":
+        raise p.error(t, f"trailing input {t[1]!r}")
     return f
 
 

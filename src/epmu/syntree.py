@@ -22,8 +22,7 @@ def _no_key(env):
 @dataclass(eq=False)  # nodes hash and compare by identity
 class SynNode:
     path: tuple
-    label: str
-    form: object  # Formula; None for the top child under a variable
+    form: object  # Formula; TRUE for the top child under a variable
     closed: bool
     agncl: frozenset = frozenset()
     is_top: bool = False
@@ -48,40 +47,6 @@ class SynNode:
             stack.extend(reversed(node.children))
 
 
-def _label(f):
-    if isinstance(f, fm.Atom):
-        return f.name
-    if isinstance(f, fm.NegAtom):
-        return f"~{f.name}"
-    if isinstance(f, fm.Var):
-        return f.name
-    if isinstance(f, fm.TrueF):
-        return "true"
-    if isinstance(f, fm.FalseF):
-        return "false"
-    if isinstance(f, fm.And):
-        return "&"
-    if isinstance(f, fm.Or):
-        return "|"
-    if isinstance(f, fm.AX):
-        return "AX"
-    if isinstance(f, fm.EX):
-        return "EX"
-    if isinstance(f, fm.Know):
-        return f"K {f.agent}"
-    if isinstance(f, fm.Poss):
-        return f"P {f.agent}"
-    if isinstance(f, fm.Mu):
-        return f"mu {f.var}"
-    if isinstance(f, fm.Nu):
-        return f"nu {f.var}"
-    if isinstance(f, fm.DiamondAct):
-        return "<" + ",".join(f"{a}={x}" for a, x in f.acts) + ">"
-    if isinstance(f, fm.BoxAct):
-        return "[" + ",".join(f"{a}={x}" for a, x in f.acts) + "]"
-    raise TypeError(f"cannot build a syntactic tree over {f!r}")
-
-
 def build_syntree(f):
     """Build the annotated tree for a positive-form formula."""
     return depth_guarded("syntax tree", _build, f, ())[0]
@@ -89,10 +54,11 @@ def build_syntree(f):
 
 def _build(f, path):
     """The node of f and the free variables of f, found bottom-up."""
-    label = _label(f)
+    if isinstance(f, fm.Not) or not isinstance(f, fm.Formula):
+        raise TypeError(f"cannot build a syntactic tree over {f!r}")
     binds = False
     if isinstance(f, fm.Var):
-        top = SynNode(path + (1,), "true", fm.TRUE, closed=True, is_top=True)
+        top = SynNode(path + (1,), fm.TRUE, closed=True, is_top=True)
         free = {f.name}
         children = [top]
     else:
@@ -106,7 +72,7 @@ def _build(f, path):
         if isinstance(f, fm.BINDERS):
             free.discard(f.var)
             binds = True
-    node = SynNode(path, label, f, closed=not free, children=children, binds=binds)
+    node = SynNode(path, f, closed=not free, children=children, binds=binds)
     if free:
         node.free = frozenset(free)
     # AgNCl: agents of epistemic operators reachable through non-closed nodes

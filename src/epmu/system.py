@@ -146,22 +146,41 @@ def _agent_obs(agents):
     return {a: spec.get("obs", []) for a, spec in agents.items()}
 
 
-def system_from_dict(data):
-    for key in ("states", "initial", "transitions", "atoms", "agents"):
-        if key not in data:
-            raise SystemFormatError(f"missing key {key!r}")
+def _state_entries(entries, keys=("id",)):
+    """States, atom labels and names from the "states" list of a system or
+    game file.  An entry that is not an object with each of `keys`, or whose
+    id is a list or an object, raises SystemFormatError naming it."""
     states, labels, names = [], {}, {}
-    for entry in data["states"]:
-        if not isinstance(entry, dict) or "id" not in entry:
-            raise SystemFormatError(f"state {entry!r} has no \"id\"")
+    for entry in entries:
+        for key in keys:
+            if not isinstance(entry, dict) or key not in entry:
+                raise SystemFormatError(f"state {entry!r} has no {key!r}")
         q = entry["id"]
+        if not isinstance(q, Hashable):
+            raise SystemFormatError(f"state {entry!r}: its id is a list or an object")
         states.append(q)
         labels[q] = entry.get("atoms", [])
         if "name" in entry:
             names[q] = entry["name"]
+    return states, labels, names
+
+
+def _check_ends(kind, t):
+    """A transition (or action label) t whose first or last element is a
+    list or an object, which no state id is, raises SystemFormatError."""
+    if not (isinstance(t[0], Hashable) and isinstance(t[-1], Hashable)):
+        raise SystemFormatError(f"{kind} {t!r} uses a list or an object as a state")
+
+
+def system_from_dict(data):
+    for key in ("states", "initial", "transitions", "atoms", "agents"):
+        if key not in data:
+            raise SystemFormatError(f"missing key {key!r}")
+    states, labels, names = _state_entries(data["states"])
     for t in data["transitions"]:
         if not isinstance(t, (list, tuple)) or len(t) != 2:
             raise SystemFormatError(f"transition {t!r} is not a pair [from, to]")
+        _check_ends("transition", t)
     return MultiAgentSystem(
         states=states,
         q0=data["initial"],

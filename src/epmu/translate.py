@@ -16,7 +16,14 @@ from .errors import (
     UnknownAtom,
     UnsupportedCoalition,
 )
-from .system import DEFAULT_CAP, MultiAgentSystem, _agent_obs, _load_json
+from .system import (
+    DEFAULT_CAP,
+    MultiAgentSystem,
+    _agent_obs,
+    _check_ends,
+    _load_json,
+    _state_entries,
+)
 
 
 def _canon_acts(acts):
@@ -94,21 +101,13 @@ def _labeled_args(data, state_keys=("id",)):
     for key in ("labels", "alphabets"):
         if not isinstance(actions, dict) or key not in actions:
             raise SystemFormatError(f"missing key 'actions.{key}'")
-    states, labels, names = [], {}, {}
-    for entry in data["states"]:
-        for key in state_keys:
-            if not isinstance(entry, dict) or key not in entry:
-                raise SystemFormatError(f"state {entry!r} has no {key!r}")
-        q = entry["id"]
-        states.append(q)
-        labels[q] = entry.get("atoms", [])
-        if "name" in entry:
-            names[q] = entry["name"]
+    states, labels, names = _state_entries(data["states"], state_keys)
     for t in actions["labels"]:
         if not isinstance(t, (list, tuple)) or len(t) != 3:
             raise SystemFormatError(f"label {t!r} is not a triple [from, actions, to]")
         if not isinstance(t[1], dict):
             raise SystemFormatError(f"label {t!r}: its actions are not an object")
+        _check_ends("label", t)
     return dict(
         states=states,
         q0=data["initial"],

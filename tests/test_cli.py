@@ -90,7 +90,7 @@ class TestCheck:
         assert err.startswith("error: ") and "Traceback" not in err
 
     def test_unexpected_failure_exit_three(self, tmp_path, capsys):
-        # agents given as a list, not an object: no EpmuError names it
+        # agents given as a list, not an object: a SystemFormatError names it
         p = tmp_path / "odd.mas"
         p.write_text(json.dumps({
             "states": [{"id": 1}], "initial": 1, "transitions": [[1, 1]],
@@ -100,7 +100,7 @@ class TestCheck:
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
     def test_unhashable_state_id_exit_three(self, tmp_path, capsys):
-        # no EpmuError names this shape yet: the generic handler reports it
+        # a list id cannot be a state: a SystemFormatError names the state
         p = tmp_path / "unhashable.mas"
         p.write_text(json.dumps({
             "states": [{"id": [1]}], "initial": [1], "transitions": [[[1], [1]]],
@@ -108,7 +108,32 @@ class TestCheck:
         }))
         assert main(["check", "--system", str(p), "--formula", "true"]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert err == "error: state {'id': [1]}: its id is a list or an object\n"
+
+    def test_unhashable_transition_end_exit_three(self, tmp_path, capsys):
+        p = tmp_path / "unhashable.mas"
+        p.write_text(json.dumps({
+            "states": [{"id": 1}], "initial": 1, "transitions": [[[1], 1]],
+            "atoms": [], "agents": {"a": {}},
+        }))
+        assert main(["check", "--system", str(p), "--formula", "true"]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: transition [[1], 1] uses a list or an object as a state\n"
+
+    def test_generic_failure_one_line_exit_three(self, sys2_file, monkeypatch, capsys):
+        # a failure that is no EpmuError still exits 3, on one line
+        def boom(text):
+            raise RuntimeError("first line\nsecond line")
+
+        monkeypatch.setattr("epmu.cli.parse_system", boom)
+        assert main(["check", "--system", sys2_file, "--formula", "true"]) == 3
+        assert capsys.readouterr().err == "error: RuntimeError: first line second line\n"
+
+    def test_captured_free_variable_exit_three(self, loop_file, capsys):
+        # renaming the inner Z apart must not bind the free Z1
+        formula = "mu Z . (EX Z & mu Z . (EX Z | Z1))"
+        assert main(["check", "--system", loop_file, "--formula", formula]) == 3
+        assert capsys.readouterr().err == "error: free fixpoint variables: Z1\n"
 
     def test_agents_not_an_object_exit_three(self, tmp_path, capsys):
         p = tmp_path / "agents.mas"
@@ -352,6 +377,37 @@ class TestTranslate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
         assert "ValueError" not in err and "AttributeError" not in err
+
+    @pytest.mark.parametrize(
+        "mode,edit,named",
+        [
+            ("parity", lambda d: d["states"][0].__setitem__("id", [1]), "state {'id': [1]"),
+            ("parity", lambda d: d["actions"]["labels"][0].__setitem__(2, {"q": 1}), "label [1, "),
+            ("atl-until", lambda d: d["states"][0].__setitem__("id", [1]), "state {'id': [1]"),
+            ("atl-until", lambda d: d["actions"]["labels"][0].__setitem__(0, [1]), "label [[1], "),
+        ],
+        ids=["game-state-id", "game-label-end", "labeled-state-id", "labeled-label-end"],
+    )
+    def test_unhashable_game_ids_exit_three(self, tmp_path, capsys, mode, edit, named):
+        g = ParityGame(
+            [1], 1, [(1, {"e": "x", "o": "u"}, 1)],
+            ["s1"], {1: {"s1"}}, {"e": {"s1"}, "o": {"s1"}},
+            {"e": ["x"], "o": ["u"]},
+            priority={1: 2}, players=("e", "o"),
+        )
+        d = labeled_system_to_dict(g)
+        d["states"][0]["priority"] = 2
+        edit(d)
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps(d))
+        args = ["--game", str(src)] if mode == "parity" else [
+            "--system", str(src), "--agent", "e", "--p1", "s1", "--p2", "s1",
+        ]
+        code = main(["translate", mode, *args, "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named}") and "list or an object" in err
+        assert "TypeError" not in err
 
     def test_game_state_without_priority_exit_three(self, tmp_path, capsys):
         g = ParityGame(

@@ -99,6 +99,19 @@ class TestParse:
             f = parse_formula(text)
             assert parse_formula(pretty(f)) == f
 
+    def test_implication_groups_right_and_binds_loosest(self):
+        p, q, r = Atom("p"), Atom("q"), Atom("r")
+        assert parse_formula("p -> q -> r") == Or(Not(p), Or(Not(q), r))
+        assert parse_formula("p | q -> r") == Or(Not(Or(p, q)), r)
+        assert parse_formula("p -> q | r") == Or(Not(p), Or(q, r))
+
+    def test_deep_parentheses_and_binders(self):
+        assert parse_formula("(" * 200 + "p" + ")" * 200) == Atom("p")
+        f = parse_formula("mu Z . " * 200 + "Z")
+        for _ in range(200):
+            assert isinstance(f, Mu)
+            f = f.body
+        assert f == Var("Z")
 
     def test_deep_nesting_names_the_phase(self):
         with pytest.raises(FormulaTooDeep) as e:
@@ -147,6 +160,17 @@ class TestPositiveForm:
         f = parse_formula("mu Z . p & nu Z . q & AX Z")
         assert to_positive_form(f) == parse_formula("p & nu Z . q & AX Z")
 
+    def test_renaming_does_not_capture_free_variables(self, sys1):
+        from epmu import check
+        from epmu.errors import EpmuError
+
+        f = parse_formula("mu Z . (EX Z & mu Z . (EX Z | Z1))")
+        g = to_positive_form(f)
+        assert fm.free_vars(g) == {"Z1"}
+        assert g == parse_formula("mu Z . (EX Z & mu Z2 . (EX Z2 | Z1))")
+        with pytest.raises(EpmuError, match="free fixpoint variables: Z1"):
+            check(sys1, f)
+
     def test_dual_involution(self):
         f = to_positive_form(parse_formula("mu Z . p | K a . EX Z"))
         assert dual(dual(f)) == f
@@ -175,9 +199,13 @@ class TestUnfold:
 class TestSynTree:
     def test_var_gets_top_child(self):
         t = build_syntree(Var("Z"))
-        assert t.label == "Z"
+        assert t.form == Var("Z")
         assert len(t.children) == 1
         assert t.children[0].is_top and t.children[0].closed
+
+    def test_negation_is_outside_the_grammar(self):
+        with pytest.raises(TypeError):
+            build_syntree(Not(Atom("p")))
 
     def test_agncl_of_fixpoint_body(self):
         f = to_positive_form(parse_formula("mu Z . p | K a . EX Z"))
@@ -311,3 +339,80 @@ class TestCommonKnowledgeNames:
                 out.append(type(e).__name__)
         digest = hashlib.sha256("\n".join(out).encode()).hexdigest()
         assert digest == "5499de4bb30eebc760eadc88aa9b4e4a64ca8d4d834513affe64e735a780dfed"
+
+
+def _front_end_corpus(seed, count):
+    """Seeded formula texts over the whole concrete syntax, with random
+    spacing, line breaks and redundant parentheses, and about a third of
+    them broken: a stray character, a missing '.', an unclosed '(' or '<',
+    trailing input or a cut.  The only free variable is W, a name that
+    renaming a repeated binder never produces."""
+    rng = random.Random(seed)
+
+    def sp():
+        return rng.choice([" ", " ", " ", "", "  ", "\n", "\t", " \n "])
+
+    def go(depth, bound):
+        if depth == 0 or rng.random() < 0.2:
+            text = rng.choice(["p", "q", "r1", "true", "false", "W"] + sorted(bound) * 3)
+        else:
+            kind = rng.choice(
+                ["&", "&", "|", "|", "->", "->", "~", "AX", "EX", "K", "P", "E", "C",
+                 "<>", "[]", "mu", "nu"]
+            )
+            if kind in ("&", "|", "->"):
+                text = f"{go(depth - 1, bound)}{sp()}{kind}{sp()}{go(depth - 1, bound)}"
+            elif kind in ("mu", "nu"):
+                v = rng.choice("XYZ")
+                text = f"{kind} {v}{sp()}.{sp()}{go(depth - 1, bound | {v})}"
+            else:
+                prefix = {
+                    "~": "~", "AX": "AX ", "EX": "EX ", "K": "K a .", "P": "P b .",
+                    "E": rng.choice(["E{a,b}", "E{ b , a }", "E{a}"]), "C": "C{a,b}",
+                    "<>": rng.choice(["<a=x,b=u>", "<b=u , a=y>", "<a=x>"]),
+                    "[]": rng.choice(["[a=x,b=u]", "[b=v]"]),
+                }[kind]
+                text = f"{prefix}{sp()}{go(depth - 1, bound)}"
+        for _ in range(rng.choice([0, 0, 0, 1, 1, 2])):
+            text = f"({sp()}{text}{sp()})"
+        return text
+
+    def insert(text, at, s):
+        return text[:at] + s + text[at:]
+
+    def mutate(text):
+        kind = rng.choice(["stray", "dot", "paren", "angle", "trailing", "cut"])
+        spots = {"dot": ".", "paren": ")", "angle": ">"}
+        if kind in spots and spots[kind] in text:
+            at = rng.choice([i for i, c in enumerate(text) if c == spots[kind]])
+            return text[:at] + text[at + 1 :]
+        if kind == "stray":
+            return insert(text, rng.randrange(len(text) + 1), rng.choice("?#$!@%^*+-0"))
+        if kind == "trailing":
+            return text + rng.choice([" p", " )", "\nq r", " ->", " ."])
+        return text[: rng.randrange(len(text))]
+
+    texts = []
+    for _ in range(count):
+        text = go(rng.randint(1, 6), frozenset())
+        if rng.random() < 0.35:
+            text = mutate(text)
+        texts.append(text)
+    return texts
+
+
+class TestFrontEndCorpus:
+    def test_parse_and_positive_form_unchanged(self):
+        # one digest over each text's parse and positive form, or its error
+        # (class, message, line, column), computed before the tokenizer and
+        # the parser were rewritten
+        out = []
+        for text in _front_end_corpus(11, 4000):
+            try:
+                f = parse_formula(text)
+                out.append(f"{f!r}\t{pretty(to_positive_form(f))}")
+            except (FormulaSyntaxError, NonMonotoneVariable) as e:
+                where = (getattr(e, "line", None), getattr(e, "column", None))
+                out.append(f"{type(e).__name__}\t{e}\t{where[0]}\t{where[1]}")
+        digest = hashlib.sha256("\n".join(out).encode()).hexdigest()
+        assert digest == "5ad059e62a09b67f3a79a59fd630508396e00616c2f5e414108df83d2b2115be"
