@@ -22,8 +22,16 @@ against one of two knowledge backends:
 (``MultiAgentSystem.succ_sets``, built once per system), so each Kleene step
 compares frozensets in C instead of scanning successors in Python.
 
+Γ is held as blocks: on every system the checker applies it to, Γ is an
+equivalence, so ``K S`` is the union of the blocks inside S and ``P S`` the
+union of the blocks meeting S.  Each subset construction carries the blocks
+of the agents its system is distinguished for (``distinction``), and a
+construction for an agent the system already carries is a copy; the chain
+order of ``refine_for_agents`` gives a region the blocks of all its agents.
+
 ``eval_state_naive`` runs the evaluator on a region over the input system
-with memoryless Γs and an empty memo.
+with memoryless Γs (states grouped by what the agent sees) and an empty
+memo.
 """
 
 from __future__ import annotations
@@ -32,15 +40,7 @@ import time
 from dataclasses import dataclass
 
 from . import formula as fm
-from .distinction import (
-    GammaRelation,
-    closed_form_gamma,
-    compute_gamma,
-    distinction,
-    know_op,
-    poss_op,
-    refine_for_agents,
-)
+from .distinction import distinction, refine_for_agents
 from .errors import EpmuError, FragmentRejected, MonotonicityViolated, depth_guarded
 from .syntree import build_syntree, check_non_mixing, frontier_nodes
 from .system import DEFAULT_CAP, compose_insplitting, identity_insplitting
@@ -87,52 +87,48 @@ class RefinementChain:
         return comp
 
     def knowledge(self, f, S):
-        """A closed K/P: one subset construction for its agent, over which Γ
-        has a closed form."""
+        """A closed K/P: one subset construction for its agent, which
+        carries the agent's Γ blocks."""
         d = distinction(self.final, f.agent, cap=self.cap)
         self.extend(d.insplit)
-        S = d.insplit.pullback(S)
-        gamma = closed_form_gamma(d)
-        op = know_op if type(f) is fm.Know else poss_op
-        return op(gamma, S)
+        return _KNOWLEDGE[type(f)](d.partitions[f.agent], d.insplit.pullback(S))
 
     def region(self, node):
         """The region of a binder whose body has free variables: evaluate the
         nearest closed descendants, refine once for all non-closed agents of
-        the body, and take their Γ on the refined system.  The last
-        construction is distinguished for its own agent, whose Γ therefore
-        has a closed form there; the others need compute_gamma."""
+        the body, and take their Γ blocks from the refined system."""
         marked = []
         for fn in frontier_nodes(node):
             S = evaluate(fn, self, {})
             marked.append((fn, S, self.mark()))
         agents = node.children[0].agncl
-        gammas = {}
+        partitions = {}
         if agents:
             d, comp = refine_for_agents(self.final, agents, cap=self.cap)
             self.extend(comp)
-            gammas = {a: compute_gamma(d, a, cap=self.cap) for a in agents - {d.agent}}
-            gammas[d.agent] = closed_form_gamma(d)
+            missing = sorted(agents - d.partitions.keys())
+            if missing:
+                raise EpmuError(f"refined region carries no Γ blocks for {', '.join(missing)}")
+            partitions = d.partitions
         memo = {fn: ((), self.pull_forward(S, mark)) for fn, S, mark in marked}
-        return Region(self.final, gammas, memo, self.iteration_counts)
+        return Region(self.final, partitions, memo, self.iteration_counts)
 
 
 class Region:
-    """A fixed system with one Γ per agent and a memo: node -> (values of
+    """A fixed system with Γ blocks per agent and a memo: node -> (values of
     its free variables, set), one entry per node, the last one evaluated.
     RefinementChain.region seeds the memo with the frontier sets under the
     empty key; eval_state_naive starts it empty, so closed nodes are
     evaluated in place and then stored under the empty key."""
 
-    def __init__(self, system, gammas, memo=None, iteration_counts=None):
+    def __init__(self, system, partitions, memo=None, iteration_counts=None):
         self.final = system
-        self.gammas = gammas
+        self.partitions = partitions
         self.memo = {} if memo is None else memo
         self.iteration_counts = [] if iteration_counts is None else iteration_counts
 
     def knowledge(self, f, S):
-        op = know_op if type(f) is fm.Know else poss_op
-        return op(self.gammas[f.agent], S)
+        return _KNOWLEDGE[type(f)](self.partitions[f.agent], S)
 
     def region(self, node):
         return self
@@ -161,6 +157,19 @@ def ex_f(m, S):
     """States with a successor in S."""
     S = frozenset(S)
     return frozenset([q for q, rs in m.succ_sets if not rs.isdisjoint(S)])
+
+
+def know_blocks(blocks, S):
+    """K S: the union of the Γ blocks inside S."""
+    return frozenset().union(*[b for b in blocks if b <= S])
+
+
+def poss_blocks(blocks, S):
+    """P S: the union of the Γ blocks meeting S."""
+    return frozenset().union(*[b for b in blocks if not b.isdisjoint(S)])
+
+
+_KNOWLEDGE = {fm.Know: know_blocks, fm.Poss: poss_blocks}
 
 
 def atom_set(m, name):
@@ -322,13 +331,10 @@ def eval_state_naive(m, f, cap=DEFAULT_CAP):
     unsound under perfect recall; tests use it as the negative witness for
     the commutation requirement."""
     tree = build_syntree(fm.to_positive_form(f))
-    gammas = {}
+    partitions = {}
     for a in {n.form.agent for n in tree if isinstance(n.form, fm.EPISTEMIC)}:
-        pairs = frozenset(
-            (q, r)
-            for q in m.states
-            for r in m.states
-            if m.obs_label(q, a) == m.obs_label(r, a)
-        )
-        gammas[a] = GammaRelation(a, m, pairs)
-    return depth_guarded("evaluation", evaluate, tree, Region(m, gammas), {})
+        groups = {}
+        for q in m.states:
+            groups.setdefault(m.obs_label(q, a), []).append(q)
+        partitions[a] = tuple([frozenset(g) for g in groups.values()])
+    return depth_guarded("evaluation", evaluate, tree, Region(m, partitions), {})

@@ -1,5 +1,19 @@
 """The knowledge subset construction, the knowledge-transfer relation, and
-the distinguishedness test used by the checker."""
+the distinguishedness test.
+
+Every system carries `partitions`: agent -> Γ blocks (a tuple of disjoint
+frozensets of states covering them all), for the agents the system is known
+to be distinguished for; Γ is an equivalence there, and its classes are the
+groups of equal belief.  A MultiAgentSystem carries none.  `distinction`
+fills them in as it builds: its own agent's blocks, and the blocks of every
+agent the input carries whose observable set contains the agent's.  When the
+input already carries the agent's blocks, the construction changes nothing
+but the names, and it is an O(n) copy that carries all of them.
+
+The pairs-based `GammaRelation`, `compute_gamma`, `closed_form_gamma`,
+`know_op`, `poss_op` and `is_distinguished` are the reference definitions
+the tests hold the blocks to; `compute_gamma` always runs the search, so it
+never reads carried blocks.  The checker reads only the blocks."""
 
 from __future__ import annotations
 
@@ -23,19 +37,17 @@ class DistinctionSystem(MultiAgentSystem):
     with the in-splitting map back to the base system.
 
     Built straight from the breadth-first search of `distinction`: state i
-    is the i-th pair found and `out[i]` lists the ids of its successors, so
-    the states are 0..n-1, all reachable from 0, and the sorting and
-    reachability pass of MultiAgentSystem is not needed.  The shape checks
-    still run."""
+    is the i-th pair found and `succ[i]` lists the ids of its successors in
+    increasing order, so the states are 0..n-1, all reachable from 0, and
+    the sorting and reachability pass of MultiAgentSystem is not needed.
+    The shape checks still run."""
 
-    def __init__(self, base, agent, pairs, out):
-        states = range(len(pairs))
-        labels = {i: base.labels[s] for i, (s, _) in enumerate(pairs)}
-        delta = frozenset((i, j) for i, targets in enumerate(out) for j in targets)
+    def __init__(self, base, agent, pair_of, labels, succ, delta, partitions):
+        states = range(len(pair_of))
         _check_shape(states, 0, delta, base.atoms, labels, base.obs)
         self.base = base
         self.agent = agent
-        self.pair_of = dict(enumerate(pairs))  # id -> (s, frozenset S)
+        self.pair_of = pair_of  # id -> (s, frozenset S)
         self.dropped_states = ()
         self.states = tuple(states)
         self.q0 = 0
@@ -44,9 +56,10 @@ class DistinctionSystem(MultiAgentSystem):
         self.labels = labels
         self.agents = base.agents
         self.obs = dict(base.obs)
-        self.names = _BeliefNames(base, self.pair_of)
-        self._succ = {i: tuple(sorted(targets)) for i, targets in enumerate(out)}
-        self.insplit = InSplitting(self, base, {i: s for i, (s, _) in enumerate(pairs)})
+        self.names = _BeliefNames(base, pair_of)
+        self._succ = succ
+        self.partitions = partitions
+        self.insplit = InSplitting(self, base, {i: s for i, (s, _) in pair_of.items()})
 
 
 class _BeliefNames(Mapping):
@@ -102,35 +115,114 @@ def distinction(m, agent, cap=DEFAULT_CAP):
     not a scan of all states per successor.
 
     States are numbered in breadth-first order; CapacityExceeded is raised
-    as soon as a new state would take the count past cap.
+    as soon as a new state would take the count past cap.  The result's
+    `partitions` hold the agent's blocks, the groups of equal belief, and
+    for every agent b of m.partitions that sees at least what the agent
+    sees, m's b-blocks pulled back and met with the belief groups: runs
+    that look alike to b look alike to the agent, so lifting them ends at
+    the same belief.
+
+    When m.partitions already holds the agent, the belief of every state is
+    its block and the construction is a copy of m; see `_copy`.
     """
+    blocks = m.partitions.get(agent)
+    if blocks is not None:
+        return _copy(m, agent, blocks, cap)
+    return _search(m, agent, cap)
+
+
+def _search(m, agent, cap):
+    """The breadth-first search of `distinction`, whatever blocks m carries."""
     if agent not in m.obs:
         raise UnknownAgent(agent)
     view = {q: m.obs_label(q, agent) for q in m.states}
     start = (m.q0, frozenset([m.q0]))
     id_of = {start: 0}
     pairs = [start]
+    groups = {start[1]: [0]}  # belief set -> ids of the states with it
     out = []  # out[i]: successor ids of state i, in the order of m's successors
     post = {}  # belief set -> its successors grouped by observation
     queue = deque([start])
     while queue:
         s, S = queue.popleft()
-        groups = post.get(S)
-        if groups is None:
-            groups = post[S] = _post_by_view(m, S, view)
+        by_view = post.get(S)
+        if by_view is None:
+            by_view = post[S] = _post_by_view(m, S, view)
         targets = []
         for r in m.successors(s):
-            tgt = (r, groups[view[r]])
+            R = by_view[view[r]]
+            tgt = (r, R)
             tid = id_of.get(tgt)
             if tid is None:
                 if len(pairs) + 1 > cap:
-                    raise CapacityExceeded(len(pairs) + 1, cap, "subset construction")
+                    raise CapacityExceeded(len(pairs) + 1, cap, _context(agent))
                 tid = id_of[tgt] = len(pairs)
                 pairs.append(tgt)
                 queue.append(tgt)
+                ids = groups.get(R)
+                if ids is None:
+                    groups[R] = [tid]
+                else:
+                    ids.append(tid)
             targets.append(tid)
         out.append(targets)
-    return DistinctionSystem(m, agent, pairs, out)
+    partitions = {agent: tuple([frozenset(ids) for ids in groups.values()])}
+    for b, b_blocks in m.partitions.items():
+        if m.obs[agent] <= m.obs[b]:
+            partitions[b] = _pull_back(b_blocks, pairs)
+    return DistinctionSystem(
+        m,
+        agent,
+        dict(enumerate(pairs)),
+        {i: m.labels[s] for i, (s, _) in enumerate(pairs)},
+        {i: tuple(sorted(targets)) for i, targets in enumerate(out)},
+        frozenset([(i, j) for i, targets in enumerate(out) for j in targets]),
+        partitions,
+    )
+
+
+def _pull_back(blocks, pairs):
+    """The blocks of the pairs (s, S) that are equal in S and whose s share
+    one of the given blocks of base states."""
+    block_of = {q: k for k, block in enumerate(blocks) for q in block}
+    groups = {}
+    for i, (s, S) in enumerate(pairs):
+        groups.setdefault((block_of[s], S), []).append(i)
+    return tuple([frozenset(ids) for ids in groups.values()])
+
+
+def _context(agent):
+    return f"subset construction for agent {agent}"
+
+
+def _copy(m, agent, blocks, cap):
+    """The subset construction over m for an agent m is distinguished for.
+
+    m is then a DistinctionSystem: its ids are in breadth-first order and
+    its successor lists sorted, so the search would number the pairs as m
+    numbers its states, and the belief of state i is its block, since Γ is
+    the equivalence of equal belief and is closed under matching
+    transitions.  So state i becomes (i, block of i), the in-splitting is
+    the identity, and states, successors, transitions, labels and any
+    cached successor sets are m's, and so are all of m's blocks: the copy
+    has m's runs.  The capacity check fires at the count the search would
+    reach: it never checks the initial state."""
+    n = len(m.states)
+    if n > max(cap, 1):
+        raise CapacityExceeded(max(cap, 1) + 1, cap, _context(agent))
+    block_of = {q: block for block in blocks for q in block}
+    d = DistinctionSystem(
+        m,
+        agent,
+        {q: (q, block_of[q]) for q in m.states},
+        m.labels,
+        m._succ,
+        m.delta,
+        m.partitions,
+    )
+    if "succ_sets" in vars(m):
+        d.succ_sets = m.succ_sets
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +248,9 @@ class GammaRelation:
 def compute_gamma(m, agent, cap=DEFAULT_CAP):
     """Finite computation of the relation via the subset construction: the
     runs to q partition into observation classes, one reachable belief state
-    each, and (q, r) holds iff r lies in every such belief set."""
-    d = distinction(m, agent, cap=cap)
+    each, and (q, r) holds iff r lies in every such belief set.  It always
+    runs the search, so it never reads the blocks m carries."""
+    d = _search(m, agent, cap)
     beliefs = {}
     for i in d.states:
         s, S = d.pair_of[i]

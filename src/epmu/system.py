@@ -17,7 +17,13 @@ class MultiAgentSystem:
 
     States are integer ids; only states reachable from the initial state are
     kept.  Instances are immutable after construction and safe to share.
+
+    `partitions` maps each agent the system is known to be distinguished for
+    to its Γ blocks; a system built here is known for none (a
+    DistinctionSystem fills it in).
     """
+
+    partitions = {}
 
     def __init__(self, states, q0, delta, atoms, labels, obs, names=None):
         states = sorted(set(states))
@@ -134,24 +140,43 @@ def _load_json(text):
     return data
 
 
+def _entry_list(value, field):
+    """value, if it is a list; SystemFormatError naming the field if not."""
+    if not isinstance(value, (list, tuple)):
+        raise SystemFormatError(f"{field} is not a list: {value!r}")
+    return value
+
+
+def _string_list(value, field):
+    """value, if it is a list of strings (atom names); SystemFormatError
+    naming the field if not: a string would be read letter by letter."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(x, str) for x in value):
+        raise SystemFormatError(f"{field} is not a list of strings: {value!r}")
+    return value
+
+
 def _agent_obs(agents):
     """Agent name -> observable atoms, from the "agents" object of a system
-    or game file; a shape that is not an object of objects raises
-    SystemFormatError naming it."""
+    or game file; a shape that is not an object of objects with lists of
+    strings raises SystemFormatError naming it."""
     if not isinstance(agents, dict):
         raise SystemFormatError(f"'agents' is not an object: {agents!r}")
     for a, spec in agents.items():
         if not isinstance(spec, dict):
             raise SystemFormatError(f"agent {a!r} has a spec that is not an object: {spec!r}")
-    return {a: spec.get("obs", []) for a, spec in agents.items()}
+    return {
+        a: _string_list(spec.get("obs", []), f"agent {a!r}: 'obs'")
+        for a, spec in agents.items()
+    }
 
 
 def _state_entries(entries, keys=("id",)):
     """States, atom labels and names from the "states" list of a system or
-    game file.  An entry that is not an object with each of `keys`, or whose
-    id is a list or an object, raises SystemFormatError naming it."""
+    game file.  A value that is not a list, an entry that is not an object
+    with each of `keys`, an id that is a list or an object, or atoms that
+    are not a list of strings raise SystemFormatError naming it."""
     states, labels, names = [], {}, {}
-    for entry in entries:
+    for entry in _entry_list(entries, "'states'"):
         for key in keys:
             if not isinstance(entry, dict) or key not in entry:
                 raise SystemFormatError(f"state {entry!r} has no {key!r}")
@@ -159,7 +184,7 @@ def _state_entries(entries, keys=("id",)):
         if not isinstance(q, Hashable):
             raise SystemFormatError(f"state {entry!r}: its id is a list or an object")
         states.append(q)
-        labels[q] = entry.get("atoms", [])
+        labels[q] = _string_list(entry.get("atoms", []), f"state {q!r}: 'atoms'")
         if "name" in entry:
             names[q] = entry["name"]
     return states, labels, names
@@ -177,7 +202,7 @@ def system_from_dict(data):
         if key not in data:
             raise SystemFormatError(f"missing key {key!r}")
     states, labels, names = _state_entries(data["states"])
-    for t in data["transitions"]:
+    for t in _entry_list(data["transitions"], "'transitions'"):
         if not isinstance(t, (list, tuple)) or len(t) != 2:
             raise SystemFormatError(f"transition {t!r} is not a pair [from, to]")
         _check_ends("transition", t)
@@ -185,7 +210,7 @@ def system_from_dict(data):
         states=states,
         q0=data["initial"],
         delta=[tuple(t) for t in data["transitions"]],
-        atoms=data["atoms"],
+        atoms=_string_list(data["atoms"], "'atoms'"),
         labels=labels,
         obs=_agent_obs(data["agents"]),
         names=names,

@@ -21,8 +21,10 @@ from .system import (
     MultiAgentSystem,
     _agent_obs,
     _check_ends,
+    _entry_list,
     _load_json,
     _state_entries,
+    _string_list,
 )
 
 
@@ -91,9 +93,10 @@ def labeled_system_from_dict(data):
 
 def _labeled_args(data, state_keys=("id",)):
     """LabeledSystem arguments from a JSON object.  A missing key (including
-    each of `state_keys` in every state), a label that is not a
-    [from, actions, to] triple with an object of actions, or an agent spec
-    that is not an object raises SystemFormatError naming it."""
+    each of `state_keys` in every state), atoms that are not a list of
+    strings, labels that are not a list of [from, actions, to] triples with
+    an object of actions, or an agent spec that is not an object raises
+    SystemFormatError naming it."""
     for key in ("states", "initial", "atoms", "agents", "actions"):
         if key not in data:
             raise SystemFormatError(f"missing key {key!r}")
@@ -102,7 +105,7 @@ def _labeled_args(data, state_keys=("id",)):
         if not isinstance(actions, dict) or key not in actions:
             raise SystemFormatError(f"missing key 'actions.{key}'")
     states, labels, names = _state_entries(data["states"], state_keys)
-    for t in actions["labels"]:
+    for t in _entry_list(actions["labels"], "'actions.labels'"):
         if not isinstance(t, (list, tuple)) or len(t) != 3:
             raise SystemFormatError(f"label {t!r} is not a triple [from, actions, to]")
         if not isinstance(t[1], dict):
@@ -112,7 +115,7 @@ def _labeled_args(data, state_keys=("id",)):
         states=states,
         q0=data["initial"],
         trans=[tuple(t) for t in actions["labels"]],
-        atoms=data["atoms"],
+        atoms=_string_list(data["atoms"], "'atoms'"),
         labels=labels,
         obs=_agent_obs(data["agents"]),
         alphabets=actions["alphabets"],

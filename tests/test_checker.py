@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -251,3 +252,24 @@ class TestRegionMemo:
         m = random_system(random.Random(seed), max_states=8, chain_obs=True)
         v = check(m, parse_formula(text))
         assert (v.holds, v.refinement_sizes, v.iteration_counts) == (holds, sizes, iters)
+
+
+class TestChainDigest:
+    """The results of the knowledge_chain formula shapes on 300 seeded
+    systems, pinned by one sha256 computed while Γ was still held as pairs:
+    holding it as blocks, and copying a construction for an agent the
+    system is already distinguished for, must change none of them."""
+
+    DIGEST = "521edb147c1c55027e0403dd31a239c075edbcf8387c97b9a61424a318c286df"
+
+    def test_digest(self):
+        from test_golden import CHAIN_FORMULAS
+
+        h = hashlib.sha256()
+        for seed in range(300):
+            m = random_system(random.Random(seed), max_states=8, chain_obs=True)
+            for text in CHAIN_FORMULAS:
+                v, _, S = check_with_sets(m, parse_formula(text))
+                shape = (v.holds, v.refinement_sizes, v.iteration_counts, v.initial_state, sorted(S))
+                h.update(repr(shape).encode())
+        assert h.hexdigest() == self.DIGEST

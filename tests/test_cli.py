@@ -120,6 +120,31 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err == "error: transition [[1], 1] uses a list or an object as a state\n"
 
+    @pytest.mark.parametrize(
+        "edit,named",
+        [
+            (lambda d: d["agents"]["a"].__setitem__("obs", "pq"), "agent 'a': 'obs' is not a list of strings"),
+            (lambda d: d.__setitem__("states", 5), "'states' is not a list: 5"),
+            (lambda d: d.__setitem__("transitions", 5), "'transitions' is not a list: 5"),
+            (lambda d: d.__setitem__("atoms", "pq"), "'atoms' is not a list of strings"),
+            (lambda d: d["states"][0].__setitem__("atoms", 5), "state 1: 'atoms' is not a list of strings"),
+            (lambda d: d["states"][0].__setitem__("atoms", [["p"]]), "state 1: 'atoms' is not a list of strings"),
+        ],
+        ids=["obs-string", "states-int", "transitions-int", "atoms-string", "state-atoms-int", "state-atoms-nested"],
+    )
+    def test_field_of_wrong_json_type_exit_three(self, tmp_path, capsys, edit, named):
+        # a string is not read letter by letter, an int is not iterated
+        d = {
+            "states": [{"id": 1, "atoms": ["p"]}], "initial": 1, "transitions": [[1, 1]],
+            "atoms": ["p", "q"], "agents": {"a": {"obs": ["p"]}},
+        }
+        edit(d)
+        p = tmp_path / "typed.mas"
+        p.write_text(json.dumps(d))
+        assert main(["check", "--system", str(p), "--formula", "K a . p"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named}") and "TypeError" not in err
+
     def test_generic_failure_one_line_exit_three(self, sys2_file, monkeypatch, capsys):
         # a failure that is no EpmuError still exits 3, on one line
         def boom(text):
@@ -354,8 +379,17 @@ class TestTranslate:
             ("parity", lambda d: d["agents"].__setitem__("e", ["s1"]), "agent 'e'"),
             ("atl-until", lambda d: d["actions"]["labels"][0].__setitem__(1, "xu"), "label [1, 'xu', 1]"),
             ("atl-until", lambda d: d["agents"].__setitem__("e", ["s1"]), "agent 'e'"),
+            ("parity", lambda d: d.__setitem__("atoms", "s1"), "'atoms' is not a list of strings"),
+            ("parity", lambda d: d["actions"].__setitem__("labels", 5), "'actions.labels' is not a list"),
+            ("parity", lambda d: d["states"][0].__setitem__("atoms", 5), "state 1: 'atoms' is not a list"),
+            ("atl-until", lambda d: d["agents"]["e"].__setitem__("obs", "s1"), "agent 'e': 'obs' is not a list"),
+            ("atl-until", lambda d: d["actions"].__setitem__("labels", 5), "'actions.labels' is not a list"),
         ],
-        ids=["game-actions-string", "game-agent-list", "labeled-actions-string", "labeled-agent-list"],
+        ids=[
+            "game-actions-string", "game-agent-list", "labeled-actions-string", "labeled-agent-list",
+            "game-atoms-string", "game-labels-int", "game-state-atoms-int", "labeled-obs-string",
+            "labeled-labels-int",
+        ],
     )
     def test_bad_actions_or_agent_exit_three(self, tmp_path, capsys, mode, edit, named):
         g = ParityGame(
@@ -376,7 +410,7 @@ class TestTranslate:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
-        assert "ValueError" not in err and "AttributeError" not in err
+        assert "ValueError" not in err and "AttributeError" not in err and "TypeError" not in err
 
     @pytest.mark.parametrize(
         "mode,edit,named",

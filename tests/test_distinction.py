@@ -76,7 +76,9 @@ def _scan_distinction(m, agent, cap):
             )
             if (r, R) not in id_of:
                 if len(pair_list) + 1 > cap:
-                    raise CapacityExceeded(len(pair_list) + 1, cap, "subset construction")
+                    raise CapacityExceeded(
+                        len(pair_list) + 1, cap, f"subset construction for agent {agent}"
+                    )
                 id_of[(r, R)] = len(pair_list)
                 pair_list.append((r, R))
                 queue.append((r, R))
@@ -96,7 +98,8 @@ def _scan_distinction(m, agent, cap):
 
 class TestDistinctionAgainstScan:
     """distinction() builds the same system as the plain scan, state ids and
-    names included, one and two refinements deep."""
+    names included, up to three refinements deep; a refinement for an agent
+    the system is already distinguished for is a copy."""
 
     def assert_same(self, d, ref, pairs):
         assert d.pair_of == pairs
@@ -109,15 +112,27 @@ class TestDistinctionAgainstScan:
 
     def test_random_chains(self):
         rng = random.Random(7)
+        copies = 0
         for _ in range(40):
             m = random_system(rng, max_states=6, chain_obs=True)
-            for a, b in (("a", "b"), ("b", "a")):
-                d = distinction(m, a)
-                ref, pairs = _scan_distinction(m, a, cap=10**6)
-                self.assert_same(d, ref, pairs)
-                d2 = distinction(d, b)
-                ref2, pairs2 = _scan_distinction(ref, b, cap=10**6)
-                self.assert_same(d2, ref2, pairs2)
+            for chain in (("a", "b", "a"), ("b", "a", "b"), ("a", "a")):
+                d, ref = m, m
+                for agent in chain:
+                    copies += agent in d.partitions
+                    d = distinction(d, agent)
+                    ref, pairs = _scan_distinction(ref, agent, cap=10**6)
+                    self.assert_same(d, ref, pairs)
+        assert copies >= 80  # every ("a", "a") and ("b", "a", "b") chain
+
+    def test_copy_step_is_the_identity_on_the_system(self):
+        m = random_system(random.Random(3), max_states=6, chain_obs=True)
+        d = distinction(m, "a")
+        d.succ_sets  # cached on d, handed on by the copy
+        e = distinction(d, "a")
+        assert e.insplit.chi == {i: i for i in d.states}
+        assert e._succ is d._succ and e.delta is d.delta and e.labels is d.labels
+        assert e.succ_sets is d.succ_sets
+        assert e.partitions["a"] == d.partitions["a"]
 
     def test_capacity_fires_at_the_same_count(self):
         def outcome(build, m, cap):
@@ -130,14 +145,21 @@ class TestDistinctionAgainstScan:
             return _scan_distinction(m, agent, cap)[0]
 
         rng = random.Random(11)
-        raised = 0
+        raised = copies_raised = 0
         for _ in range(15):
             m = random_system(rng, max_states=5, chain_obs=True)
             for cap in range(len(scan(m, "a", 10**6)) + 1):
                 want = outcome(scan, m, cap)
                 assert outcome(distinction, m, cap) == want
                 raised += isinstance(want, str)
-        assert raised > 15
+            d = distinction(m, "a")  # the next step for "a" is a copy
+            for cap in range(len(d) + 1):
+                want = outcome(scan, d, cap)
+                assert outcome(distinction, d, cap) == want
+                copies_raised += isinstance(want, str)
+        assert raised > 15 and copies_raised > 15
+        with pytest.raises(CapacityExceeded, match="during subset construction for agent a$"):
+            distinction(d, "a", cap=1)
 
 
 class TestGamma:
@@ -161,6 +183,25 @@ class TestGamma:
         d = distinction(sys2, "a")
         cf = closed_form_gamma(d)
         assert cf.pairs == compute_gamma(d, "a").pairs
+
+    def test_oracle_ignores_carried_blocks(self):
+        """compute_gamma and is_distinguished search the system itself: wrong
+        blocks on it change nothing, and a plain system with the same states
+        and transitions gets the same relation."""
+        rng = random.Random(11)
+        for _ in range(20):
+            m = random_system(rng, max_states=6, chain_obs=True)
+            d = distinction(distinction(m, "b"), "a")
+            plain = MultiAgentSystem(
+                list(d.states), d.q0, d.delta, d.atoms,
+                {i: d.label(i) for i in d.states}, d.obs,
+            )
+            expected = {b: compute_gamma(plain, b).pairs for b in d.partitions}
+            assert all(is_distinguished(plain, b) for b in d.partitions)
+            d.partitions = {b: (frozenset(d.states),) for b in d.partitions}
+            for b in d.partitions:
+                assert compute_gamma(d, b).pairs == expected[b]
+                assert is_distinguished(d, b)
 
     def test_sources_targets(self, sys2):
         g = compute_gamma(sys2, "a")

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epmu import formula as fm
-from epmu.checker import check, kleene
-from epmu.distinction import compute_gamma, distinction, know_op, poss_op
+from epmu.checker import check, know_blocks, kleene, poss_blocks
+from epmu.distinction import compute_gamma, distinction, is_distinguished, know_op, poss_op
 from epmu.errors import FragmentRejected
 from epmu.formula import to_positive_form
 from epmu.gen import (
@@ -106,6 +106,28 @@ def test_know_poss_monotone_and_dual(seed):
     assert know_op(g, A) <= know_op(g, B)
     assert poss_op(g, A) <= poss_op(g, B)
     assert know_op(g, A) == full - poss_op(g, full - A)
+
+
+@MODEST
+@given(seeds)
+def test_partitions_are_gamma(seed):
+    """Along a chain of four constructions, every agent a system carries
+    blocks for is one it is distinguished for, and the blocks are exactly
+    its Γ; K and P over the blocks are the pairs-based operators."""
+    rng = random.Random(seed)
+    d = random_system(rng, max_states=5, chain_obs=True)
+    for _ in range(4):
+        agent = rng.choice("ab")
+        d = distinction(d, agent)
+        assert agent in d.partitions
+        for b, blocks in d.partitions.items():
+            assert sum(map(len, blocks)) == len(d)
+            g = compute_gamma(d, b)
+            assert {(i, j) for block in blocks for i in block for j in block} == g.pairs
+            assert is_distinguished(d, b, gamma=g)
+            S = frozenset(q for q in d.states if rng.random() < 0.5)
+            assert know_blocks(blocks, S) == know_op(g, S)
+            assert poss_blocks(blocks, S) == poss_op(g, S)
 
 
 @MODEST
