@@ -1,26 +1,24 @@
 """The decision procedure for the non-mixing fragment.
 
-One evaluator, ``evaluate``, gives the state set of a syntactic-tree node
-against one of two knowledge backends:
+Two evaluators share the work:
 
-- ``RefinementChain`` evaluates closed nodes.  Each closed K/P extends the
-  chain by a subset construction for its agent, and earlier sets are pulled
-  back along it, so one chain is threaded left-to-right through the tree.  A
-  binder gets a region: its nearest closed descendants are evaluated on the
-  chain, which is then refined once for all agents whose epistemic operators
-  are non-closed in the body, and their Γ is taken there.
-- ``Region`` is a fixed system: pullback is the identity, K/P read its Γs,
-  and nested binders iterate in place.  It carries a memo from each node to
-  the values of the node's free variables and the set they gave.  Since the
-  system and the Γs are fixed, a node whose variables have the same values
-  has the same set, so the evaluator returns the stored one.  The frontier
-  sets the chain hands over are entries with an empty key.  A node that is
-  or holds a binder is never stored, so every Kleene loop still runs and
-  the iteration counts do not depend on the memo.
-
-``AX``/``EX`` read the per-system successor sets
-(``MultiAgentSystem.succ_sets``, built once per system), so each Kleene step
-compares frozensets in C instead of scanning successors in Python.
+- ``evaluate`` walks the closed nodes along a ``RefinementChain``, on
+  frozensets of states.  Each closed K/P extends the chain by a subset
+  construction for its agent, and earlier sets are pulled back along it, so
+  one chain is threaded left-to-right through the tree.  A closed binder
+  gets a region: its nearest closed descendants (the frontier) are
+  evaluated on the chain, which is then refined once for all agents whose
+  epistemic operators are non-closed in the body, and their Γ is taken
+  there.
+- ``Region`` compiles the binder once, on that fixed system, into closures
+  over int masks (bit i is the i-th state), and runs it: frontier sets are
+  constants, And/Or are ``&``/``|``, EX reads the system's predecessor
+  image (``MultiAgentSystem.pred_image``, built once per system) and P the
+  Γ blocks, and AX/K are their duals.  Nested binders iterate in place
+  through ``kleene``.  A node that holds no binder keeps its last mask
+  while its free variables keep their values; binders and the nodes above
+  them never do, so every Kleene loop runs and the iteration counts do not
+  depend on it.
 
 Γ is held as blocks: on every system the checker applies it to, Γ is an
 equivalence, so ``K S`` is the union of the blocks inside S and ``P S`` the
@@ -29,29 +27,28 @@ of the agents its system is distinguished for (``distinction``), and a
 construction for an agent the system already carries is a copy; the chain
 order of ``refine_for_agents`` gives a region the blocks of all its agents.
 
-``eval_state_naive`` runs the evaluator on a region over the input system
-with memoryless Γs (states grouped by what the agent sees) and an empty
-memo.
+``eval_state_naive`` compiles the whole formula into a region over the
+input system with memoryless Γs (states grouped by what the agent sees).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
 
 from . import formula as fm
 from .distinction import distinction, refine_for_agents
 from .errors import EpmuError, FragmentRejected, MonotonicityViolated, depth_guarded
 from .syntree import build_syntree, check_non_mixing, frontier_nodes
-from .system import DEFAULT_CAP, compose_insplitting, identity_insplitting
+from .system import DEFAULT_CAP, BlockImage, compose_insplitting, identity_insplitting
 
 
 class RefinementChain:
     """Systems connected by in-splitting steps; systems[0] is the input,
-    the last entry is the current finest system.  As a knowledge backend it
-    evaluates closed nodes and extends itself at K/P and at binders."""
-
-    memo = None  # closed nodes are evaluated here, never looked up
+    the last entry is the current finest system.  It evaluates closed nodes
+    and extends itself at K/P and at binders."""
 
     def __init__(self, base, cap=DEFAULT_CAP):
         self.systems = [base]
@@ -94,12 +91,12 @@ class RefinementChain:
         return _KNOWLEDGE[type(f)](d.partitions[f.agent], d.insplit.pullback(S))
 
     def region(self, node):
-        """The region of a binder whose body has free variables: evaluate the
-        nearest closed descendants, refine once for all non-closed agents of
-        the body, and take their Γ blocks from the refined system."""
+        """The set of a closed binder: evaluate its nearest closed
+        descendants, refine once for all non-closed agents of the body, and
+        run the binder's kernel on the refined system with their Γ blocks."""
         marked = []
         for fn in frontier_nodes(node):
-            S = evaluate(fn, self, {})
+            S = evaluate(fn, self)
             marked.append((fn, S, self.mark()))
         agents = node.children[0].agncl
         partitions = {}
@@ -109,38 +106,27 @@ class RefinementChain:
             missing = sorted(agents - d.partitions.keys())
             if missing:
                 raise EpmuError(f"refined region carries no Γ blocks for {', '.join(missing)}")
-            partitions = d.partitions
-        memo = {fn: ((), self.pull_forward(S, mark)) for fn, S, mark in marked}
-        return Region(self.final, partitions, memo, self.iteration_counts)
-
-
-class Region:
-    """A fixed system with Γ blocks per agent and a memo: node -> (values of
-    its free variables, set), one entry per node, the last one evaluated.
-    RefinementChain.region seeds the memo with the frontier sets under the
-    empty key; eval_state_naive starts it empty, so closed nodes are
-    evaluated in place and then stored under the empty key."""
-
-    def __init__(self, system, partitions, memo=None, iteration_counts=None):
-        self.final = system
-        self.partitions = partitions
-        self.memo = {} if memo is None else memo
-        self.iteration_counts = [] if iteration_counts is None else iteration_counts
-
-    def knowledge(self, f, S):
-        return _KNOWLEDGE[type(f)](self.partitions[f.agent], S)
-
-    def region(self, node):
-        return self
+            partitions = {a: d.partitions[a] for a in agents}
+        frontier = {fn: self.pull_forward(S, mark) for fn, S, mark in marked}
+        return Region(self.final, partitions, frontier, self.iteration_counts).run(node)
 
 
 @dataclass
 class Verdict:
+    """The answer of `check` and the shape of its refinement chain.
+    `initial_state`, the name of the final system's initial state, is built
+    on first read: belief-set names nest once per subset construction and
+    double in length with each."""
+
     holds: bool
-    initial_state: object
     refinement_sizes: list
     iteration_counts: list
     wall_time: float
+    final: object = field(repr=False, compare=False)  # the chain's final system
+
+    @cached_property
+    def initial_state(self):
+        return depth_guarded("evaluation", self.final.state_name, self.final.q0)
 
 
 # ---------------------------------------------------------------------------
@@ -173,98 +159,225 @@ _KNOWLEDGE = {fm.Know: know_blocks, fm.Poss: poss_blocks}
 
 
 def atom_set(m, name):
-    return frozenset(q for q in m.states if name in m.label(q))
+    return frozenset([q for q, atoms in m.labels.items() if name in atoms])
+
+
+def leaf_set(m, f):
+    """The state set of a leaf: true, false, an atom or a negated atom."""
+    t = type(f)
+    if t is fm.TrueF:
+        return frozenset(m.states)
+    if t is fm.FalseF:
+        return frozenset()
+    if t is fm.Atom:
+        return atom_set(m, f.name)
+    if t is fm.NegAtom:
+        return frozenset(m.states) - atom_set(m, f.name)
+    if t is fm.DiamondAct or t is fm.BoxAct:
+        raise EpmuError("action modalities must be compiled away before checking")
+    raise TypeError(f"unexpected node {f!r}")
+
+
+# State masks (see Region).
+
+
+def to_mask(m, S):
+    """The mask of a set of m's states."""
+    return sum(map(m.bit_of.__getitem__, S))
+
+
+def to_set(m, mask):
+    """The set of m's states in a mask."""
+    states = m.states
+    return frozenset([states[i] for i in range(mask.bit_length()) if mask >> i & 1])
 
 
 def kleene(op, seed, bound, mode="lfp"):
-    """Iterate a monotone set operator to its least (from the empty set) or
-    greatest (from the full set) fixpoint; returns (fixpoint, iterations).
+    """Iterate a monotone operator on state sets (frozensets or masks) to
+    its least (from the empty set) or greatest (from the full set) fixpoint;
+    returns (fixpoint, iterations).
 
     A monotone operator stabilizes within bound steps; running longer means
     the operand was not monotone, which is an implementation bug.
     """
-    cur = frozenset(seed)
+    cur = seed
     for i in range(bound + 1):
-        nxt = frozenset(op(cur))
-        if mode == "lfp" and not cur <= nxt:
-            raise MonotonicityViolated(f"lfp iterate shrank at step {i}")
-        if mode == "gfp" and not nxt <= cur:
-            raise MonotonicityViolated(f"gfp iterate grew at step {i}")
+        nxt = op(cur)
         if nxt == cur:
             return cur, i + 1
+        if mode == "lfp" and cur | nxt != nxt:
+            raise MonotonicityViolated(f"lfp iterate shrank at step {i}")
+        if mode == "gfp" and cur | nxt != cur:
+            raise MonotonicityViolated(f"gfp iterate grew at step {i}")
         cur = nxt
     raise MonotonicityViolated(f"no fixpoint within {bound + 1} iterations")
 
 
 # ---------------------------------------------------------------------------
-# The evaluator
+# The evaluators
 
 
-def evaluate(node, kb, env):
-    """State set of a syntactic-tree node over kb.final, where kb is a
-    RefinementChain or a Region and env maps bound variables to sets."""
+def evaluate(node, chain):
+    """State set of a closed syntactic-tree node over chain.final.  A
+    closed K/P below extends the chain, so chain.final is read only after
+    the children are evaluated, and a left operand is pulled forward past
+    the steps its right operand added."""
     f = node.form
-    # Dispatch on the exact class (no formula class has subclasses), with
-    # the branches a Kleene loop visits first: on parity games they run
-    # millions of times.  kb.final is read only after the children are
-    # evaluated, since a closed K/P below extends the chain.
     t = type(f)
-    if t is fm.Var:
-        return env[f.name]
-    memo = kb.memo
-    if memo is not None:
-        key = node.key(env)
-        hit = memo.get(node)
-        # the identity test first: unchanged variables keep their objects
-        if hit is not None and (hit[0] is key or hit[0] == key):
-            return hit[1]
     if t is fm.And or t is fm.Or:
         left, right = node.children
-        S1 = evaluate(left, kb, env)
-        if memo is None:  # on the chain a closed K/P on the right extends it
-            mark = kb.mark()
-            S2 = evaluate(right, kb, env)
-            S1 = kb.pull_forward(S1, mark)
+        S1 = evaluate(left, chain)
+        mark = chain.mark()
+        S2 = evaluate(right, chain)
+        S1 = chain.pull_forward(S1, mark)
+        return S1 & S2 if t is fm.And else S1 | S2
+    if t is fm.Mu or t is fm.Nu:
+        return chain.region(node)
+    if t is fm.AX or t is fm.EX:
+        S = evaluate(node.children[0], chain)
+        return (ax_f if t is fm.AX else ex_f)(chain.final, S)
+    if t is fm.Know or t is fm.Poss:
+        return chain.knowledge(f, evaluate(node.children[0], chain))
+    return leaf_set(chain.final, f)
+
+
+# The closures of Region.compile are made in these helpers: a closure made
+# in compile itself would give every call of compile a cell per captured name.
+
+
+def _read(env, i):
+    return lambda: env[i]
+
+
+def _and_or(conj, a, b):
+    """The closure of a & b (conj) or a | b, or their mask when both are
+    masks; a mask goes last, so a closure keeps its turn."""
+    if type(a) is int:
+        a, b = b, a
+    if type(a) is int:
+        return a & b if conj else a | b
+    if type(b) is int:
+        return (lambda: a() & b) if conj else (lambda: a() | b)
+    return (lambda: a() & b()) if conj else (lambda: a() | b())
+
+
+def _modal(image, box, a):
+    """The closure of the image of a (EX, P) or of its dual (box: AX, K),
+    or that mask when a is a mask."""
+    if type(a) is int:
+        return image.dual(a) if box else image(a)
+    return (lambda: image.dual(a())) if box else (lambda: image(a()))
+
+
+class Region:
+    """A fixed system with Γ blocks per agent, on which a binder is compiled
+    once into closures over int masks and run.
+
+    Bit i of a mask stands for the i-th state of the system (`bit_of`).  A
+    node the chain evaluated (a frontier node) and a closed node without a
+    binder compile to their mask; every other node compiles to a closure
+    of no arguments that reads the current masks of the bound variables
+    from `env`.  EX is the system's predecessor image of a mask
+    (`MaskImage`), P the union of the Γ blocks meeting it (`BlockImage`),
+    and AX and K are their duals.  A binder runs `kleene` on its body and
+    appends the iteration count.
+
+    A closure of a node that is not a binder and holds none keeps the last
+    mask it returned and the values of its free variables then, and returns
+    the mask again while they are unchanged.  Only the nodes where that can
+    happen keep one: those that do not mention the innermost binder's
+    variable (it changes on every iteration), and that have fewer free
+    variables than the nearest keeping node above them below that binder.
+    Binders and the nodes above them never keep one, so every Kleene loop
+    runs and the iteration counts do not depend on it.
+    """
+
+    def __init__(self, system, partitions, frontier, iteration_counts):
+        self.final = system
+        self.images = {a: BlockImage(system, blocks) for a, blocks in partitions.items()}
+        self.frontier = {node: to_mask(system, S) for node, S in frontier.items()}
+        self.iteration_counts = iteration_counts
+        self.env = []
+        # bound variable -> its index in env; the positive form gives every
+        # binder a name of its own
+        self.slot = {}
+
+    def run(self, node):
+        """The set of node, whose free variables are all bound inside it."""
+        fn = self.compile(node, None, None)
+        return to_set(self.final, fn if type(fn) is int else fn())
+
+    def compile(self, node, loop, above):
+        """The mask or closure of node.  loop is the variable of the
+        innermost binder around node, above the free variables of the
+        nearest keeping node between them (None if there is none)."""
+        mask = self.frontier.get(node)
+        if mask is not None:
+            return mask
+        f = node.form
+        t = type(f)
+        if t is fm.Var:
+            return _read(self.env, self.slot[f.name])
+        if t is fm.Mu or t is fm.Nu:
+            return self.binder(node)
+        children = node.children
+        if not children:
+            return to_mask(self.final, leaf_set(self.final, f))
+        keep = not node.binds and loop not in node.free and node.free != above
+        if keep:
+            above = node.free
+        a = self.compile(children[0], loop, above)
+        if t is fm.And or t is fm.Or:
+            fn = _and_or(t is fm.And, a, self.compile(children[1], loop, above))
+        elif t is fm.AX or t is fm.EX:
+            fn = _modal(self.final.pred_image, t is fm.AX, a)
+        elif t is fm.Know or t is fm.Poss:
+            fn = _modal(self.images[f.agent], t is fm.Know, a)
         else:
-            S2 = evaluate(right, kb, env)
-        S = S1 & S2 if t is fm.And else S1 | S2
-    elif t is fm.AX:
-        S = evaluate(node.children[0], kb, env)
-        S = ax_f(kb.final, S)
-    elif t is fm.EX:
-        S = evaluate(node.children[0], kb, env)
-        S = ex_f(kb.final, S)
-    elif t is fm.Know or t is fm.Poss:
-        S = kb.knowledge(f, evaluate(node.children[0], kb, env))
-    elif t is fm.Mu or t is fm.Nu:
-        region = kb.region(node)
-        body = node.children[0]
-        seed = frozenset() if t is fm.Mu else frozenset(region.final.states)
-        mode = "lfp" if t is fm.Mu else "gfp"
+            raise EpmuError("action modalities must be compiled away before checking")
+        return self.kept(fn, node.free) if keep and type(fn) is not int else fn
+
+    def binder(self, node):
+        """The closure of a binder: Kleene iteration of its body, with the
+        current iterate in the binder's own slot of env."""
+        f = node.form
+        env = self.env
+        i = len(env)
+        env.append(None)
+        self.slot[f.var] = i
+        body = self.compile(node.children[0], f.var, None)
+        seed = 0 if type(f) is fm.Mu else (1 << len(self.final)) - 1
+        mode = "lfp" if type(f) is fm.Mu else "gfp"
+        bound = len(self.final)
+        counts = self.iteration_counts
 
         def op(S):
-            return evaluate(body, region, {**env, f.var: S})
+            env[i] = S
+            return body()
 
-        result, iters = kleene(op, seed, len(region.final), mode)
-        region.iteration_counts.append(iters)
-        return result
-    else:
-        m = kb.final
-        if t is fm.TrueF:
-            S = frozenset(m.states)
-        elif t is fm.FalseF:
-            S = frozenset()
-        elif t is fm.Atom:
-            S = atom_set(m, f.name)
-        elif t is fm.NegAtom:
-            S = frozenset(m.states) - atom_set(m, f.name)
-        elif t is fm.DiamondAct or t is fm.BoxAct:
-            raise EpmuError("action modalities must be compiled away before checking")
-        else:
-            raise TypeError(f"unexpected node {f!r}")
-    if memo is not None and not node.binds:
-        memo[node] = (key, S)
-    return S
+        def fn():
+            S, iters = kleene(op, seed, bound, mode)
+            counts.append(iters)
+            return S
+
+        return fn
+
+    def kept(self, fn, free):
+        """fn, returning its last mask while the variables in free keep
+        their values."""
+        env = self.env
+        key_of = itemgetter(*[self.slot[v] for v in sorted(free)])
+        last_key = last = None
+
+        def kept():
+            nonlocal last_key, last
+            key = key_of(env)
+            if key is not last_key and key != last_key:
+                last = fn()
+                last_key = key
+            return last
+
+        return kept
 
 
 # ---------------------------------------------------------------------------
@@ -282,14 +395,13 @@ def check_with_sets(m, f, cap=DEFAULT_CAP):
     if not gate:
         raise FragmentRejected(gate.witness)
     chain = RefinementChain(m, cap)
-    S = depth_guarded("evaluation", evaluate, tree, chain, {})
+    S = depth_guarded("evaluation", evaluate, tree, chain)
     verdict = Verdict(
         holds=chain.final.q0 in S,
-        # belief-set names nest once per subset construction
-        initial_state=depth_guarded("evaluation", chain.final.state_name, chain.final.q0),
         refinement_sizes=[len(s) for s in chain.systems],
         iteration_counts=list(chain.iteration_counts),
         wall_time=time.perf_counter() - t0,
+        final=chain.final,
     )
     return verdict, chain, S
 
@@ -337,4 +449,4 @@ def eval_state_naive(m, f, cap=DEFAULT_CAP):
         for q in m.states:
             groups.setdefault(m.obs_label(q, a), []).append(q)
         partitions[a] = tuple([frozenset(g) for g in groups.values()])
-    return depth_guarded("evaluation", evaluate, tree, Region(m, partitions), {})
+    return depth_guarded("evaluation", Region(m, partitions, {}, []).run, tree)

@@ -204,9 +204,10 @@ def _copy(m, agent, blocks, cap):
     the equivalence of equal belief and is closed under matching
     transitions.  So state i becomes (i, block of i), the in-splitting is
     the identity, and states, successors, transitions, labels and any
-    cached successor sets are m's, and so are all of m's blocks: the copy
-    has m's runs.  The capacity check fires at the count the search would
-    reach: it never checks the initial state."""
+    cached successor sets, state bits and predecessor image are m's, and so
+    are all of m's blocks: the copy has m's runs.  The capacity check fires
+    at the count the search would reach: it never checks the initial
+    state."""
     n = len(m.states)
     if n > max(cap, 1):
         raise CapacityExceeded(max(cap, 1) + 1, cap, _context(agent))
@@ -220,8 +221,9 @@ def _copy(m, agent, blocks, cap):
         m.delta,
         m.partitions,
     )
-    if "succ_sets" in vars(m):
-        d.succ_sets = m.succ_sets
+    for name in ("succ_sets", "bit_of", "pred_image"):
+        if name in vars(m):
+            setattr(d, name, vars(m)[name])
     return d
 
 

@@ -9,14 +9,9 @@ with top, so every variable node has a closed subformula below it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 from . import formula as fm
 from .errors import UnknownAgent, depth_guarded
-
-
-def _no_key(env):
-    return ()
 
 
 @dataclass(eq=False)  # nodes hash and compare by identity
@@ -29,14 +24,6 @@ class SynNode:
     children: list = field(default_factory=list)
     free: frozenset = frozenset()
     binds: bool = False  # a fixpoint binder is this node or below it
-
-    def key(self, env):
-        """The values of the free variables in env as one comparable key: ()
-        when closed, the set itself for one variable, a tuple in name order
-        for more.  The getter is built on the first call and then replaces
-        this method on the instance."""
-        self.key = itemgetter(*sorted(self.free)) if self.free else _no_key
-        return self.key(env)
 
     def __iter__(self):
         """Pre-order, left to right; iterative, so deep trees are fine."""

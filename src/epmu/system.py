@@ -66,6 +66,24 @@ class MultiAgentSystem:
         succ = self._succ
         return tuple([(q, frozenset(succ[q])) for q in self.states])
 
+    @cached_property
+    def bit_of(self):
+        """state -> its bit in a state mask: bit i stands for the i-th state
+        of `states`, which is the id itself when the ids are 0..n-1."""
+        return {q: 1 << i for i, q in enumerate(self.states)}
+
+    @cached_property
+    def pred_image(self):
+        """The predecessors of a state mask (see MaskImage): the states with
+        a successor in it.  The checker's region kernel reads AX and EX
+        from it."""
+        bit = self.bit_of
+        pred = dict.fromkeys(self.states, 0)
+        for q in self.states:
+            for r in self._succ[q]:
+                pred[r] |= bit[q]
+        return MaskImage(list(pred.values()))
+
     def label(self, q):
         return self.labels[q]
 
@@ -87,6 +105,61 @@ class MultiAgentSystem:
 
     def __repr__(self):
         return f"MultiAgentSystem({len(self.states)} states, q0={self.q0})"
+
+
+_CHUNK = 6  # states per lookup table of a MaskImage
+_CHUNK_LOW = (1 << _CHUNK) - 1
+
+
+class MaskImage:
+    """S -> the union of masks[i] over the bits i of the state mask S;
+    `dual(S)` is the mask of the states j such that every i whose mask
+    holds j lies in S.  With predecessor masks these are EX and AX.
+
+    One table of 2**_CHUNK unions per _CHUNK consecutive states, so a call
+    costs n/_CHUNK lookups.  The states past the last one index
+    empty masks, so the bits of ~S above the system's states add nothing to
+    the image of ~S, of which `dual` is the complement."""
+
+    __slots__ = ("tables", "full")
+
+    def __init__(self, masks):
+        self.full = (1 << len(masks)) - 1
+        masks = masks + [0] * (-len(masks) % _CHUNK)
+        tables = []
+        for shift in range(0, len(masks), _CHUNK):
+            table = [0]
+            for m in masks[shift : shift + _CHUNK]:
+                table += [u | m for u in table]
+            tables.append((shift, table))
+        self.tables = tuple(tables)
+
+    def __call__(self, S):
+        out = 0
+        for shift, table in self.tables:
+            out |= table[S >> shift & _CHUNK_LOW]
+        return out
+
+    def dual(self, S):
+        return self.full ^ self(~S)
+
+
+class BlockImage:
+    """S -> the union of the blocks of a partition of m's states that meet
+    the state mask S; `dual(S)` is the union of the blocks inside S.  With
+    Γ blocks these are P and K on masks."""
+
+    __slots__ = ("blocks",)
+
+    def __init__(self, m, blocks):
+        bit = m.bit_of.__getitem__
+        self.blocks = [sum(map(bit, b)) for b in blocks]
+
+    def __call__(self, S):
+        return sum([b for b in self.blocks if b & S])
+
+    def dual(self, S):
+        return sum([b for b in self.blocks if b & S == b])
 
 
 def _check_shape(states, q0, delta, atoms, labels, obs):

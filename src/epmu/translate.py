@@ -95,7 +95,8 @@ def _labeled_args(data, state_keys=("id",)):
     """LabeledSystem arguments from a JSON object.  A missing key (including
     each of `state_keys` in every state), atoms that are not a list of
     strings, labels that are not a list of [from, actions, to] triples with
-    an object of actions, or an agent spec that is not an object raises
+    an object of actions, alphabets that are not an object of lists of
+    strings, or an agent spec that is not an object raises
     SystemFormatError naming it."""
     for key in ("states", "initial", "atoms", "agents", "actions"):
         if key not in data:
@@ -111,6 +112,11 @@ def _labeled_args(data, state_keys=("id",)):
         if not isinstance(t[1], dict):
             raise SystemFormatError(f"label {t!r}: its actions are not an object")
         _check_ends("label", t)
+    alphabets = actions["alphabets"]
+    if not isinstance(alphabets, dict):
+        raise SystemFormatError(f"'actions.alphabets' is not an object: {alphabets!r}")
+    for a, acts in alphabets.items():
+        _string_list(acts, f"agent {a!r}: 'actions.alphabets'")
     return dict(
         states=states,
         q0=data["initial"],
@@ -118,7 +124,7 @@ def _labeled_args(data, state_keys=("id",)):
         atoms=_string_list(data["atoms"], "'atoms'"),
         labels=labels,
         obs=_agent_obs(data["agents"]),
-        alphabets=actions["alphabets"],
+        alphabets=alphabets,
         names=names,
     )
 

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import random
 
 import pytest
@@ -12,7 +13,9 @@ from epmu.checker import (
     eval_state_naive,
     ex_f,
     kleene,
+    know_blocks,
     node_set_on_prefix,
+    poss_blocks,
 )
 from epmu.distinction import distinction
 from epmu.errors import (
@@ -25,7 +28,8 @@ from epmu.errors import (
 from epmu.formula import parse_formula, to_positive_form
 from epmu.oracle import eval_tree
 from epmu.gen import random_system
-from epmu.system import MultiAgentSystem, bounded_unfold
+from epmu.system import BlockImage, MaskImage, MultiAgentSystem, bounded_unfold
+from epmu.translate import ParityGame, compile_modal, parity_encoding
 
 
 class TestCheck:
@@ -112,6 +116,25 @@ class TestDeepFormulas:
     def test_free_variable_rejected(self, sys1):
         with pytest.raises(EpmuError, match="free fixpoint variables: Z"):
             check(sys1, fm.Or(fm.Atom("p"), fm.Var("Z")))
+
+
+class TestLazyInitialState:
+    def test_nested_knowledge_does_not_build_the_name(self, monkeypatch):
+        # the name doubles in length with each K, so 40 of them would not
+        # fit in memory: building it at all fails the test instead
+        def no_names(base, s, S):
+            raise AssertionError("initial_state was built")
+
+        monkeypatch.setattr(importlib.import_module("epmu.distinction"), "_belief_name", no_names)
+        m = MultiAgentSystem([1], 1, [(1, 1)], ["p"], {1: {"p"}}, {"a": {"p"}})
+        v = check(m, parse_formula("K a . " * 40 + "p"))
+        assert v.holds and v.refinement_sizes == [1] * 41
+        assert "initial_state" not in vars(v)
+
+    def test_name_is_built_once_on_first_read(self, sys2):
+        v = check(sys2, parse_formula("EX K a . p"))
+        assert v.initial_state == "(1,{1})"
+        assert vars(v)["initial_state"] is v.initial_state
 
 
 class TestKleene:
@@ -210,18 +233,95 @@ class TestModalKernels:
                     assert type(ex_f(m, arg)) is frozenset
 
 
+def _sparse_system(rng, n):
+    """n states with scattered ids, some of them deadlocked, so that the
+    bit of a state is its position and not its id."""
+    ids = sorted(rng.sample(range(1000), n))
+    delta = [(ids[0], q) for q in ids[1:]]
+    delta += [(q, r) for q in ids for r in ids if rng.random() < 2 / n and q % 3]
+    labels = {q: {"p"} for q in ids if rng.random() < 0.5}
+    return MultiAgentSystem(ids, ids[0], delta, ["p"], labels, {"a": ["p"]})
+
+
+class TestMaskKernels:
+    """The region kernel's operators on masks against ax_f, ex_f,
+    know_blocks and poss_blocks on frozensets."""
+
+    @staticmethod
+    def systems():
+        rng = random.Random(5)
+        out = _kernel_systems()
+        out += [_sparse_system(rng, n) for n in (2, 7, 13, 40, 70)]
+        return out
+
+    @staticmethod
+    def blocks(m):
+        """The system's Γ blocks, or memoryless ones as eval_state_naive
+        takes them."""
+        if "a" in m.partitions:
+            return m.partitions["a"]
+        groups = {}
+        for q in m.states:
+            groups.setdefault(m.obs_label(q, "a"), set()).add(q)
+        return [frozenset(g) for g in groups.values()]
+
+    def test_against_set_operators(self):
+        rng = random.Random(13)
+        systems = self.systems()
+        assert any(m.deadlocks() for m in systems)
+        assert any(m.states != tuple(range(len(m))) for m in systems)
+        assert max(len(m) for m in systems) > 64
+        for m in systems:
+            image = BlockImage(m, self.blocks(m))
+            for S in TestModalKernels.subsets(m, rng):
+                mask = checker.to_mask(m, S)
+                assert checker.to_set(m, mask) == S
+                assert checker.to_mask(m, ax_f(m, S)) == m.pred_image.dual(mask)
+                assert checker.to_mask(m, ex_f(m, S)) == m.pred_image(mask)
+                blocks = self.blocks(m)
+                assert checker.to_mask(m, know_blocks(blocks, S)) == image.dual(mask)
+                assert checker.to_mask(m, poss_blocks(blocks, S)) == image(mask)
+
+    def test_round_trip_from_masks(self):
+        rng = random.Random(17)
+        for m in self.systems():
+            assert [m.bit_of[q] for q in m.states] == [1 << i for i in range(len(m))]
+            for _ in range(10):
+                mask = rng.getrandbits(len(m))
+                assert checker.to_mask(m, checker.to_set(m, mask)) == mask
+
+    def test_naive_kernel_agrees_with_chain_on_scattered_ids(self):
+        # without K/P there is no refinement, so both give sets of m's states
+        rng = random.Random(19)
+        texts = ["EX p", "AX ~p", "mu Z . p | EX Z", "nu Z . ~p & AX Z", "EX AX p | AX EX p"]
+        for m in [_sparse_system(rng, n) for n in (2, 5, 9, 70)]:
+            for text in texts:
+                f = parse_formula(text)
+                assert eval_state_naive(m, f) == check_with_sets(m, f)[2]
+
+    @pytest.mark.parametrize("mode", ["lfp", "gfp"])
+    def test_kleene_catches_non_monotone_on_both_types(self, mode):
+        for empty, full in ((0, 0b11), (frozenset(), frozenset({1, 2}))):
+            seed = empty if mode == "lfp" else full
+            flip = lambda S: full if S == empty else empty  # noqa: E731
+            with pytest.raises(MonotonicityViolated):
+                kleene(flip, seed, 3, mode)
+
+
 class TestRegionMemo:
-    """A region returns a node's stored set while its free variables keep
-    their values, and never stores a binder or a node above one."""
+    """A region's kernel returns a node's last mask while its free variables
+    keep their values, and never keeps one for a binder or a node above one."""
 
     def test_outer_only_subterm_evaluated_once_per_outer_step(self, sys1, monkeypatch):
         calls = []
 
-        def counting_ax_f(m, S):
-            calls.append(S)
-            return ax_f(m, S)
+        dual = MaskImage.dual
 
-        monkeypatch.setattr(checker, "ax_f", counting_ax_f)
+        def counting_dual(image, S):  # AX, as the formula has no K
+            calls.append(S)
+            return dual(image, S)
+
+        monkeypatch.setattr(MaskImage, "dual", counting_dual)
         v = check(sys1, parse_formula("nu X . mu Y . (q & AX X) | EX Y"))
         assert v.holds and v.iteration_counts == [3, 3, 2]
         inner, outer = v.iteration_counts[:-1], v.iteration_counts[-1]
@@ -272,4 +372,49 @@ class TestChainDigest:
                 v, _, S = check_with_sets(m, parse_formula(text))
                 shape = (v.holds, v.refinement_sizes, v.iteration_counts, v.initial_state, sorted(S))
                 h.update(repr(shape).encode())
+        assert h.hexdigest() == self.DIGEST
+
+
+class TestParityDigest:
+    """parity_encoding on 200 seeded games of 1-6 states and priorities up
+    to 6, in three action shapes; in every fourth game e sees only some of
+    the state atoms, so it cannot tell the opponent's move from where the
+    play went.  One sha256 over holds, refinement sizes, iteration counts
+    and the final set, computed before regions were compiled to bitmasks."""
+
+    DIGEST = "55fd0f688e9e4e0976281b72e74494d7b2e63d0af91a0a8926fef641f14760fc"
+
+    SHAPES = (
+        {"e": ["x", "y"], "o": ["u"]},
+        {"e": ["x"], "o": ["u", "v"]},
+        {"e": ["x", "y"], "o": ["u", "v"]},
+    )
+
+    @classmethod
+    def game(cls, rng, i):
+        n = rng.randint(1, 6)
+        states = list(range(1, n + 1))
+        alphabets = cls.SHAPES[i % 3]
+        trans = [
+            (q, {"e": x, "o": u}, rng.choice(states))
+            for q in states
+            for x in alphabets["e"]
+            for u in alphabets["o"]
+        ]
+        atoms = [f"s{q}" for q in states]
+        labels = {q: {f"s{q}"} for q in states}
+        seen = set(atoms) if i % 4 else {a for a in atoms if rng.random() < 0.5}
+        top = rng.randint(1, 6)
+        priority = {q: rng.randint(1, top) for q in states}
+        return ParityGame(states, 1, trans, atoms, labels, {"e": seen, "o": set(atoms)},
+                          alphabets, priority=priority, players=("e", "o"))
+
+    def test_digest(self):
+        rng = random.Random(2718)
+        h = hashlib.sha256()
+        for i in range(200):
+            ext, phi = parity_encoding(self.game(rng, i), 0)
+            c = compile_modal(ext)
+            v, _, S = check_with_sets(c.system, c.compile_formula(phi))
+            h.update(repr((v.holds, v.refinement_sizes, v.iteration_counts, sorted(S))).encode())
         assert h.hexdigest() == self.DIGEST

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import pytest
@@ -178,6 +179,17 @@ class TestCheck:
         assert main(["check", "--system", loop_file, "--formula", formula]) == 3
         err = capsys.readouterr().err
         assert err == f"error: formula is nested too deeply for the {phase} phase\n"
+
+    def test_too_deep_name_in_report_exit_three(self, loop_file, monkeypatch, capsys):
+        # the initial state's name is built only for the report
+        def deep(base, s, S):
+            raise RecursionError
+
+        monkeypatch.setattr(importlib.import_module("epmu.distinction"), "_belief_name", deep)
+        assert main(["check", "--system", loop_file, "--formula", "K a . p"]) == 3
+        out, err = capsys.readouterr()
+        assert err == "error: formula is nested too deeply for the evaluation phase\n"
+        assert "holds" not in out
 
     def test_negative_cap_exit_three(self, loop_file, capsys):
         # a one-state refinement never reaches the cap check, so it must be
@@ -384,11 +396,27 @@ class TestTranslate:
             ("parity", lambda d: d["states"][0].__setitem__("atoms", 5), "state 1: 'atoms' is not a list"),
             ("atl-until", lambda d: d["agents"]["e"].__setitem__("obs", "s1"), "agent 'e': 'obs' is not a list"),
             ("atl-until", lambda d: d["actions"].__setitem__("labels", 5), "'actions.labels' is not a list"),
+            (
+                "parity",
+                lambda d: d["actions"]["alphabets"].__setitem__("e", "xy"),
+                "agent 'e': 'actions.alphabets' is not a list of strings: 'xy'",
+            ),
+            (
+                "parity",
+                lambda d: d["actions"].__setitem__("alphabets", ["x"]),
+                "'actions.alphabets' is not an object: ['x']",
+            ),
+            (
+                "atl-until",
+                lambda d: d["actions"]["alphabets"].__setitem__("o", [1]),
+                "agent 'o': 'actions.alphabets' is not a list of strings: [1]",
+            ),
         ],
         ids=[
             "game-actions-string", "game-agent-list", "labeled-actions-string", "labeled-agent-list",
             "game-atoms-string", "game-labels-int", "game-state-atoms-int", "labeled-obs-string",
-            "labeled-labels-int",
+            "labeled-labels-int", "game-alphabet-string", "game-alphabets-list",
+            "labeled-alphabet-ints",
         ],
     )
     def test_bad_actions_or_agent_exit_three(self, tmp_path, capsys, mode, edit, named):

@@ -127,11 +127,12 @@ class TestDistinctionAgainstScan:
     def test_copy_step_is_the_identity_on_the_system(self):
         m = random_system(random.Random(3), max_states=6, chain_obs=True)
         d = distinction(m, "a")
-        d.succ_sets  # cached on d, handed on by the copy
+        d.succ_sets, d.bit_of, d.pred_image  # cached on d, handed on by the copy
         e = distinction(d, "a")
         assert e.insplit.chi == {i: i for i in d.states}
         assert e._succ is d._succ and e.delta is d.delta and e.labels is d.labels
         assert e.succ_sets is d.succ_sets
+        assert e.bit_of is d.bit_of and e.pred_image is d.pred_image
         assert e.partitions["a"] == d.partitions["a"]
 
     def test_capacity_fires_at_the_same_count(self):
