@@ -14,11 +14,13 @@ Two evaluators share the work:
   over int masks (bit i is the i-th state), and runs it: frontier sets are
   constants, And/Or are ``&``/``|``, EX reads the system's predecessor
   image (``MultiAgentSystem.pred_image``, built once per system) and P the
-  Γ blocks, and AX/K are their duals.  Nested binders iterate in place
-  through ``kleene``.  A node that holds no binder keeps its last mask
-  while its free variables keep their values; binders and the nodes above
-  them never do, so every Kleene loop runs and the iteration counts do not
-  depend on it.
+  Γ blocks, and AX/K are their duals.  A region above ``MASK_STATES``
+  states, where masks would cost memory and time quadratic in the states,
+  runs the same closures on frozensets.  Nested binders iterate in place
+  through ``kleene``.  A node that holds no binder and does not mention the
+  innermost binder's variable keeps its last value while its free
+  variables keep their values; binders and the nodes above them never do,
+  so every Kleene loop runs and the iteration counts do not depend on it.
 
 Γ is held as blocks: on every system the checker applies it to, Γ is an
 equivalence, so ``K S`` is the union of the blocks inside S and ``P S`` the
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from operator import itemgetter
 
 from . import formula as fm
@@ -114,9 +116,14 @@ class RefinementChain:
 @dataclass
 class Verdict:
     """The answer of `check` and the shape of its refinement chain.
+
     `initial_state`, the name of the final system's initial state, is built
-    on first read: belief-set names nest once per subset construction and
-    double in length with each."""
+    on first read and then cached: belief-set names nest once per subset
+    construction and double in length with each.  For it a verdict holds
+    `final`, the chain's last system, which reaches every system of the
+    chain (through `base` and `insplit`) with their cached tables, so a
+    verdict keeps its chain alive until it is dropped.  Not being a field,
+    `initial_state` is left out of `==`, `repr` and `dataclasses.asdict`."""
 
     holds: bool
     refinement_sizes: list
@@ -192,6 +199,12 @@ def to_set(m, mask):
     return frozenset([states[i] for i in range(mask.bit_length()) if mask >> i & 1])
 
 
+def _subset(a, b):
+    """a ⊆ b, for two frozensets or two masks; on frozensets without
+    building a union."""
+    return a <= b if type(a) is frozenset else a | b == b
+
+
 def kleene(op, seed, bound, mode="lfp"):
     """Iterate a monotone operator on state sets (frozensets or masks) to
     its least (from the empty set) or greatest (from the full set) fixpoint;
@@ -205,9 +218,9 @@ def kleene(op, seed, bound, mode="lfp"):
         nxt = op(cur)
         if nxt == cur:
             return cur, i + 1
-        if mode == "lfp" and cur | nxt != nxt:
+        if mode == "lfp" and not _subset(cur, nxt):
             raise MonotonicityViolated(f"lfp iterate shrank at step {i}")
-        if mode == "gfp" and cur | nxt != cur:
+        if mode == "gfp" and not _subset(nxt, cur):
             raise MonotonicityViolated(f"gfp iterate grew at step {i}")
         cur = nxt
     raise MonotonicityViolated(f"no fixpoint within {bound + 1} iterations")
@@ -243,6 +256,7 @@ def evaluate(node, chain):
 
 # The closures of Region.compile are made in these helpers: a closure made
 # in compile itself would give every call of compile a cell per captured name.
+# A node that folds to a constant is a mask or a frozenset, neither callable.
 
 
 def _read(env, i):
@@ -250,52 +264,75 @@ def _read(env, i):
 
 
 def _and_or(conj, a, b):
-    """The closure of a & b (conj) or a | b, or their mask when both are
-    masks; a mask goes last, so a closure keeps its turn."""
-    if type(a) is int:
+    """The closure of a & b (conj) or a | b, or their value when both are
+    constants; a constant goes last, so a closure keeps its turn."""
+    if not callable(a):
         a, b = b, a
-    if type(a) is int:
+    if not callable(a):
         return a & b if conj else a | b
-    if type(b) is int:
+    if not callable(b):
         return (lambda: a() & b) if conj else (lambda: a() | b)
     return (lambda: a() & b()) if conj else (lambda: a() | b())
 
 
-def _modal(image, box, a):
-    """The closure of the image of a (EX, P) or of its dual (box: AX, K),
-    or that mask when a is a mask."""
-    if type(a) is int:
-        return image.dual(a) if box else image(a)
-    return (lambda: image.dual(a())) if box else (lambda: image(a()))
+def _apply(op, a):
+    """The closure of op applied to a, or that value when a is a constant."""
+    return (lambda: op(a())) if callable(a) else op(a)
+
+
+MASK_STATES = 512  # the largest region the kernel runs on masks
 
 
 class Region:
     """A fixed system with Γ blocks per agent, on which a binder is compiled
-    once into closures over int masks and run.
+    once into closures and run.
 
-    Bit i of a mask stands for the i-th state of the system (`bit_of`).  A
-    node the chain evaluated (a frontier node) and a closed node without a
-    binder compile to their mask; every other node compiles to a closure
-    of no arguments that reads the current masks of the bound variables
-    from `env`.  EX is the system's predecessor image of a mask
-    (`MaskImage`), P the union of the Γ blocks meeting it (`BlockImage`),
-    and AX and K are their duals.  A binder runs `kleene` on its body and
-    appends the iteration count.
+    A region of up to MASK_STATES states works on int masks: bit i stands
+    for the i-th state of the system (`bit_of`), EX is the system's
+    predecessor image of a mask (`MaskImage`), P the union of the Γ blocks
+    meeting it (`BlockImage`), and AX and K are their duals.  The masks
+    behind these images take memory that grows with the square of the
+    states, and so does the time of an EX, one lookup per state in its
+    argument, so a larger region works on frozensets with `ex_f`, `ax_f`,
+    `poss_blocks` and `know_blocks`, whose costs grow with the states and
+    transitions.  `ops` maps EX and each agent to its (image, dual).
+
+    A node the chain evaluated (a frontier node) and a closed node without
+    a binder compile to their value; every other node compiles to a
+    closure of no arguments that reads the current values of the bound
+    variables from `env`.  A binder runs `kleene` on its body and appends
+    the iteration count.
 
     A closure of a node that is not a binder and holds none keeps the last
-    mask it returned and the values of its free variables then, and returns
-    the mask again while they are unchanged.  Only the nodes where that can
-    happen keep one: those that do not mention the innermost binder's
+    value it returned and the values of its free variables then, and
+    returns it again while they are unchanged.  Only the nodes where that
+    can happen keep one: those that do not mention the innermost binder's
     variable (it changes on every iteration), and that have fewer free
-    variables than the nearest keeping node above them below that binder.
+    variables than the nearest keeping node above them below that binder
+    (with the same ones, that node's value changes whenever theirs does).
     Binders and the nodes above them never keep one, so every Kleene loop
     runs and the iteration counts do not depend on it.
     """
 
     def __init__(self, system, partitions, frontier, iteration_counts):
         self.final = system
-        self.images = {a: BlockImage(system, blocks) for a, blocks in partitions.items()}
-        self.frontier = {node: to_mask(system, S) for node, S in frontier.items()}
+        n = len(system)
+        if n <= MASK_STATES:
+            self.encode = partial(to_mask, system)
+            self.decode = partial(to_set, system)
+            self.empty, self.full = 0, (1 << n) - 1
+            image = system.pred_image
+            self.ops = {fm.EX: (image.__call__, image.dual)}
+            for a, blocks in partitions.items():
+                image = BlockImage(system, blocks)
+                self.ops[a] = image.__call__, image.dual
+        else:
+            self.encode = self.decode = frozenset
+            self.empty, self.full = frozenset(), frozenset(system.states)
+            self.ops = {fm.EX: (partial(ex_f, system), partial(ax_f, system))}
+            for a, blocks in partitions.items():
+                self.ops[a] = partial(poss_blocks, blocks), partial(know_blocks, blocks)
+        self.frontier = {node: self.encode(S) for node, S in frontier.items()}
         self.iteration_counts = iteration_counts
         self.env = []
         # bound variable -> its index in env; the positive form gives every
@@ -305,15 +342,15 @@ class Region:
     def run(self, node):
         """The set of node, whose free variables are all bound inside it."""
         fn = self.compile(node, None, None)
-        return to_set(self.final, fn if type(fn) is int else fn())
+        return self.decode(fn() if callable(fn) else fn)
 
     def compile(self, node, loop, above):
-        """The mask or closure of node.  loop is the variable of the
+        """The value or closure of node.  loop is the variable of the
         innermost binder around node, above the free variables of the
         nearest keeping node between them (None if there is none)."""
-        mask = self.frontier.get(node)
-        if mask is not None:
-            return mask
+        value = self.frontier.get(node)
+        if value is not None:
+            return value
         f = node.form
         t = type(f)
         if t is fm.Var:
@@ -322,7 +359,7 @@ class Region:
             return self.binder(node)
         children = node.children
         if not children:
-            return to_mask(self.final, leaf_set(self.final, f))
+            return self.encode(leaf_set(self.final, f))
         keep = not node.binds and loop not in node.free and node.free != above
         if keep:
             above = node.free
@@ -330,12 +367,12 @@ class Region:
         if t is fm.And or t is fm.Or:
             fn = _and_or(t is fm.And, a, self.compile(children[1], loop, above))
         elif t is fm.AX or t is fm.EX:
-            fn = _modal(self.final.pred_image, t is fm.AX, a)
+            fn = _apply(self.ops[fm.EX][t is fm.AX], a)
         elif t is fm.Know or t is fm.Poss:
-            fn = _modal(self.images[f.agent], t is fm.Know, a)
+            fn = _apply(self.ops[f.agent][t is fm.Know], a)
         else:
             raise EpmuError("action modalities must be compiled away before checking")
-        return self.kept(fn, node.free) if keep and type(fn) is not int else fn
+        return self.kept(fn, node.free) if keep and callable(fn) else fn
 
     def binder(self, node):
         """The closure of a binder: Kleene iteration of its body, with the
@@ -346,7 +383,7 @@ class Region:
         env.append(None)
         self.slot[f.var] = i
         body = self.compile(node.children[0], f.var, None)
-        seed = 0 if type(f) is fm.Mu else (1 << len(self.final)) - 1
+        seed = self.empty if type(f) is fm.Mu else self.full
         mode = "lfp" if type(f) is fm.Mu else "gfp"
         bound = len(self.final)
         counts = self.iteration_counts
@@ -363,7 +400,7 @@ class Region:
         return fn
 
     def kept(self, fn, free):
-        """fn, returning its last mask while the variables in free keep
+        """fn, returning its last value while the variables in free keep
         their values."""
         env = self.env
         key_of = itemgetter(*[self.slot[v] for v in sorted(free)])

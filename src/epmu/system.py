@@ -107,41 +107,30 @@ class MultiAgentSystem:
         return f"MultiAgentSystem({len(self.states)} states, q0={self.q0})"
 
 
-_CHUNK = 6  # states per lookup table of a MaskImage
-_CHUNK_LOW = (1 << _CHUNK) - 1
-
-
 class MaskImage:
     """S -> the union of masks[i] over the bits i of the state mask S;
     `dual(S)` is the mask of the states j such that every i whose mask
-    holds j lies in S.  With predecessor masks these are EX and AX.
+    holds j lies in S.  With predecessor masks these are EX and AX.  A call
+    costs one lookup per bit of S."""
 
-    One table of 2**_CHUNK unions per _CHUNK consecutive states, so a call
-    costs n/_CHUNK lookups.  The states past the last one index
-    empty masks, so the bits of ~S above the system's states add nothing to
-    the image of ~S, of which `dual` is the complement."""
-
-    __slots__ = ("tables", "full")
+    __slots__ = ("masks", "full")
 
     def __init__(self, masks):
         self.full = (1 << len(masks)) - 1
-        masks = masks + [0] * (-len(masks) % _CHUNK)
-        tables = []
-        for shift in range(0, len(masks), _CHUNK):
-            table = [0]
-            for m in masks[shift : shift + _CHUNK]:
-                table += [u | m for u in table]
-            tables.append((shift, table))
-        self.tables = tuple(tables)
+        self.masks = [0, *masks]  # indexed by the bit_length of a bit
 
     def __call__(self, S):
+        masks = self.masks
         out = 0
-        for shift, table in self.tables:
-            out |= table[S >> shift & _CHUNK_LOW]
+        while S:
+            low = S & -S
+            out |= masks[low.bit_length()]
+            S ^= low
         return out
 
     def dual(self, S):
-        return self.full ^ self(~S)
+        full = self.full
+        return full ^ self(full ^ S)
 
 
 class BlockImage:

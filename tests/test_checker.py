@@ -308,6 +308,17 @@ class TestMaskKernels:
                 kleene(flip, seed, 3, mode)
 
 
+    @pytest.mark.parametrize("mode", ["lfp", "gfp"])
+    def test_kleene_catches_a_step_the_wrong_way_on_both_types(self, mode):
+        # the operator settles within the bound, so only the subset test
+        # of the step before can catch it
+        for empty, one, full in ((0, 0b01, 0b11), (frozenset(), frozenset({1}), frozenset({1, 2}))):
+            seed, first = (empty, full) if mode == "lfp" else (full, empty)
+            op = lambda S: first if S == seed else one  # noqa: E731
+            with pytest.raises(MonotonicityViolated, match="shrank" if mode == "lfp" else "grew"):
+                kleene(op, seed, 5, mode)
+
+
 class TestRegionMemo:
     """A region's kernel returns a node's last mask while its free variables
     keep their values, and never keeps one for a binder or a node above one."""
@@ -327,6 +338,21 @@ class TestRegionMemo:
         inner, outer = v.iteration_counts[:-1], v.iteration_counts[-1]
         # AX X mentions only X: one call per outer step, not per inner one
         assert len(calls) == outer < sum(inner)
+
+    def test_one_cache_per_run_of_equal_free_variables(self, sys1, monkeypatch):
+        # q & AX (p & EX X), AX (p & EX X), p & EX X and EX X all have the
+        # free variables {X}: the topmost one's value changes whenever
+        # theirs does, so only it keeps one
+        kept = []
+        wrap = checker.Region.kept
+
+        def counting_kept(region, fn, free):
+            kept.append(sorted(free))
+            return wrap(region, fn, free)
+
+        monkeypatch.setattr(checker.Region, "kept", counting_kept)
+        check(sys1, parse_formula("nu X . mu Y . (q & AX (p & EX X)) | EX Y"))
+        assert kept == [["X"]]
 
     # (formula, random_system seed, holds, refinement_sizes, iteration_counts),
     # computed before regions had a memo.  The innermost binder never
@@ -352,6 +378,60 @@ class TestRegionMemo:
         m = random_system(random.Random(seed), max_states=8, chain_obs=True)
         v = check(m, parse_formula(text))
         assert (v.holds, v.refinement_sizes, v.iteration_counts) == (holds, sizes, iters)
+
+
+class TestSetRegions:
+    """A region above MASK_STATES runs the same closures on frozensets.
+    With the limit at 0 every region does, and no pinned result moves."""
+
+    @pytest.fixture
+    def no_masks(self, monkeypatch):
+        monkeypatch.setattr(checker, "MASK_STATES", 0)
+
+    def test_parity_digest(self, no_masks):
+        TestParityDigest().test_digest()
+
+    def test_chain_digest(self, no_masks):
+        TestChainDigest().test_digest()
+
+    @pytest.mark.parametrize("text,seed,holds,sizes,iters", TestRegionMemo.THREE_BINDERS)
+    def test_every_kleene_loop_runs(self, no_masks, text, seed, holds, sizes, iters):
+        TestRegionMemo().test_every_kleene_loop_runs(text, seed, holds, sizes, iters)
+
+    def test_naive_kernel_on_scattered_ids(self, no_masks):
+        TestMaskKernels().test_naive_kernel_agrees_with_chain_on_scattered_ids()
+
+    def test_naive_knowledge_on_frozensets(self, sys2, monkeypatch):
+        f = parse_formula("AX K a . p | nu Z . P a . (q & EX Z)")
+        want = eval_state_naive(sys2, f)
+        monkeypatch.setattr(checker, "MASK_STATES", 0)
+        assert eval_state_naive(sys2, f) == want
+
+    def test_both_sides_of_the_limit(self, monkeypatch):
+        # a ring with chords, one state past the limit, and a region refined
+        # for an agent that sees every state apart
+        n = checker.MASK_STATES + 1
+        rng = random.Random(23)
+        atoms = [f"b{j}" for j in range(n.bit_length())]
+        delta = [(i, (i + 1) % n) for i in range(n)] + [(i, rng.randrange(n)) for i in range(n)]
+        labels = {i: {b for j, b in enumerate(atoms) if i >> j & 1} for i in range(n)}
+        m = MultiAgentSystem(range(n), 0, delta, atoms, labels, {"a": atoms})
+        f = parse_formula("nu X . mu Y . (b0 & b1 & b2 & K a . EX X) | (b3 & AX Y) | (b4 & P a . EX Y)")
+        made = []
+        init = checker.Region.__init__
+
+        def spy(region, *args):
+            init(region, *args)
+            made.append(region.encode)
+
+        monkeypatch.setattr(checker.Region, "__init__", spy)
+        v, _, S = check_with_sets(m, f)
+        assert v.refinement_sizes == [n, n] and made == [frozenset]
+        assert max(v.iteration_counts) > 2 and 0 < len(S) < n
+        monkeypatch.setattr(checker, "MASK_STATES", n)
+        w, _, T = check_with_sets(m, f)
+        assert made[-1] is not frozenset  # the encoder of masks
+        assert (w.holds, w.iteration_counts, T) == (v.holds, v.iteration_counts, S)
 
 
 class TestChainDigest:
