@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -15,10 +16,10 @@ from epmu.formula import (
     parse_formula,
     to_positive_form,
 )
-from epmu.gen import small_game_family
+from epmu.gen import exhaustive_tiny_games, small_game_family
 from epmu.oracle import eval_tree, parity_oracle, reachability_strategy_oracle
 from epmu.syntree import build_syntree, check_non_mixing
-from epmu.system import bounded_unfold
+from epmu.system import bounded_unfold, system_to_dict
 from epmu.translate import (
     LabeledSystem,
     ParityGame,
@@ -380,3 +381,75 @@ class TestParityEncoding:
     def test_zero_priority_rejected(self):
         with pytest.raises(SystemFormatError):
             parity_encoding(loop_parity(0), 0)
+
+
+def three_agent_game(rng):
+    """A random total game of the agents a, m and z with one or two actions
+    each, so the acting agent m sits between the other two in a tuple."""
+    n = rng.randint(1, 3)
+    states = list(range(1, n + 1))
+    alphabets = {b: ["x", "y"][: rng.randint(1, 2)] for b in ("a", "m", "z")}
+    trans = [
+        (q, {"a": x, "m": y, "z": w}, rng.choice(states))
+        for q in states
+        for x in alphabets["a"]
+        for y in alphabets["m"]
+        for w in alphabets["z"]
+    ]
+    labels = {q: {p for p in ("p1", "p2") if rng.random() < 0.45} for q in states}
+    obs = {b: {p for p in ("p1", "p2") if rng.random() < 0.5} for b in ("a", "m", "z")}
+    return LabeledSystem(states, 1, trans, ["p1", "p2"], labels, obs, alphabets)
+
+
+class TestTranslatorDigest:
+    """Every translator on seeded instances, pinned by one sha256 over the
+    labeled system as a dict (key order included), the compiled plain
+    system, and the modal and compiled formulas as text: atl-until with
+    both dual values on 300 small_game_family games, the exhaustive tiny
+    games and 60 three-agent games; coalition_next for every agent of
+    several alphabets with both flags; parity_encoding for both players on
+    400 seeded games.  Computed before the encoders shared one step
+    builder, which must change none of them."""
+
+    DIGEST = "3d74b69c1328480ec75ede84b0f77acd8166c884183a8b3e9ff59c2747a96260"
+
+    @staticmethod
+    def update(h, g, phi):
+        c = compile_modal(g)
+        for part in (
+            labeled_system_to_dict(g),
+            system_to_dict(c.system),
+            fm.pretty(phi),
+            fm.pretty(c.compile_formula(phi)),
+        ):
+            h.update(json.dumps(part).encode())
+
+    def test_digest(self):
+        import test_checker
+
+        rng = random.Random(1528)
+        h = hashlib.sha256()
+        games = small_game_family(300, rng, max_states=4)
+        games += exhaustive_tiny_games()
+        for g in games:
+            for dual in (False, True):
+                self.update(h, *atl_until_instance(g, "a0", "p1", "p2", dual=dual))
+        for _ in range(60):
+            g = three_agent_game(rng)
+            for dual in (False, True):
+                self.update(h, *atl_until_instance(g, "m", "p1", "p2", dual=dual))
+        for alphabets in (
+            {"a": ("x",)},
+            {"a": ("x", "y"), "b": ("u",)},
+            {"a": ("x",), "b": ("u", "v")},
+            {"a": ("x", "y"), "b": ("u", "v"), "c": ("s", "t", "w")},
+        ):
+            for a in alphabets:
+                for existential in (False, True):
+                    f = coalition_next({a}, fm.Atom("p"), existential, alphabets)
+                    h.update(fm.pretty(f).encode())
+        for i in range(400):
+            game = test_checker.TestParityDigest.game(rng, i)
+            for player in (0, 1):
+                self.update(h, *parity_encoding(game, player))
+        assert h.hexdigest() == self.DIGEST
