@@ -89,8 +89,9 @@ class RefinementChain:
         """A closed K/P: one subset construction for its agent, which
         carries the agent's Γ blocks."""
         d = distinction(self.final, f.agent, cap=self.cap)
-        self.extend(d.insplit)
-        return _KNOWLEDGE[type(f)](d.partitions[f.agent], d.insplit.pullback(S))
+        step = d.insplit
+        self.extend(step)
+        return _KNOWLEDGE[type(f)](d.partitions[f.agent], step.pullback(S))
 
     def region(self, node):
         """The set of a closed binder: evaluate its nearest closed
@@ -121,8 +122,9 @@ class Verdict:
     on first read and then cached: belief-set names nest once per subset
     construction and double in length with each.  For it a verdict holds
     `final`, the chain's last system, which reaches every system of the
-    chain (through `base` and `insplit`) with their cached tables, so a
-    verdict keeps its chain alive until it is dropped.  Not being a field,
+    chain through `base`, with their cached tables, so a verdict keeps the
+    chain's systems alive until it is dropped; no system refers back to a
+    finer one, so reference counting then frees them.  Not being a field,
     `initial_state` is left out of `==`, `repr` and `dataclasses.asdict`."""
 
     holds: bool

@@ -216,7 +216,7 @@ def cmd_distinguish(args):
             "agent": args.agent,
             "state_count": len(d),
             "states": [
-                {"id": i, "name": d.state_name(i), "maps_to": d.insplit.apply(i)}
+                {"id": i, "name": d.state_name(i), "maps_to": d.pair_of[i][0]}
                 for i in d.states
             ],
             "system": system_to_dict(d),
@@ -225,7 +225,7 @@ def cmd_distinguish(args):
     else:
         print(f"{len(d)} states")
         for i in d.states:
-            print(f"  {i}: {d.state_name(i)} -> {d.insplit.apply(i)}")
+            print(f"  {i}: {d.state_name(i)} -> {d.pair_of[i][0]}")
     return EXIT_HOLDS
 
 

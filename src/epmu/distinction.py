@@ -34,7 +34,7 @@ from .system import (
 
 class DistinctionSystem(MultiAgentSystem):
     """A system whose states are (base state, belief set) pairs, together
-    with the in-splitting map back to the base system.
+    with the in-splitting map back to the base system (`insplit`).
 
     Built straight from the breadth-first search of `distinction`: state i
     is the i-th pair found and `succ[i]` lists the ids of its successors in
@@ -59,7 +59,13 @@ class DistinctionSystem(MultiAgentSystem):
         self.names = _BeliefNames(base, pair_of)
         self._succ = succ
         self.partitions = partitions
-        self.insplit = InSplitting(self, base, {i: s for i, (s, _) in pair_of.items()})
+
+    @property
+    def insplit(self):
+        """The in-splitting (s, S) -> s onto `base`, built on each read:
+        kept on the system it would refer back to it, and every refined
+        system would wait for the cyclic garbage collector."""
+        return InSplitting(self, self.base, {i: s for i, (s, _) in self.pair_of.items()})
 
 
 class _BeliefNames(Mapping):
@@ -202,10 +208,11 @@ def _copy(m, agent, blocks, cap):
     its successor lists sorted, so the search would number the pairs as m
     numbers its states, and the belief of state i is its block, since Γ is
     the equivalence of equal belief and is closed under matching
-    transitions.  So state i becomes (i, block of i), the in-splitting is
-    the identity, and states, successors, transitions, labels and any
-    cached successor sets, state bits and predecessor image are m's, and so
-    are all of m's blocks: the copy has m's runs.  The capacity check fires
+    transitions.  So state i becomes (i, block of i), the in-splitting
+    that `insplit` builds is the identity, and states, successors,
+    transitions, labels and any cached successor sets, state bits and
+    predecessor image are m's, and so are all of m's blocks: the copy has
+    m's runs.  The capacity check fires
     at the count the search would reach: it never checks the initial
     state."""
     n = len(m.states)
@@ -359,7 +366,6 @@ def refine_for_agents(m, agents, cap=DEFAULT_CAP):
     cur = m
     comp = identity_insplitting(m)
     for a in order:
-        d = distinction(cur, a, cap=cap)
-        comp = compose_insplitting(comp, d.insplit)
-        cur = d
+        cur = distinction(cur, a, cap=cap)
+        comp = compose_insplitting(comp, cur.insplit)
     return cur, comp

@@ -328,7 +328,11 @@ def _rename_apart(f, free):
         kids = g.children()
         if not kids:
             return g
-        return _rebuild(g, [walk(c, env) for c in kids])
+        # a loop, not a comprehension: one stack frame per level
+        new = []
+        for c in kids:
+            new.append(walk(c, env))
+        return _rebuild(g, new)
 
     return walk(f, {})
 

@@ -5,8 +5,9 @@ bookkeeping bit, coalition-next expansion, and the parity-game encoding."""
 from __future__ import annotations
 
 import itertools
-import json
+from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 
 from . import formula as fm
 from .errors import (
@@ -25,6 +26,7 @@ from .system import (
     _load_json,
     _state_entries,
     _string_list,
+    system_to_dict,
 )
 
 
@@ -35,51 +37,46 @@ def _canon_acts(acts):
     return tuple(sorted(acts))
 
 
-class LabeledSystem:
-    """Multi-agent system with per-transition joint-action labels."""
+def _check_alphabets(alphabets):
+    """An agent without actions has no joint action, so every encoding over
+    it would be an empty join; SystemFormatError names the agent."""
+    for a in sorted(alphabets):
+        if not alphabets[a]:
+            raise SystemFormatError(f"agent {a!r} has an empty action alphabet")
+
+
+class LabeledSystem(MultiAgentSystem):
+    """Multi-agent system with per-transition joint-action labels: the plain
+    system of its (from, to) pairs, plus `alphabets` (agent -> sorted
+    actions) and `trans`, the reachable (from, action tuple, to) triples in
+    sorted order."""
 
     def __init__(self, states, q0, trans, atoms, labels, obs, alphabets, names=None):
         self.alphabets = {a: tuple(sorted(set(acts))) for a, acts in alphabets.items()}
-        self.agents = tuple(sorted(obs))
-        if set(self.alphabets) != set(self.agents):
+        agents = tuple(sorted(obs))
+        if set(self.alphabets) != set(agents):
             raise SystemFormatError("action alphabets must cover exactly the agents")
-        canon = []
+        _check_alphabets(self.alphabets)
+        canon = set()
         for q, acts, r in trans:
             acts = _canon_acts(acts)
-            if tuple(a for a, _ in acts) != self.agents:
+            if tuple(a for a, _ in acts) != agents:
                 raise SystemFormatError(
                     f"transition ({q},{r}) does not carry a full action tuple"
                 )
             for a, act in acts:
                 if act not in self.alphabets[a]:
                     raise SystemFormatError(f"undeclared action {act!r} of agent {a}")
-            canon.append((q, acts, r))
-        self.trans = tuple(sorted(set(canon)))
-        # reuse the plain-system machinery for reachability and label checks
-        plain = MultiAgentSystem(
-            states, q0, [(q, r) for q, _, r in canon], atoms, labels, obs, names
-        )
-        self.plain = plain
-        keep = set(plain.states)
-        self.trans = tuple(t for t in self.trans if t[0] in keep and t[2] in keep)
+            canon.add((q, acts, r))
+        super().__init__(states, q0, [(q, r) for q, _, r in canon], atoms, labels, obs, names)
+        keep = set(self.states)
+        self.trans = tuple(sorted(t for t in canon if t[0] in keep and t[2] in keep))
         self._out = {}  # state -> [(acts, r), ...] in the order of self.trans
         for q, acts, r in self.trans:
             self._out.setdefault(q, []).append((acts, r))
-        self.states = plain.states
-        self.q0 = plain.q0
-        self.atoms = plain.atoms
-        self.labels = plain.labels
-        self.obs = plain.obs
-        self.names = plain.names
-
-    def label(self, q):
-        return self.labels[q]
 
     def outgoing(self, q):
         return list(self._out.get(q, ()))
-
-    def __len__(self):
-        return len(self.states)
 
 
 def parse_labeled_system(text):
@@ -130,16 +127,7 @@ def _labeled_args(data, state_keys=("id",)):
 
 
 def labeled_system_to_dict(g):
-    return {
-        "states": [
-            {"id": q, "atoms": sorted(g.labels[q])}
-            | ({"name": g.names[q]} if q in g.names else {})
-            for q in g.states
-        ],
-        "initial": g.q0,
-        "transitions": sorted([q, r] for q, r in {(q, r) for q, _, r in g.trans}),
-        "atoms": sorted(g.atoms),
-        "agents": {a: {"obs": sorted(g.obs[a])} for a in g.agents},
+    return system_to_dict(g) | {
         "actions": {
             "alphabets": {a: list(g.alphabets[a]) for a in g.agents},
             "labels": [
@@ -186,10 +174,10 @@ def compile_modal(g, cap=DEFAULT_CAP):
     start = (g.q0, None)
     id_of = {start: 0}
     pair_list = [start]
-    queue = [start]
+    queue = deque([start])
     delta = []
     while queue:
-        q, _ = src = queue.pop(0)
+        q, _ = src = queue.popleft()
         sid = id_of[src]
         for acts, r in sorted(g.outgoing(q)):
             tgt = (r, acts)
@@ -208,7 +196,7 @@ def compile_modal(g, cap=DEFAULT_CAP):
             lab |= {act_atom[pair] for pair in acts}
         labels[i] = lab
         tag = "i" if acts is None else ",".join(act for _, act in acts)
-        names[i] = f"({g.plain.state_name(q)};{tag})"
+        names[i] = f"({g.state_name(q)};{tag})"
     for a in g.agents:
         own = {act_atom[(a, act)] for act in g.alphabets[a]}
         obs[a] = set(g.obs[a]) | own
@@ -228,19 +216,11 @@ def compile_modal(g, cap=DEFAULT_CAP):
 def compile_modal_formula(f, act_atom):
     """<acts>phi -> EX(action atoms & phi); [acts]phi -> AX(~atoms | phi)."""
     if isinstance(f, fm.DiamondAct):
-        child = compile_modal_formula(f.child, act_atom)
-        guard = None
-        for pair in f.acts:
-            atom = fm.Atom(act_atom[pair])
-            guard = atom if guard is None else fm.And(guard, atom)
-        return fm.EX(fm.And(guard, child))
+        guard = reduce(fm.And, [fm.Atom(act_atom[pair]) for pair in f.acts])
+        return fm.EX(fm.And(guard, compile_modal_formula(f.child, act_atom)))
     if isinstance(f, fm.BoxAct):
-        child = compile_modal_formula(f.child, act_atom)
-        guard = None
-        for pair in f.acts:
-            neg = fm.NegAtom(act_atom[pair])
-            guard = neg if guard is None else fm.Or(guard, neg)
-        return fm.AX(fm.Or(guard, child))
+        guard = reduce(fm.Or, [fm.NegAtom(act_atom[pair]) for pair in f.acts])
+        return fm.AX(fm.Or(guard, compile_modal_formula(f.child, act_atom)))
     kids = f.children()
     if not kids:
         return f
@@ -248,20 +228,30 @@ def compile_modal_formula(f, act_atom):
 
 
 # ---------------------------------------------------------------------------
-# Until-objective instance
+# Joint-action steps
 
 
-def _other_tuples(g, a0):
-    others = [a for a in g.agents if a != a0]
-    return [
-        tuple(zip(others, combo))
-        for combo in itertools.product(*(g.alphabets[a] for a in others))
+def _steps(a, alpha, alphabets, f, box):
+    """The &-join of [acts] f (box) or the |-join of <acts> f over the joint
+    actions in which agent a plays alpha, grouped to the left, the other
+    agents' actions in the order of itertools.product over sorted agents."""
+    others = [b for b in sorted(alphabets) if b != a]
+    step, join = (fm.BoxAct, fm.And) if box else (fm.DiamondAct, fm.Or)
+    steps = [
+        step(_canon_acts(((a, alpha), *zip(others, combo))), f)
+        for combo in itertools.product(*(alphabets[b] for b in others))
     ]
+    return reduce(join, steps)
+
+
+# ---------------------------------------------------------------------------
+# Until-objective instance
 
 
 def atl_until_instance(g, a0, p1, p2, dual=False):
     """Doubled system with a bookkeeping bit on the acting agent's actions:
     the bit-1 copy remembers that the target atom was already passed.
+    State (q, bit) is 2·index(q) + bit.
     Returns (modified labeled system, modal formula)."""
     if a0 not in g.obs:
         raise UnknownAgent(a0)
@@ -269,75 +259,40 @@ def atl_until_instance(g, a0, p1, p2, dual=False):
         if p not in g.atoms:
             raise UnknownAtom(p)
     past = _fresh_atom(f"past_{p2}", g.atoms)
-
-    def sid(q, bit):
-        return (q, bit)
-
-    states = [sid(q, b) for q in g.states for b in (0, 1)]
-    labels = {}
-    names = {}
-    for q in g.states:
-        labels[sid(q, 0)] = set(g.label(q))
-        labels[sid(q, 1)] = set(g.label(q)) | {past}
-        names[sid(q, 0)] = f"{g.plain.state_name(q)}+0"
-        names[sid(q, 1)] = f"{g.plain.state_name(q)}+1"
-
-    alphabets = {a: list(g.alphabets[a]) for a in g.agents}
-    alphabets[a0] = [f"{act}_{b}" for act in g.alphabets[a0] for b in (0, 1)]
+    index = {q: 2 * i for i, q in enumerate(g.states)}
+    labels, names = {}, {}
+    for q, i in index.items():
+        labels[i], labels[i + 1] = g.label(q), g.label(q) | {past}
+        names[i], names[i + 1] = f"{g.state_name(q)}+0", f"{g.state_name(q)}+1"
 
     trans = []
     for q, acts, r in g.trans:
         acts = dict(acts)
-        alpha = acts[a0]
-        rest = {a: act for a, act in acts.items() if a != a0}
+        hit = int(p2 in g.label(q))
+        for bq, bit, br in ((0, 0, 0), (1, 0, 1), (1, 1, 1), (0, 1, hit)):
+            trans.append((index[q] + bq, {**acts, a0: f"{acts[a0]}_{bit}"}, index[r] + br))
 
-        def add(bq, aact_bit, br):
-            trans.append(
-                (sid(q, bq), {**rest, a0: f"{alpha}_{aact_bit}"}, sid(r, br))
-            )
-
-        add(0, 0, 0)
-        add(1, 0, 1)
-        add(1, 1, 1)
-        if p2 in g.label(q):
-            add(0, 1, 1)
-        else:
-            add(0, 1, 0)
-
-    # state ids must be hashable ints for MultiAgentSystem; intern the pairs
-    idx = {s: i for i, s in enumerate(states)}
+    alphabets = {**g.alphabets, a0: [f"{act}_{b}" for act in g.alphabets[a0] for b in (0, 1)]}
     mprime = LabeledSystem(
-        states=list(idx.values()),
-        q0=idx[sid(g.q0, 0)],
-        trans=[(idx[q], acts, idx[r]) for q, acts, r in trans],
-        atoms=set(g.atoms) | {past},
-        labels={idx[s]: lab for s, lab in labels.items()},
-        obs={a: set(g.obs[a]) for a in g.agents},
+        states=range(2 * len(g.states)),
+        q0=index[g.q0],
+        trans=trans,
+        atoms=g.atoms | {past},
+        labels=labels,
+        obs=g.obs,
         alphabets=alphabets,
-        names={idx[s]: n for s, n in names.items()},
+        names=names,
     )
 
     core = fm.Or(fm.Atom(p2), fm.Atom(past))
-    others = _other_tuples(mprime, a0)
-    var = "Z"
-    body = None
-    for alpha in mprime.alphabets[a0]:
-        if dual:
-            inner = None
-            for rest in others:
-                step = fm.DiamondAct(_canon_acts(rest + ((a0, alpha),)), fm.Var(var))
-                inner = step if inner is None else fm.Or(inner, step)
-            arm = fm.Poss(a0, fm.Or(core, fm.And(fm.Atom(p1), inner)))
-            body = arm if body is None else fm.And(body, arm)
-        else:
-            inner = None
-            for rest in others:
-                step = fm.BoxAct(_canon_acts(rest + ((a0, alpha),)), fm.Var(var))
-                inner = step if inner is None else fm.And(inner, step)
-            arm = fm.Know(a0, fm.Or(core, fm.And(fm.Atom(p1), inner)))
-            body = arm if body is None else fm.Or(body, arm)
-    phi = fm.Mu(var, body)
-    return mprime, phi
+    modality, join = (fm.Poss, fm.And) if dual else (fm.Know, fm.Or)
+
+    def arm(alpha):
+        steps = _steps(a0, alpha, mprime.alphabets, fm.Var("Z"), not dual)
+        return modality(a0, fm.Or(core, fm.And(fm.Atom(p1), steps)))
+
+    body = reduce(join, [arm(alpha) for alpha in mprime.alphabets[a0]])
+    return mprime, fm.Mu("Z", body)
 
 
 # ---------------------------------------------------------------------------
@@ -350,28 +305,10 @@ def coalition_next(agents, f, existential, alphabets):
     if len(agents) != 1:
         raise UnsupportedCoalition(agents)
     (a,) = agents
-    others = [b for b in sorted(alphabets) if b != a]
-    other_tuples = [
-        tuple(zip(others, combo))
-        for combo in itertools.product(*(alphabets[b] for b in others))
-    ]
-    out = None
-    for alpha in alphabets[a]:
-        if existential:
-            inner = None
-            for rest in other_tuples:
-                step = fm.BoxAct(_canon_acts(rest + ((a, alpha),)), f)
-                inner = step if inner is None else fm.And(inner, step)
-            arm = fm.Know(a, inner)
-            out = arm if out is None else fm.Or(out, arm)
-        else:
-            inner = None
-            for rest in other_tuples:
-                step = fm.DiamondAct(_canon_acts(rest + ((a, alpha),)), f)
-                inner = step if inner is None else fm.Or(inner, step)
-            arm = fm.Poss(a, inner)
-            out = arm if out is None else fm.And(out, arm)
-    return out
+    _check_alphabets(alphabets)
+    modality, join = (fm.Know, fm.Or) if existential else (fm.Poss, fm.And)
+    arms = [modality(a, _steps(a, alpha, alphabets, f, existential)) for alpha in alphabets[a]]
+    return reduce(join, arms)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +347,6 @@ def parity_encoding(game, player_index):
     a single epistemic agent, hence non-mixing by construction).
     """
     me = game.players[player_index]
-    opp = game.players[1 - player_index]
     n = max(game.priority.values())
     if min(game.priority.values()) < 1:
         raise SystemFormatError("priorities must be >= 1")
@@ -423,38 +359,32 @@ def parity_encoding(game, player_index):
         name = _fresh_atom(f"prio{k}", atoms)
         prio_atom[k] = name
         atoms.add(name)
-    labels = {q: set(game.label(q)) | {prio_atom[game.priority[q]]} for q in game.states}
+    labels = {q: game.label(q) | {prio_atom[game.priority[q]]} for q in game.states}
 
     extended = LabeledSystem(
-        states=list(game.states),
+        states=game.states,
         q0=game.q0,
-        trans=list(game.trans),
+        trans=game.trans,
         atoms=atoms,
         labels=labels,
-        obs={a: set(game.obs[a]) for a in game.agents},
-        alphabets={a: list(game.alphabets[a]) for a in game.agents},
-        names=dict(game.names),
+        obs=game.obs,
+        alphabets=game.alphabets,
+        names=game.names,
     )
 
     zvar = {k: f"Zp{k}" for k in range(1, n + 1)}
+
     # Highest priority first: the innermost binder's term (priority 1) is
     # then the outermost disjunct, and the disjunction of all the others is
     # one subterm that is constant while that binder iterates.
-    body = None
-    for alpha in extended.alphabets[me]:
-        inner = None
-        for k in range(n, 0, -1):
-            steps = None
-            for beta in extended.alphabets[opp]:
-                acts = _canon_acts(((me, alpha), (opp, beta)))
-                step = fm.BoxAct(acts, fm.Var(zvar[k]))
-                steps = step if steps is None else fm.And(steps, step)
-            term = fm.And(fm.Atom(prio_atom[k]), steps)
-            inner = term if inner is None else fm.Or(inner, term)
-        arm = fm.Know(me, inner)
-        body = arm if body is None else fm.Or(body, arm)
+    def arm(alpha):
+        terms = [
+            fm.And(fm.Atom(prio_atom[k]), _steps(me, alpha, game.alphabets, fm.Var(zvar[k]), True))
+            for k in range(n, 0, -1)
+        ]
+        return fm.Know(me, reduce(fm.Or, terms))
 
-    phi = body
+    phi = reduce(fm.Or, [arm(alpha) for alpha in game.alphabets[me]])
     for k in range(1, n + 1):
         phi = (fm.Nu if k % 2 == 0 else fm.Mu)(zvar[k], phi)
     return extended, phi

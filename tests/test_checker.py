@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import importlib
 import random
+import weakref
 
 import pytest
 
@@ -101,10 +103,17 @@ class TestCheck:
 
 class TestDeepFormulas:
     def test_long_conjunction_names_the_phase(self, sys1):
-        f = parse_formula(" & ".join(["p"] * 500))
+        f = parse_formula(" & ".join(["p"] * 2000))
         with pytest.raises(FormulaTooDeep) as e:
             check(sys1, f)
         assert e.value.phase in ("positive form", "syntax tree", "evaluation")
+
+    @pytest.mark.parametrize(
+        "text", ["EX " * 700 + "p", " & ".join(["p"] * 700)], ids=["nested-EX", "wide-and"]
+    )
+    def test_700_levels_get_a_verdict(self, sys1, text):
+        # the positive form's renaming walk takes one stack frame per level
+        assert check(sys1, parse_formula(text)).holds is False
 
     def test_depth_guard_names_the_phase(self):
         def dive(n):
@@ -135,6 +144,31 @@ class TestLazyInitialState:
         v = check(sys2, parse_formula("EX K a . p"))
         assert v.initial_state == "(1,{1})"
         assert vars(v)["initial_state"] is v.initial_state
+
+
+class TestChainFreed:
+    """No refined system refers back to a finer one, so once the verdict
+    and the chain are dropped reference counting frees every system the
+    chain built, with the cyclic garbage collector off."""
+
+    @pytest.mark.parametrize(
+        "text",
+        ["K a . K b . p", "nu Z . (K a . (p & Z) & K b . (p & Z))", "C{a,b} p"],
+        ids=["nested-K", "nu", "common-knowledge"],
+    )
+    def test_systems_die_with_the_chain(self, text):
+        m = random_system(random.Random(3), max_states=6, chain_obs=True)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            v, chain, S = check_with_sets(m, parse_formula(text))
+            refs = [weakref.ref(s) for s in chain.systems[1:]]
+            assert refs
+            del v, chain, S
+            assert [r() for r in refs] == [None] * len(refs)
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestKleene:

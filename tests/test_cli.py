@@ -172,7 +172,7 @@ class TestCheck:
 
     @pytest.mark.parametrize(
         "formula,phase",
-        [("EX " * 1000 + "p", "parse"), (" & ".join(["p"] * 500), "positive form")],
+        [("EX " * 1000 + "p", "parse"), (" & ".join(["p"] * 2000), "positive form")],
         ids=["deep-EX", "long-conjunction"],
     )
     def test_deep_formula_exit_three(self, loop_file, capsys, formula, phase):
@@ -439,6 +439,23 @@ class TestTranslate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
         assert "ValueError" not in err and "AttributeError" not in err and "TypeError" not in err
+
+    def test_empty_alphabet_exits_three_and_writes_nothing(self, tmp_path, capsys):
+        src = tmp_path / "g.mas"
+        src.write_text(json.dumps({
+            "states": [{"id": 1, "atoms": []}], "initial": 1, "atoms": ["p1", "p2"],
+            "agents": {"a0": {"obs": []}, "opp": {"obs": []}},
+            "actions": {"alphabets": {"a0": [], "opp": ["u"]}, "labels": []},
+        }))
+        out = tmp_path / "inst"
+        code = main([
+            "translate", "atl-until", "--system", str(src), "--agent", "a0",
+            "--p1", "p1", "--p2", "p2", "--out", str(out),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "agent 'a0'" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "mode,edit,named",

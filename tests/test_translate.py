@@ -19,7 +19,7 @@ from epmu.formula import (
 from epmu.gen import exhaustive_tiny_games, small_game_family
 from epmu.oracle import eval_tree, parity_oracle, reachability_strategy_oracle
 from epmu.syntree import build_syntree, check_non_mixing
-from epmu.system import bounded_unfold, system_to_dict
+from epmu.system import MultiAgentSystem, bounded_unfold, system_to_dict
 from epmu.translate import (
     LabeledSystem,
     ParityGame,
@@ -61,6 +61,16 @@ class TestLabeledSystem:
                 [1], 1, [(1, {"a": "z"}, 1)], ["p"], {},
                 {"a": set()}, {"a": ["x"]},
             )
+
+    def test_empty_alphabet_rejected(self):
+        with pytest.raises(SystemFormatError, match="agent 'b' has an empty action alphabet"):
+            LabeledSystem([1], 1, [], ["p"], {}, {"a": set(), "b": set()}, {"a": ["x"], "b": []})
+
+    def test_is_a_plain_system_of_its_pairs(self):
+        g = tiny_labeled()
+        assert isinstance(g, MultiAgentSystem)
+        assert g.delta == {(q, r) for q, _, r in g.trans}
+        assert labeled_system_to_dict(g)["transitions"] == system_to_dict(g)["transitions"]
 
     def test_dict_round_trip(self):
         g = tiny_labeled()
@@ -321,6 +331,11 @@ class TestCoalitionNext:
             ),
         )
         assert f == want
+
+    @pytest.mark.parametrize("empty", ["a", "b"])
+    def test_empty_alphabet_rejected(self, empty):
+        with pytest.raises(SystemFormatError, match=f"agent '{empty}'"):
+            coalition_next({"a"}, Atom("p"), True, {**self.ALPH, empty: ()})
 
     def test_non_singleton_rejected(self):
         with pytest.raises(UnsupportedCoalition):
