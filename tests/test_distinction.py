@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from epmu.distinction import (
 )
 from epmu.errors import CapacityExceeded, NonChainAgents
 from epmu.gen import random_system
-from epmu.system import MultiAgentSystem, system_to_dict, verify_in_splitting
+from epmu.system import MultiAgentSystem, system_to_dict, to_dot, verify_in_splitting
 
 
 class TestDistinction:
@@ -161,6 +162,51 @@ class TestDistinctionAgainstScan:
         assert raised > 15 and copies_raised > 15
         with pytest.raises(CapacityExceeded, match="during subset construction for agent a$"):
             distinction(d, "a", cap=1)
+
+
+class TestSystemDigest:
+    """Everything a system shows of itself, on 200 seeded systems with
+    nested observation and their chains a -> b -> a, some of whose steps are
+    copies, and on the same systems with named states and unreachable ones
+    added.  One sha256 over `system_to_dict`, `to_dot`, the sorted
+    transitions and every state name, computed before `delta` was derived
+    from the successor lists and belief names from a per-system cache."""
+
+    DIGEST = "dcd3dbe404d7cd950fabdc0f169c3f860b1b6087aa1904fa0e8efb39c34cbe13"
+
+    @staticmethod
+    def with_unreachable(m):
+        """m with two named states that nothing reaches, one of them with
+        an edge into m; the construction drops both."""
+        top = max(m.states)
+        extra = [top + 1, top + 2]
+        delta = [*m.delta, (top + 1, m.q0), (top + 2, top + 1), (top + 2, top + 2)]
+        labels = {**m.labels, top + 1: {"p"}}
+        names = {q: f"s{q}" for q in (*m.states, *extra) if q % 2}
+        return MultiAgentSystem(
+            [*m.states, *extra], m.q0, delta, m.atoms, labels, m.obs, names
+        )
+
+    def test_digest(self):
+        h = hashlib.sha256()
+        copies = dropped = 0
+        for seed in range(200):
+            m = random_system(random.Random(seed), max_states=6, chain_obs=True)
+            for d in (m, self.with_unreachable(m)):
+                dropped += len(d.dropped_states)
+                for agent in (None, "a", "b", "a"):
+                    if agent is not None:
+                        copies += agent in d.partitions
+                        d = distinction(d, agent)
+                    shape = (
+                        system_to_dict(d),
+                        to_dot(d),
+                        sorted(d.delta),
+                        [d.state_name(q) for q in d.states],
+                    )
+                    h.update(repr(shape).encode())
+        assert copies > 100 and dropped == 400
+        assert h.hexdigest() == self.DIGEST
 
 
 class TestGamma:
