@@ -145,13 +145,13 @@ class Verdict:
 def ax_f(m, S):
     """States all of whose successors lie in S (a deadlock vacuously)."""
     S = frozenset(S)
-    return frozenset([q for q, rs in m.succ_sets if rs <= S])
+    return frozenset([q for q, rs in m._succ.items() if S.issuperset(rs)])
 
 
 def ex_f(m, S):
     """States with a successor in S."""
     S = frozenset(S)
-    return frozenset([q for q, rs in m.succ_sets if not rs.isdisjoint(S)])
+    return frozenset([q for q, rs in m._succ.items() if not S.isdisjoint(rs)])
 
 
 def know_blocks(blocks, S):

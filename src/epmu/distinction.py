@@ -10,6 +10,9 @@ agent the input carries whose observable set contains the agent's.  When the
 input already carries the agent's blocks, the construction changes nothing
 but the names, and it is an O(n) copy that carries all of them.
 
+A construction stores its transitions once, as the successor lists its
+search found, and names its states only when a name is read.
+
 The pairs-based `GammaRelation`, `compute_gamma`, `closed_form_gamma`,
 `know_op`, `poss_op` and `is_distinguished` are the reference definitions
 the tests hold the blocks to; `compute_gamma` always runs the search, so it
@@ -18,8 +21,8 @@ never reads carried blocks.  The checker reads only the blocks."""
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import CapacityExceeded, NonChainAgents, UnknownAgent
 from .system import (
@@ -40,25 +43,41 @@ class DistinctionSystem(MultiAgentSystem):
     is the i-th pair found and `succ[i]` lists the ids of its successors in
     increasing order, so the states are 0..n-1, all reachable from 0, and
     the sorting and reachability pass of MultiAgentSystem is not needed.
-    The shape checks still run."""
+    The shape checks still run, on the edges of `succ`.  The atoms, agents
+    and observable sets are the base's, shared with it.
 
-    def __init__(self, base, agent, pair_of, labels, succ, delta, partitions):
+    The name of state (s, S) is "(s,{...})" over the base's names, built on
+    its first read (`state_name`) and kept: a check never prints them, and
+    nested ones grow long.  `names` builds them all."""
+
+    def __init__(self, base, agent, pair_of, labels, succ, partitions):
         states = range(len(pair_of))
-        _check_shape(states, 0, delta, base.atoms, labels, base.obs)
+        edges = ((i, j) for i, js in succ.items() for j in js)
+        _check_shape(states, 0, edges, base.atoms, labels, base.obs)
         self.base = base
         self.agent = agent
         self.pair_of = pair_of  # id -> (s, frozenset S)
         self.dropped_states = ()
         self.states = tuple(states)
         self.q0 = 0
-        self.delta = delta
         self.atoms = base.atoms
         self.labels = labels
         self.agents = base.agents
-        self.obs = dict(base.obs)
-        self.names = _BeliefNames(base, pair_of)
+        self.obs = base.obs
         self._succ = succ
+        self._names = {}
         self.partitions = partitions
+
+    def state_name(self, i):
+        name = self._names.get(i)
+        if name is None:
+            s, S = self.pair_of[i]
+            name = self._names[i] = _belief_name(self.base, s, S)
+        return name
+
+    @cached_property
+    def names(self):
+        return {i: self.state_name(i) for i in self.states}
 
     @property
     def insplit(self):
@@ -66,32 +85,6 @@ class DistinctionSystem(MultiAgentSystem):
         kept on the system it would refer back to it, and every refined
         system would wait for the cyclic garbage collector."""
         return InSplitting(self, self.base, {i: s for i, (s, _) in self.pair_of.items()})
-
-
-class _BeliefNames(Mapping):
-    """The "(s,{...})" name of every distinction state, built on first
-    lookup: a check never prints them, and nested ones grow long."""
-
-    def __init__(self, base, pair_of):
-        self._base = base
-        self._pair_of = pair_of
-        self._built = {}
-
-    def __getitem__(self, i):
-        name = self._built.get(i)
-        if name is None:
-            s, S = self._pair_of[i]
-            name = self._built[i] = _belief_name(self._base, s, S)
-        return name
-
-    def __contains__(self, i):
-        return i in self._pair_of
-
-    def __iter__(self):
-        return iter(self._pair_of)
-
-    def __len__(self):
-        return len(self._pair_of)
 
 
 def _belief_name(base, s, S):
@@ -182,7 +175,6 @@ def _search(m, agent, cap):
         dict(enumerate(pairs)),
         {i: m.labels[s] for i, (s, _) in enumerate(pairs)},
         {i: tuple(sorted(targets)) for i, targets in enumerate(out)},
-        frozenset([(i, j) for i, targets in enumerate(out) for j in targets]),
         partitions,
     )
 
@@ -209,12 +201,11 @@ def _copy(m, agent, blocks, cap):
     numbers its states, and the belief of state i is its block, since Γ is
     the equivalence of equal belief and is closed under matching
     transitions.  So state i becomes (i, block of i), the in-splitting
-    that `insplit` builds is the identity, and states, successors,
-    transitions, labels and any cached successor sets, state bits and
-    predecessor image are m's, and so are all of m's blocks: the copy has
-    m's runs.  The capacity check fires
-    at the count the search would reach: it never checks the initial
-    state."""
+    that `insplit` builds is the identity, and states, successors, labels
+    and any cached transition set, state bits and predecessor image are
+    m's, and so are all of m's blocks: the copy has m's runs.  The capacity
+    check fires at the count the search would reach: it never checks the
+    initial state."""
     n = len(m.states)
     if n > max(cap, 1):
         raise CapacityExceeded(max(cap, 1) + 1, cap, _context(agent))
@@ -225,10 +216,9 @@ def _copy(m, agent, blocks, cap):
         {q: (q, block_of[q]) for q in m.states},
         m.labels,
         m._succ,
-        m.delta,
         m.partitions,
     )
-    for name in ("succ_sets", "bit_of", "pred_image"):
+    for name in ("delta", "bit_of", "pred_image"):
         if name in vars(m):
             setattr(d, name, vars(m)[name])
     return d

@@ -2,8 +2,7 @@
 
 Each node records its subformula, its free variables and closedness, and the
 set of agents whose epistemic operators are reachable from it along entirely
-non-closed paths.  A node labeled with a variable gets an extra child labeled
-with top, so every variable node has a closed subformula below it.
+non-closed paths.  A node labeled with a variable is a leaf.
 """
 
 from __future__ import annotations
@@ -17,10 +16,9 @@ from .errors import UnknownAgent, depth_guarded
 @dataclass(eq=False)  # nodes hash and compare by identity
 class SynNode:
     path: tuple
-    form: object  # Formula; TRUE for the top child under a variable
+    form: object  # Formula
     closed: bool
     agncl: frozenset = frozenset()
-    is_top: bool = False
     children: list = field(default_factory=list)
     free: frozenset = frozenset()
     binds: bool = False  # a fixpoint binder is this node or below it
@@ -44,21 +42,16 @@ def _build(f, path):
     if isinstance(f, fm.Not) or not isinstance(f, fm.Formula):
         raise TypeError(f"cannot build a syntactic tree over {f!r}")
     binds = False
-    if isinstance(f, fm.Var):
-        top = SynNode(path + (1,), fm.TRUE, closed=True, is_top=True)
-        free = {f.name}
-        children = [top]
-    else:
-        free = set()
-        children = []
-        for i, c in enumerate(f.children(), start=1):
-            child, child_free = _build(c, path + (i,))
-            children.append(child)
-            free |= child_free
-            binds = binds or child.binds
-        if isinstance(f, fm.BINDERS):
-            free.discard(f.var)
-            binds = True
+    free = {f.name} if isinstance(f, fm.Var) else set()
+    children = []
+    for i, c in enumerate(f.children(), start=1):
+        child, child_free = _build(c, path + (i,))
+        children.append(child)
+        free |= child_free
+        binds = binds or child.binds
+    if isinstance(f, fm.BINDERS):
+        free.discard(f.var)
+        binds = True
     node = SynNode(path, f, closed=not free, children=children, binds=binds)
     if free:
         node.free = frozenset(free)
@@ -75,15 +68,13 @@ def _build(f, path):
 
 
 def frontier_nodes(node):
-    """Nearest closed descendants of a non-closed node, left to right,
-    excluding the artificial top children under variables."""
+    """Nearest closed descendants of a non-closed node, left to right."""
     out = []
 
     def walk(n):
         for c in n.children:
             if c.closed:
-                if not c.is_top:
-                    out.append(c)
+                out.append(c)
             else:
                 walk(c)
 

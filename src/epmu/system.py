@@ -17,6 +17,9 @@ class MultiAgentSystem:
 
     States are integer ids; only states reachable from the initial state are
     kept.  Instances are immutable after construction and safe to share.
+    The transitions are stored once, as the sorted successor list of each
+    state; `delta`, the set of (from, to) pairs, is built from them on first
+    read.
 
     `partitions` maps each agent the system is known to be distinguished for
     to its Γ blocks; a system built here is known for none (a
@@ -28,7 +31,7 @@ class MultiAgentSystem:
     def __init__(self, states, q0, delta, atoms, labels, obs, names=None):
         states = sorted(set(states))
         atoms = frozenset(atoms)
-        delta = {(q, r) for q, r in delta}
+        delta = list(delta)
         _check_shape(set(states), q0, delta, atoms, labels, obs)
 
         # restrict to the part reachable from q0
@@ -48,23 +51,21 @@ class MultiAgentSystem:
 
         self.states = tuple(states)
         self.q0 = q0
-        self.delta = frozenset((q, r) for q, r in delta if q in reachable and r in reachable)
         self.atoms = atoms
         self.labels = {q: frozenset(labels.get(q, ())) for q in states}
         self.agents = tuple(sorted(obs))
         self.obs = {a: frozenset(pa) for a, pa in obs.items()}
         self.names = {q: names[q] for q in states if names and q in names}
-        self._succ = {q: tuple(sorted(r for r in succ[q] if r in reachable)) for q in states}
+        self._succ = {q: tuple(sorted(succ[q])) for q in states}
 
     def successors(self, q):
         return self._succ[q]
 
     @cached_property
-    def succ_sets(self):
-        """(state, frozenset of its successors) for every state, in state
-        order; the set operators of the checker compare these in C."""
+    def delta(self):
+        """The transitions as a set of (from, to) pairs."""
         succ = self._succ
-        return tuple([(q, frozenset(succ[q])) for q in self.states])
+        return frozenset([(q, r) for q in self.states for r in succ[q]])
 
     @cached_property
     def bit_of(self):
@@ -333,9 +334,6 @@ class InSplitting:
         self.source = source  # fine system
         self.target = target  # coarse system
         self.chi = dict(chi)
-
-    def apply(self, q):
-        return self.chi[q]
 
     def pullback(self, coarse_set):
         """chi^{-1}; a boolean-algebra homomorphism on state sets."""

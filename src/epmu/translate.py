@@ -305,6 +305,8 @@ def coalition_next(agents, f, existential, alphabets):
     if len(agents) != 1:
         raise UnsupportedCoalition(agents)
     (a,) = agents
+    if a not in alphabets:
+        raise UnknownAgent(a)
     _check_alphabets(alphabets)
     modality, join = (fm.Know, fm.Or) if existential else (fm.Poss, fm.And)
     arms = [modality(a, _steps(a, alpha, alphabets, f, existential)) for alpha in alphabets[a]]

@@ -244,13 +244,6 @@ class TestModalKernels:
         for _ in range(8):
             yield frozenset(q for q in m.states if rng.random() < 0.5)
 
-    def test_succ_sets_match_successors(self):
-        for m in _kernel_systems():
-            assert [q for q, _ in m.succ_sets] == list(m.states)
-            for q, rs in m.succ_sets:
-                assert rs == frozenset(m.successors(q))
-            assert m.succ_sets is m.succ_sets  # cached
-
     def test_against_definition(self):
         rng = random.Random(11)
         systems = _kernel_systems()

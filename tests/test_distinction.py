@@ -128,13 +128,22 @@ class TestDistinctionAgainstScan:
     def test_copy_step_is_the_identity_on_the_system(self):
         m = random_system(random.Random(3), max_states=6, chain_obs=True)
         d = distinction(m, "a")
-        d.succ_sets, d.bit_of, d.pred_image  # cached on d, handed on by the copy
+        d.delta, d.bit_of, d.pred_image  # cached on d, handed on by the copy
         e = distinction(d, "a")
         assert e.insplit.chi == {i: i for i in d.states}
         assert e._succ is d._succ and e.delta is d.delta and e.labels is d.labels
-        assert e.succ_sets is d.succ_sets
         assert e.bit_of is d.bit_of and e.pred_image is d.pred_image
         assert e.partitions["a"] == d.partitions["a"]
+
+    def test_transitions_are_stored_once(self):
+        """A construction keeps only its successor lists: the pairs are built
+        from them on first read, and the observable sets are the base's."""
+        m = random_system(random.Random(5), max_states=6, chain_obs=True)
+        for d in (distinction(m, "a"), distinction(distinction(m, "a"), "a")):
+            assert "delta" not in vars(d)
+            assert d.delta == {(i, j) for i in d.states for j in d.successors(i)}
+            assert vars(d)["delta"] is d.delta
+            assert d.obs is d.base.obs
 
     def test_capacity_fires_at_the_same_count(self):
         def outcome(build, m, cap):

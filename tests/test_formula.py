@@ -197,12 +197,6 @@ class TestUnfold:
 
 
 class TestSynTree:
-    def test_var_gets_top_child(self):
-        t = build_syntree(Var("Z"))
-        assert t.form == Var("Z")
-        assert len(t.children) == 1
-        assert t.children[0].is_top and t.children[0].closed
-
     def test_negation_is_outside_the_grammar(self):
         with pytest.raises(TypeError):
             build_syntree(Not(Atom("p")))

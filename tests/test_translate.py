@@ -6,7 +6,7 @@ import pytest
 
 from epmu import formula as fm
 from epmu.checker import check
-from epmu.errors import SystemFormatError, UnsupportedCoalition
+from epmu.errors import SystemFormatError, UnknownAgent, UnsupportedCoalition
 from epmu.formula import (
     Atom,
     BoxAct,
@@ -340,6 +340,10 @@ class TestCoalitionNext:
     def test_non_singleton_rejected(self):
         with pytest.raises(UnsupportedCoalition):
             coalition_next({"a", "b"}, Atom("p"), True, self.ALPH)
+
+    def test_agent_without_alphabet_rejected(self):
+        with pytest.raises(UnknownAgent, match="unknown agent: c$"):
+            coalition_next({"c"}, Atom("p"), True, {"a": ("x",), "b": ("u",)})
 
 
 def loop_parity(priority):
