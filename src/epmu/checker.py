@@ -36,7 +36,6 @@ input system with memoryless Γs (states grouped by what the agent sees).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from functools import cached_property, partial
 from operator import itemgetter
 
@@ -114,8 +113,7 @@ class RefinementChain:
         return Region(self.final, partitions, frontier, self.iteration_counts).run(node)
 
 
-@dataclass
-class Verdict:
+class Verdict(fm.Record):
     """The answer of `check` and the shape of its refinement chain.
 
     `initial_state`, the name of the final system's initial state, is built
@@ -124,14 +122,20 @@ class Verdict:
     `final`, the chain's last system, which reaches every system of the
     chain through `base`, with their cached tables, so a verdict keeps the
     chain's systems alive until it is dropped; no system refers back to a
-    finer one, so reference counting then frees them.  Not being a field,
-    `initial_state` is left out of `==`, `repr` and `dataclasses.asdict`."""
+    finer one, so reference counting then frees them.  Neither `final` nor
+    `initial_state` is one of the `_fields`, so `==` and `repr` leave them
+    out; a verdict keeps a `__dict__` for the cached name, and copy and
+    pickle carry all of it.  Verdicts are not hashable."""
 
-    holds: bool
-    refinement_sizes: list
-    iteration_counts: list
-    wall_time: float
-    final: object = field(repr=False, compare=False)  # the chain's final system
+    _fields = ("holds", "refinement_sizes", "iteration_counts", "wall_time")
+    __reduce__ = object.__reduce__
+
+    def __init__(self, holds, refinement_sizes, iteration_counts, wall_time, final):
+        self.holds = holds
+        self.refinement_sizes = refinement_sizes
+        self.iteration_counts = iteration_counts
+        self.wall_time = wall_time
+        self.final = final  # the chain's final system
 
     @cached_property
     def initial_state(self):

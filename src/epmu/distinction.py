@@ -21,15 +21,16 @@ never reads carried blocks.  The checker reads only the blocks."""
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import CapacityExceeded, NonChainAgents, UnknownAgent
+from .formula import FrozenRecord, _set
 from .system import (
     DEFAULT_CAP,
+    GammaRelation,
     InSplitting,
     MultiAgentSystem,
-    _check_shape,
+    _check_rows,
     compose_insplitting,
     identity_insplitting,
 )
@@ -43,7 +44,7 @@ class DistinctionSystem(MultiAgentSystem):
     is the i-th pair found and `succ[i]` lists the ids of its successors in
     increasing order, so the states are 0..n-1, all reachable from 0, and
     the sorting and reachability pass of MultiAgentSystem is not needed.
-    The shape checks still run, on the edges of `succ`.  The atoms, agents
+    The shape checks still run, on the rows of `succ`.  The atoms, agents
     and observable sets are the base's, shared with it.
 
     The name of state (s, S) is "(s,{...})" over the base's names, built on
@@ -51,14 +52,12 @@ class DistinctionSystem(MultiAgentSystem):
     nested ones grow long.  `names` builds them all."""
 
     def __init__(self, base, agent, pair_of, labels, succ, partitions):
-        states = range(len(pair_of))
-        edges = ((i, j) for i, js in succ.items() for j in js)
-        _check_shape(states, 0, edges, base.atoms, labels, base.obs)
+        _check_rows(len(pair_of), succ, base.atoms, labels, base.obs)
         self.base = base
         self.agent = agent
         self.pair_of = pair_of  # id -> (s, frozenset S)
         self.dropped_states = ()
-        self.states = tuple(states)
+        self.states = tuple(range(len(pair_of)))
         self.q0 = 0
         self.atoms = base.atoms
         self.labels = labels
@@ -228,22 +227,6 @@ def _copy(m, agent, blocks, cap):
 # The knowledge-transfer relation
 
 
-@dataclass(frozen=True)
-class GammaRelation:
-    agent: str
-    system: object
-    pairs: frozenset  # (q, r): every run to q has an indistinguishable run to r
-
-    def __contains__(self, pair):
-        return pair in self.pairs
-
-    def sources_of(self, q):
-        return frozenset(s for s, r in self.pairs if r == q)
-
-    def targets_of(self, s):
-        return frozenset(r for s2, r in self.pairs if s2 == s)
-
-
 def compute_gamma(m, agent, cap=DEFAULT_CAP):
     """Finite computation of the relation via the subset construction: the
     runs to q partition into observation classes, one reachable belief state
@@ -298,11 +281,13 @@ def poss_op(gamma, S):
 # Distinguishedness
 
 
-@dataclass(frozen=True)
-class DistinguishedVerdict:
-    ok: bool
-    violated: str = ""  # symmetry | transitivity | congruence
-    witness: tuple = ()
+class DistinguishedVerdict(FrozenRecord):
+    __slots__ = _fields = ("ok", "violated", "witness")
+
+    def __init__(self, ok, violated="", witness=()):
+        _set(self, "ok", ok)
+        _set(self, "violated", violated)  # symmetry | transitivity | congruence
+        _set(self, "witness", witness)
 
     def __bool__(self):
         return self.ok

@@ -4,18 +4,70 @@ The AST covers the positive-form grammar (negation only on atoms) plus a
 ``Not`` node used transiently by the parser; ``to_positive_form`` removes it.
 Modal operators ``DiamondAct``/``BoxAct`` belong to the action-labeled variant
 of the calculus and are compiled away by :mod:`epmu.translate`.
+
+The nodes are records, and so are the small results of the other modules:
+a record class names its fields, in order, in `_fields` (and in its
+`__slots__`) and sets them in an explicit `__init__`.  `Record` gives it,
+from those fields alone, `==` within one class, a repr `Name(field=value,
+...)`, and copy and pickle by calling the class with the field values.
+`FrozenRecord` adds `hash` over the field tuple and refuses to assign or
+delete an attribute; its `__init__` writes through `_set`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import FormulaSyntaxError, NonMonotoneVariable, UnknownAgent, depth_guarded
 
+_set = object.__setattr__
 
-class Formula:
-    """Base class; all nodes are immutable and hashable."""
+
+class Record:
+    """A mutable record: compared by its fields, so not hashable."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class FrozenRecord(Record):
+    """An immutable record, hashed as the tuple of its fields."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Formula(FrozenRecord):
+    """Base class of the nodes.  A node is a frozen record: nodes of one
+    class with equal fields are equal and hash alike, and the repr names the
+    fields, as in `And(left=Atom(name='p'), right=Var(name='Z'))`.  The
+    nodes of one shape share a private base that holds their fields and
+    their `__init__`."""
+
+    __slots__ = ()
 
     def children(self):
         return ()
@@ -33,127 +85,135 @@ class Formula:
         return pretty(self)
 
 
-@dataclass(frozen=True)
+class _Named(Formula):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name):
+        _set(self, "name", name)
+
+
+class _Unary(Formula):
+    __slots__ = _fields = ("child",)
+
+    def __init__(self, child):
+        _set(self, "child", child)
+
+    def children(self):
+        return (self.child,)
+
+
+class _Binary(Formula):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left, right):
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+    def children(self):
+        return (self.left, self.right)
+
+
+class _Epistemic(Formula):
+    __slots__ = _fields = ("agent", "child")
+
+    def __init__(self, agent, child):
+        _set(self, "agent", agent)
+        _set(self, "child", child)
+
+    def children(self):
+        return (self.child,)
+
+
+class _Binder(Formula):
+    __slots__ = _fields = ("var", "body")
+
+    def __init__(self, var, body):
+        _set(self, "var", var)
+        _set(self, "body", body)
+
+    def children(self):
+        return (self.body,)
+
+
+class _Action(Formula):
+    """acts is a sorted tuple of (agent, action) pairs."""
+
+    __slots__ = _fields = ("acts", "child")
+
+    def __init__(self, acts, child):
+        _set(self, "acts", acts)
+        _set(self, "child", child)
+
+    def children(self):
+        return (self.child,)
+
+
 class TrueF(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class FalseF(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Atom(Formula):
-    name: str
+class Atom(_Named):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NegAtom(Formula):
-    name: str
+class NegAtom(_Named):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Var(Formula):
-    name: str
+class Var(_Named):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Not(Formula):
-    child: Formula
-
-    def children(self):
-        return (self.child,)
+class Not(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
-
-    def children(self):
-        return (self.left, self.right)
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
-
-    def children(self):
-        return (self.left, self.right)
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AX(Formula):
-    child: Formula
-
-    def children(self):
-        return (self.child,)
+class AX(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EX(Formula):
-    child: Formula
-
-    def children(self):
-        return (self.child,)
+class EX(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Know(Formula):
-    agent: str
-    child: Formula
-
-    def children(self):
-        return (self.child,)
+class Know(_Epistemic):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Poss(Formula):
-    agent: str
-    child: Formula
-
-    def children(self):
-        return (self.child,)
+class Poss(_Epistemic):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Mu(Formula):
-    var: str
-    body: Formula
-
-    def children(self):
-        return (self.body,)
+class Mu(_Binder):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Nu(Formula):
-    var: str
-    body: Formula
-
-    def children(self):
-        return (self.body,)
+class Nu(_Binder):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DiamondAct(Formula):
-    """Exists an action-tuple successor; acts is a sorted (agent, action) tuple."""
+class DiamondAct(_Action):
+    """Exists an action-tuple successor."""
 
-    acts: tuple
-    child: Formula
-
-    def children(self):
-        return (self.child,)
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BoxAct(Formula):
-    acts: tuple
-    child: Formula
+class BoxAct(_Action):
+    """Every action-tuple successor."""
 
-    def children(self):
-        return (self.child,)
+    __slots__ = ()
 
 
 TRUE = TrueF()

@@ -5,21 +5,23 @@ the knowledge-transfer relation, and small-game strategy/parity oracles."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import formula as fm
 from .errors import CapacityExceeded, DepthInsufficient, EpmuError
-from .system import DEFAULT_CAP, TreePrefix
+from .formula import FrozenRecord, _set
+from .system import DEFAULT_CAP, GammaRelation, TreePrefix
 
 
-@dataclass(frozen=True)
-class NodeSet:
+class NodeSet(FrozenRecord):
     """Nodes of a prefix satisfying a formula, exact up to valid_depth."""
 
-    prefix: TreePrefix
-    nodes: frozenset
-    valid_depth: int
-    root_holds: bool
+    __slots__ = _fields = ("prefix", "nodes", "valid_depth", "root_holds")
+
+    def __init__(self, prefix, nodes, valid_depth, root_holds):
+        _set(self, "prefix", prefix)  # a TreePrefix
+        _set(self, "nodes", nodes)
+        _set(self, "valid_depth", valid_depth)
+        _set(self, "root_holds", root_holds)
 
 
 def eval_tree(prefix, f, require_root=True):
@@ -99,8 +101,6 @@ def gamma_by_runs(m, agent, depth, cap=DEFAULT_CAP):
                 for r in m.states:
                     if r not in ends:
                         pairs.discard((q, r))
-    from .distinction import GammaRelation
-
     return GammaRelation(agent, m, frozenset(pairs))
 
 

@@ -7,21 +7,28 @@ non-closed paths.  A node labeled with a variable is a leaf.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import formula as fm
 from .errors import UnknownAgent, depth_guarded
+from .formula import FrozenRecord, Record, _set
 
 
-@dataclass(eq=False)  # nodes hash and compare by identity
-class SynNode:
-    path: tuple
-    form: object  # Formula
-    closed: bool
-    agncl: frozenset = frozenset()
-    children: list = field(default_factory=list)
-    free: frozenset = frozenset()
-    binds: bool = False  # a fixpoint binder is this node or below it
+class SynNode(Record):
+    """A node of the tree; `form` is its subformula, and `binds` says that
+    a fixpoint binder is this node or below it.  Nodes hash and compare by
+    identity, and `_build` fills in `free` and `agncl` after construction."""
+
+    __slots__ = _fields = ("path", "form", "closed", "agncl", "children", "free", "binds")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, path, form, closed, agncl=frozenset(), children=None,
+                 free=frozenset(), binds=False):
+        self.path = path
+        self.form = form
+        self.closed = closed
+        self.agncl = agncl
+        self.children = [] if children is None else children
+        self.free = free
+        self.binds = binds
 
     def __iter__(self):
         """Pre-order, left to right; iterative, so deep trees are fine."""
@@ -82,17 +89,21 @@ def frontier_nodes(node):
     return out
 
 
-@dataclass(frozen=True)
-class FragmentWitness:
-    node_path: tuple
-    agent_a: str
-    agent_b: str
+class FragmentWitness(FrozenRecord):
+    __slots__ = _fields = ("node_path", "agent_a", "agent_b")
+
+    def __init__(self, node_path, agent_a, agent_b):
+        _set(self, "node_path", node_path)
+        _set(self, "agent_a", agent_a)
+        _set(self, "agent_b", agent_b)
 
 
-@dataclass(frozen=True)
-class FragmentVerdict:
-    accepted: bool
-    witness: FragmentWitness | None = None
+class FragmentVerdict(FrozenRecord):
+    __slots__ = _fields = ("accepted", "witness")
+
+    def __init__(self, accepted, witness=None):
+        _set(self, "accepted", accepted)
+        _set(self, "witness", witness)  # a FragmentWitness when rejected
 
     def __bool__(self):
         return self.accepted

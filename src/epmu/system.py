@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import json
 from collections.abc import Hashable
-from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 from .errors import CapacityExceeded, SystemFormatError, UnknownAtom
+from .formula import FrozenRecord, _set
 
 DEFAULT_CAP = 10**6
 
@@ -155,7 +156,7 @@ class BlockImage:
 def _check_shape(states, q0, delta, atoms, labels, obs):
     """Reject an initial state or a transition end outside `states`, and an
     atom outside `atoms` in a label or an observable set."""
-    if not isinstance(q0, Hashable) or q0 not in states:
+    if not (type(q0) in (int, str) or isinstance(q0, Hashable)) or q0 not in states:
         raise SystemFormatError(f"initial state {q0} is not a state")
     for lab in (*labels.values(), *obs.values()):
         if not atoms.issuperset(lab):
@@ -165,11 +166,26 @@ def _check_shape(states, q0, delta, atoms, labels, obs):
             raise SystemFormatError(f"transition ({q},{r}) uses unknown state")
 
 
-@dataclass(frozen=True)
-class SerialVerdict:
-    ok: bool
-    deadlocked: tuple = ()
-    warning: str = ""
+def _check_rows(n, succ, atoms, labels, obs):
+    """_check_shape for a construction, with the same errors: states 0..n-1,
+    initial state 0, and the transitions of the successor rows `succ`
+    (state -> its successors).  All rows go through one subset test and each
+    label object through one; only a failure walks the edges in order, to
+    name the first bad one."""
+    states = set(range(n))
+    ok = states.issuperset(succ) and states.issuperset(chain.from_iterable(succ.values()))
+    edges = () if ok else ((q, r) for q, rs in succ.items() for r in rs)
+    sets = (*labels.values(), *obs.values())
+    _check_shape(states, 0, edges, atoms, dict(zip(map(id, sets), sets)), {})
+
+
+class SerialVerdict(FrozenRecord):
+    __slots__ = _fields = ("ok", "deadlocked", "warning")
+
+    def __init__(self, ok, deadlocked=(), warning=""):
+        _set(self, "ok", ok)
+        _set(self, "deadlocked", deadlocked)
+        _set(self, "warning", warning)
 
 
 def validate_serial(m, allow_deadlock=False):
@@ -244,7 +260,7 @@ def _state_entries(entries, keys=("id",)):
             if not isinstance(entry, dict) or key not in entry:
                 raise SystemFormatError(f"state {entry!r} has no {key!r}")
         q = entry["id"]
-        if not isinstance(q, Hashable):
+        if not (type(q) in (int, str) or isinstance(q, Hashable)):
             raise SystemFormatError(f"state {entry!r}: its id is a list or an object")
         states.append(q)
         labels[q] = _string_list(entry.get("atoms", []), f"state {q!r}: 'atoms'")
@@ -255,8 +271,14 @@ def _state_entries(entries, keys=("id",)):
 
 def _check_ends(kind, t):
     """A transition (or action label) t whose first or last element is a
-    list or an object, which no state id is, raises SystemFormatError."""
-    if not (isinstance(t[0], Hashable) and isinstance(t[-1], Hashable)):
+    list or an object, which no state id is, raises SystemFormatError.  The
+    type tests go first: isinstance against Hashable takes four times as
+    long, and nearly every id is an int or a str."""
+    q, r = t[0], t[-1]
+    if not (
+        (type(q) in (int, str) or isinstance(q, Hashable))
+        and (type(r) in (int, str) or isinstance(r, Hashable))
+    ):
         raise SystemFormatError(f"{kind} {t!r} uses a list or an object as a state")
 
 
@@ -316,11 +338,13 @@ def to_dot(m):
 # In-splittings
 
 
-@dataclass(frozen=True)
-class InSplitVerdict:
-    ok: bool
-    condition: str = ""
-    witness: object = None
+class InSplitVerdict(FrozenRecord):
+    __slots__ = _fields = ("ok", "condition", "witness")
+
+    def __init__(self, ok, condition="", witness=None):
+        _set(self, "ok", ok)
+        _set(self, "condition", condition)
+        _set(self, "witness", witness)
 
     def __bool__(self):
         return self.ok
@@ -447,6 +471,28 @@ class TreePrefix:
         return len(run_x) == len(run_y) and self.signature(
             run_x, agent
         ) == self.signature(run_y, agent)
+
+
+class GammaRelation(FrozenRecord):
+    """The knowledge-transfer relation of an agent on a system, as pairs
+    (q, r): every run to q has an indistinguishable run to r.  Built by
+    `epmu.distinction` and, from runs, by `epmu.oracle`."""
+
+    __slots__ = _fields = ("agent", "system", "pairs")
+
+    def __init__(self, agent, system, pairs):
+        _set(self, "agent", agent)
+        _set(self, "system", system)
+        _set(self, "pairs", pairs)
+
+    def __contains__(self, pair):
+        return pair in self.pairs
+
+    def sources_of(self, q):
+        return frozenset(s for s, r in self.pairs if r == q)
+
+    def targets_of(self, s):
+        return frozenset(r for s2, r in self.pairs if s2 == s)
 
 
 def bounded_unfold(m, depth, cap=DEFAULT_CAP):

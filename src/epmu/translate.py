@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from functools import reduce
 
 from . import formula as fm
@@ -144,10 +143,12 @@ def labeled_system_to_dict(g):
 # Modal -> plain compilation
 
 
-@dataclass
-class CompiledModal:
-    system: MultiAgentSystem
-    act_atom: dict  # (agent, action) -> atom name
+class CompiledModal(fm.Record):
+    __slots__ = _fields = ("system", "act_atom")
+
+    def __init__(self, system, act_atom):
+        self.system = system  # a MultiAgentSystem
+        self.act_atom = act_atom  # (agent, action) -> atom name
 
     def compile_formula(self, f):
         return compile_modal_formula(f, self.act_atom)

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from epmu.distinction import (
+    DistinctionSystem,
     chain_order,
     closed_form_gamma,
     compute_gamma,
@@ -13,9 +14,16 @@ from epmu.distinction import (
     poss_op,
     refine_for_agents,
 )
-from epmu.errors import CapacityExceeded, NonChainAgents
+from epmu.errors import CapacityExceeded, NonChainAgents, SystemFormatError, UnknownAtom
 from epmu.gen import random_system
-from epmu.system import MultiAgentSystem, system_to_dict, to_dot, verify_in_splitting
+from epmu.system import (
+    MultiAgentSystem,
+    _check_rows,
+    _check_shape,
+    system_to_dict,
+    to_dot,
+    verify_in_splitting,
+)
 
 
 class TestDistinction:
@@ -171,6 +179,69 @@ class TestDistinctionAgainstScan:
         assert raised > 15 and copies_raised > 15
         with pytest.raises(CapacityExceeded, match="during subset construction for agent a$"):
             distinction(d, "a", cap=1)
+
+
+class TestShapeChecks:
+    """A DistinctionSystem built by hand is checked as any system is: the
+    first transition, in row order, with an end outside the states, and an
+    atom outside `atoms` in a label or an observable set, are rejected."""
+
+    def build(self, succ=None, labels=None, n=2):
+        m = MultiAgentSystem([0, 1], 0, [(0, 1), (1, 0)], ["p"], {1: {"p"}}, {"a": {"p"}})
+        pair_of = {i: (i % 2, frozenset({i % 2})) for i in range(n)}
+        succ = {0: (1,), 1: (0,)} if succ is None else succ
+        labels = dict(m.labels) if labels is None else labels
+        return DistinctionSystem(m, "a", pair_of, labels, succ, {})
+
+    def test_well_formed(self):
+        assert self.build().successors(0) == (1,)
+        assert self.build(succ={0: (1,), 1: (0,), 7: ()}).successors(1) == (0,)
+
+    def test_successor_outside_states(self):
+        with pytest.raises(SystemFormatError, match=r"^transition \(0,5\) uses unknown state$"):
+            self.build(succ={0: (1, 5, 7), 1: (0, 9)})
+        with pytest.raises(SystemFormatError, match=r"^transition \(1,2\) uses unknown state$"):
+            self.build(succ={0: (1,), 1: (2,)})
+
+    def test_row_of_a_non_state(self):
+        with pytest.raises(SystemFormatError, match=r"^transition \(4,0\) uses unknown state$"):
+            self.build(succ={0: (1,), 1: (0,), 4: (0,)})
+
+    def test_label_atom_outside_atoms(self):
+        with pytest.raises(UnknownAtom, match="^unknown atom: q$"):
+            self.build(labels={0: frozenset(), 1: frozenset({"q"})})
+
+    def test_no_states(self):
+        with pytest.raises(SystemFormatError, match="^initial state 0 is not a state$"):
+            self.build(succ={}, labels={}, n=0)
+
+    def test_same_errors_as_the_pair_check(self):
+        """The row check raises what _check_shape raises on the edges in
+        row order, on seeded rows and labels with stray ids and atoms."""
+
+        def outcome(check, *args):
+            try:
+                check(*args)
+            except (SystemFormatError, UnknownAtom) as e:
+                return type(e), str(e)
+
+        rng = random.Random(13)
+        atoms = frozenset("pq")
+        raised = 0
+        for _ in range(400):
+            n = rng.randint(0, 4)
+            succ = {
+                q: tuple(sorted(rng.sample(range(6), rng.randint(0, 3))))
+                for q in rng.sample(range(6), rng.randint(0, 5))
+            }
+            lab = [frozenset(rng.sample("pqrs", rng.randint(0, 2))) for _ in range(4)]
+            labels = {q: rng.choice(lab) for q in range(n)}
+            obs = {"a": rng.choice(lab)}
+            edges = [(q, r) for q, rs in succ.items() for r in rs]
+            want = outcome(_check_shape, range(n), 0, edges, atoms, labels, obs)
+            assert outcome(_check_rows, n, succ, atoms, labels, obs) == want
+            raised += want is not None
+        assert 100 < raised < 400
 
 
 class TestSystemDigest:

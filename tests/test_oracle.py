@@ -1,6 +1,10 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
+
+import epmu.oracle
 
 from epmu import formula as fm
 from epmu.distinction import compute_gamma
@@ -202,3 +206,23 @@ class TestParityOracle:
             priority={1: 1, 2: 2}, players=("e", "o"),
         )
         assert parity_oracle(g) == frozenset()
+
+
+def test_oracle_imports_nothing_from_the_checker():
+    """The oracle is the cross-check, so within the package it reads only
+    formulas, errors and systems, at module level or inside a function."""
+    tree = ast.parse(Path(epmu.oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                imported.add(node.module)
+            else:
+                imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("epmu"):
+            imported.add(node.module.partition(".")[2] or "epmu")
+        elif isinstance(node, ast.Import):
+            imported.update(
+                a.name.partition(".")[2] or "epmu" for a in node.names if a.name.startswith("epmu")
+            )
+    assert imported == {"formula", "errors", "system"}
