@@ -1,6 +1,9 @@
 """Model checking for the epistemic mu-calculus with synchronous perfect
-recall, restricted to the decidable non-mixing fragment, plus brute-force
-oracles and instance translators."""
+recall, restricted to the decidable non-mixing fragment.
+
+The package exports the checker side.  The brute-force oracles
+(`epmu.oracle`) and the instance translators (`epmu.translate`) are
+imported as modules of their own, so a check never loads them."""
 
 from .checker import Verdict, check, check_with_sets, eval_state_naive
 from .distinction import (
@@ -36,12 +39,6 @@ from .formula import (
     to_positive_form,
     unfold_fixpoint,
 )
-from .oracle import (
-    eval_tree,
-    gamma_by_runs,
-    parity_oracle,
-    reachability_strategy_oracle,
-)
 from .syntree import build_syntree, check_non_mixing, frontier_nodes
 from .system import (
     DEFAULT_CAP,
@@ -55,18 +52,7 @@ from .system import (
     system_to_dict,
     system_to_json,
     to_dot,
-    validate_serial,
     verify_in_splitting,
-)
-from .translate import (
-    LabeledSystem,
-    ParityGame,
-    atl_until_instance,
-    coalition_next,
-    compile_modal,
-    parity_encoding,
-    parse_labeled_system,
-    parse_parity_game,
 )
 
 __version__ = "0.1.0"

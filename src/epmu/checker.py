@@ -433,7 +433,7 @@ def check_with_sets(m, f, cap=DEFAULT_CAP):
     pf = fm.to_positive_form(f)
     tree = build_syntree(pf)
     if not tree.closed:
-        raise EpmuError(f"free fixpoint variables: {', '.join(sorted(fm.free_vars(pf)))}")
+        raise EpmuError(f"free fixpoint variables: {', '.join(sorted(tree.free))}")
     gate = check_non_mixing(tree, m.obs)
     if not gate:
         raise FragmentRejected(gate.witness)

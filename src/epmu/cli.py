@@ -17,23 +17,8 @@ from . import formula as fm
 from .checker import check_with_sets
 from .distinction import distinction
 from .errors import EpmuError, FragmentRejected
-from .oracle import eval_tree
 from .syntree import build_syntree, check_non_mixing
-from .system import (
-    DEFAULT_CAP,
-    parse_system,
-    system_to_dict,
-    to_dot,
-    validate_serial,
-)
-from .translate import (
-    atl_until_instance,
-    compile_modal,
-    labeled_system_to_dict,
-    parse_labeled_system,
-    parse_parity_game,
-    parity_encoding,
-)
+from .system import DEFAULT_CAP, bounded_unfold, parse_system, system_to_dict, to_dot
 
 EXIT_HOLDS = 0
 EXIT_NOT_HOLDS = 1
@@ -130,15 +115,12 @@ def cmd_check(args):
     sys_text = _read_file(args.system)
     m = parse_system(sys_text)
     f, fsrc = _load_formula(args, agents=m.agents)
-    serial = validate_serial(m, allow_deadlock=args.allow_deadlock)
-    warnings = []
-    if not serial.ok:
-        raise EpmuError(
-            f"deadlocked states {list(serial.deadlocked)}; "
-            "use --allow-deadlock to accept them"
-        )
-    if serial.warning:
-        warnings.append(serial.warning)
+    # runs are infinite, so a deadlocked state has no semantics unless the
+    # caller opts into vacuous AX there
+    dead = list(m.deadlocks())
+    if dead and not args.allow_deadlock:
+        raise EpmuError(f"deadlocked states {dead}; use --allow-deadlock to accept them")
+    warnings = [f"deadlocked states accepted: {dead}"] if dead else []
 
     report = {
         "command": "check",
@@ -230,12 +212,12 @@ def cmd_distinguish(args):
 
 
 def cmd_oracle(args):
+    from .oracle import eval_tree
+
     sys_text = _read_file(args.system)
     m = parse_system(sys_text)
     f, _ = _load_formula(args, agents=m.agents)
     prefix_depth = args.depth
-    from .system import bounded_unfold
-
     prefix = bounded_unfold(m, prefix_depth, cap=_cap(args))
     ns = eval_tree(prefix, fm.to_positive_form(f))
     if args.json:
@@ -259,6 +241,8 @@ def cmd_oracle(args):
 
 
 def _write_instance(outdir, mprime, phi, cap):
+    from .translate import compile_modal, labeled_system_to_dict
+
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "system.mas").write_text(
@@ -275,6 +259,13 @@ def _write_instance(outdir, mprime, phi, cap):
 
 
 def cmd_translate(args):
+    from .translate import (
+        atl_until_instance,
+        parity_encoding,
+        parse_labeled_system,
+        parse_parity_game,
+    )
+
     cap = _cap(args)
     if args.mode == "atl-until":
         g = parse_labeled_system(_read_file(args.system))

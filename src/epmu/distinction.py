@@ -24,9 +24,9 @@ from collections import deque
 from functools import cached_property
 
 from .errors import CapacityExceeded, NonChainAgents, UnknownAgent
-from .formula import FrozenRecord, _set
 from .system import (
     DEFAULT_CAP,
+    Finding,
     GammaRelation,
     InSplitting,
     MultiAgentSystem,
@@ -281,40 +281,30 @@ def poss_op(gamma, S):
 # Distinguishedness
 
 
-class DistinguishedVerdict(FrozenRecord):
-    __slots__ = _fields = ("ok", "violated", "witness")
-
-    def __init__(self, ok, violated="", witness=()):
-        _set(self, "ok", ok)
-        _set(self, "violated", violated)  # symmetry | transitivity | congruence
-        _set(self, "witness", witness)
-
-    def __bool__(self):
-        return self.ok
-
-
 def is_distinguished(m, agent, cap=DEFAULT_CAP, gamma=None):
-    """True iff Gamma is an equivalence relation closed under matching
-    transitions (same observation on both successors)."""
+    """A Finding: ok iff Gamma is an equivalence relation closed under
+    matching transitions (same observation on both successors); else the
+    condition that fails (symmetry, transitivity or congruence) and the
+    states that show it."""
     if gamma is None:
         gamma = compute_gamma(m, agent, cap=cap)
     rel = gamma.pairs
     for q, r in rel:
         if (r, q) not in rel:
-            return DistinguishedVerdict(False, "symmetry", (q, r))
+            return Finding(False, "symmetry", (q, r))
     targets = {}
     for q, r in rel:
         targets.setdefault(q, set()).add(r)
     for q, r in rel:
         for r2 in targets.get(r, ()):
             if (q, r2) not in rel:
-                return DistinguishedVerdict(False, "transitivity", (q, r, r2))
+                return Finding(False, "transitivity", (q, r, r2))
     for q, r in rel:
         for q2 in m.successors(q):
             for r2 in m.successors(r):
                 if m.obs_label(q2, agent) == m.obs_label(r2, agent) and (q2, r2) not in rel:
-                    return DistinguishedVerdict(False, "congruence", (q, r, q2, r2))
-    return DistinguishedVerdict(True)
+                    return Finding(False, "congruence", (q, r, q2, r2))
+    return Finding(True)
 
 
 # ---------------------------------------------------------------------------

@@ -235,10 +235,6 @@ def free_vars(f):
     return out
 
 
-def is_closed(f):
-    return not free_vars(f)
-
-
 def atoms_of(f):
     if isinstance(f, (Atom, NegAtom)):
         return {f.name}

@@ -8,7 +8,8 @@ non-closed paths.  A node labeled with a variable is a leaf.
 from __future__ import annotations
 
 from . import formula as fm
-from .errors import UnknownAgent, depth_guarded
+from .distinction import chain_order
+from .errors import NonChainAgents, UnknownAgent, depth_guarded
 from .formula import FrozenRecord, Record, _set
 
 
@@ -111,15 +112,15 @@ class FragmentVerdict(FrozenRecord):
 
 def check_non_mixing(tree, obs):
     """Accept iff at every node the observable sets of the AgNCl agents form
-    a chain under inclusion.  obs maps agent name -> set of atoms."""
+    a chain under inclusion (`chain_order`).  obs maps agent name -> set of
+    atoms."""
     for node in tree:
-        agents = sorted(node.agncl)
-        for a in agents:
+        for a in sorted(node.agncl):
             if a not in obs:
                 raise UnknownAgent(a)
-        for i, a in enumerate(agents):
-            for b in agents[i + 1 :]:
-                pa, pb = set(obs[a]), set(obs[b])
-                if not (pa <= pb or pb <= pa):
-                    return FragmentVerdict(False, FragmentWitness(node.path, a, b))
+        if len(node.agncl) > 1:
+            try:
+                chain_order(obs, node.agncl)
+            except NonChainAgents as e:
+                return FragmentVerdict(False, FragmentWitness(node.path, e.agent_a, e.agent_b))
     return FragmentVerdict(True)

@@ -156,7 +156,7 @@ class BlockImage:
 def _check_shape(states, q0, delta, atoms, labels, obs):
     """Reject an initial state or a transition end outside `states`, and an
     atom outside `atoms` in a label or an observable set."""
-    if not (type(q0) in (int, str) or isinstance(q0, Hashable)) or q0 not in states:
+    if _bad_id(q0) or q0 not in states:
         raise SystemFormatError(f"initial state {q0} is not a state")
     for lab in (*labels.values(), *obs.values()):
         if not atoms.issuperset(lab):
@@ -177,26 +177,6 @@ def _check_rows(n, succ, atoms, labels, obs):
     edges = () if ok else ((q, r) for q, rs in succ.items() for r in rs)
     sets = (*labels.values(), *obs.values())
     _check_shape(states, 0, edges, atoms, dict(zip(map(id, sets), sets)), {})
-
-
-class SerialVerdict(FrozenRecord):
-    __slots__ = _fields = ("ok", "deadlocked", "warning")
-
-    def __init__(self, ok, deadlocked=(), warning=""):
-        _set(self, "ok", ok)
-        _set(self, "deadlocked", deadlocked)
-        _set(self, "warning", warning)
-
-
-def validate_serial(m, allow_deadlock=False):
-    """Runs are infinite, so a deadlocked state has no semantics; reject it
-    unless the caller explicitly opts into vacuous AX there."""
-    dead = m.deadlocks()
-    if not dead:
-        return SerialVerdict(True)
-    if allow_deadlock:
-        return SerialVerdict(True, dead, f"deadlocked states accepted: {list(dead)}")
-    return SerialVerdict(False, dead)
 
 
 # ---------------------------------------------------------------------------
@@ -249,19 +229,42 @@ def _agent_obs(agents):
     }
 
 
+def _bad_id(q):
+    """What keeps q from being a state id, or "" if nothing does: a list or
+    an object is unhashable, and a boolean would be taken for 0 or 1.  The
+    type test goes first: isinstance against Hashable takes four times as
+    long, and nearly every id is an int or a str."""
+    if type(q) in (int, str):
+        return ""
+    if type(q) is bool:
+        return "a boolean"
+    return "" if isinstance(q, Hashable) else "a list or an object"
+
+
 def _state_entries(entries, keys=("id",)):
     """States, atom labels and names from the "states" list of a system or
     game file.  A value that is not a list, an entry that is not an object
-    with each of `keys`, an id that is a list or an object, or atoms that
-    are not a list of strings raise SystemFormatError naming it."""
+    with each of `keys`, an id that is a list, an object or a boolean, that
+    an earlier entry has or that does not sort with the first, or atoms
+    that are not a list of strings raise SystemFormatError naming it."""
     states, labels, names = [], {}, {}
     for entry in _entry_list(entries, "'states'"):
         for key in keys:
             if not isinstance(entry, dict) or key not in entry:
                 raise SystemFormatError(f"state {entry!r} has no {key!r}")
         q = entry["id"]
-        if not (type(q) in (int, str) or isinstance(q, Hashable)):
-            raise SystemFormatError(f"state {entry!r}: its id is a list or an object")
+        why = _bad_id(q)
+        if why:
+            raise SystemFormatError(f"state {entry!r}: its id is {why}")
+        if q in labels:
+            raise SystemFormatError(f"state {entry!r}: an earlier state has its id")
+        if states and type(q) is not type(states[0]):
+            try:
+                sorted((states[0], q))
+            except TypeError:
+                raise SystemFormatError(
+                    f"state {entry!r}: its id does not sort with {states[0]!r}"
+                ) from None
         states.append(q)
         labels[q] = _string_list(entry.get("atoms", []), f"state {q!r}: 'atoms'")
         if "name" in entry:
@@ -270,16 +273,14 @@ def _state_entries(entries, keys=("id",)):
 
 
 def _check_ends(kind, t):
-    """A transition (or action label) t whose first or last element is a
-    list or an object, which no state id is, raises SystemFormatError.  The
-    type tests go first: isinstance against Hashable takes four times as
-    long, and nearly every id is an int or a str."""
+    """A transition (or action label) t whose first or last element is no
+    state id (see _bad_id) raises SystemFormatError."""
     q, r = t[0], t[-1]
-    if not (
-        (type(q) in (int, str) or isinstance(q, Hashable))
-        and (type(r) in (int, str) or isinstance(r, Hashable))
-    ):
-        raise SystemFormatError(f"{kind} {t!r} uses a list or an object as a state")
+    if type(q) in (int, str) and type(r) in (int, str):
+        return
+    why = _bad_id(q) or _bad_id(r)
+    if why:
+        raise SystemFormatError(f"{kind} {t!r} uses {why} as a state")
 
 
 def system_from_dict(data):
@@ -338,7 +339,10 @@ def to_dot(m):
 # In-splittings
 
 
-class InSplitVerdict(FrozenRecord):
+class Finding(FrozenRecord):
+    """The answer of a yes/no check: `ok`, and when it is False the
+    `condition` that failed and a `witness` of it.  True iff ok."""
+
     __slots__ = _fields = ("ok", "condition", "witness")
 
     def __init__(self, ok, condition="", witness=None):
@@ -379,26 +383,26 @@ def verify_in_splitting(s):
     fine, coarse, chi = s.source, s.target, s.chi
     for q in fine.states:
         if q not in chi or chi[q] not in coarse.states:
-            return InSplitVerdict(False, "map", q)
+            return Finding(False, "map", q)
     if set(chi.values()) != set(coarse.states):
         missing = sorted(set(coarse.states) - set(chi.values()))
-        return InSplitVerdict(False, "surjectivity", missing[0])
+        return Finding(False, "surjectivity", missing[0])
     for q, r in fine.delta:
         if (chi[q], chi[r]) not in coarse.delta:
-            return InSplitVerdict(False, "transitions-forward", (q, r))
+            return Finding(False, "transitions-forward", (q, r))
     images = {(chi[q], chi[r]) for q, r in fine.delta}
     for e in coarse.delta:
         if e not in images:
-            return InSplitVerdict(False, "transitions-preimage", e)
+            return Finding(False, "transitions-preimage", e)
     for q in fine.states:
         if coarse.label(chi[q]) != fine.label(q):
-            return InSplitVerdict(False, "labels", q)
+            return Finding(False, "labels", q)
     for q in fine.states:
         if coarse.outdeg(chi[q]) != fine.outdeg(q):
-            return InSplitVerdict(False, "outdegree", q)
+            return Finding(False, "outdegree", q)
     if chi[fine.q0] != coarse.q0:
-        return InSplitVerdict(False, "initial", fine.q0)
-    return InSplitVerdict(True)
+        return Finding(False, "initial", fine.q0)
+    return Finding(True)
 
 
 def compose_insplitting(outer, inner):
@@ -467,11 +471,6 @@ class TreePrefix:
             self._class_cache[key] = classes
         return self._class_cache[key]
 
-    def related(self, run_x, run_y, agent):
-        return len(run_x) == len(run_y) and self.signature(
-            run_x, agent
-        ) == self.signature(run_y, agent)
-
 
 class GammaRelation(FrozenRecord):
     """The knowledge-transfer relation of an agent on a system, as pairs
@@ -487,12 +486,6 @@ class GammaRelation(FrozenRecord):
 
     def __contains__(self, pair):
         return pair in self.pairs
-
-    def sources_of(self, q):
-        return frozenset(s for s, r in self.pairs if r == q)
-
-    def targets_of(self, s):
-        return frozenset(r for s2, r in self.pairs if s2 == s)
 
 
 def bounded_unfold(m, depth, cap=DEFAULT_CAP):

@@ -331,7 +331,7 @@ class ParityGame(LabeledSystem):
             raise SystemFormatError("players must name the two agents")
         self.priority = {q: priority[q] for q in self.states}
         for q, k in self.priority.items():
-            if not isinstance(k, int) or k < 0:
+            if type(k) is bool or not isinstance(k, int) or k < 0:
                 raise SystemFormatError(f"bad priority {k!r} at state {q}")
 
 

@@ -1,10 +1,14 @@
+import copy
 import importlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epmu.cli import main
-from epmu.system import system_to_json
+from epmu.system import parse_system, system_to_json
 from epmu.translate import labeled_system_to_dict, LabeledSystem, ParityGame
 
 
@@ -130,8 +134,25 @@ class TestCheck:
             (lambda d: d.__setitem__("atoms", "pq"), "'atoms' is not a list of strings"),
             (lambda d: d["states"][0].__setitem__("atoms", 5), "state 1: 'atoms' is not a list of strings"),
             (lambda d: d["states"][0].__setitem__("atoms", [["p"]]), "state 1: 'atoms' is not a list of strings"),
+            (
+                lambda d: d["states"].append({"id": 1, "atoms": []}),
+                "state {'id': 1, 'atoms': []}: an earlier state has its id",
+            ),
+            (
+                lambda d: d["states"].append({"id": True, "atoms": []}),
+                "state {'id': True, 'atoms': []}: its id is a boolean",
+            ),
+            (lambda d: d.__setitem__("initial", True), "initial state True is not a state"),
+            (lambda d: d["transitions"].__setitem__(0, [1, True]), "transition [1, True] uses a boolean as a state"),
+            (
+                lambda d: d["states"].append({"id": "1", "atoms": []}),
+                "state {'id': '1', 'atoms': []}: its id does not sort with 1",
+            ),
         ],
-        ids=["obs-string", "states-int", "transitions-int", "atoms-string", "state-atoms-int", "state-atoms-nested"],
+        ids=[
+            "obs-string", "states-int", "transitions-int", "atoms-string", "state-atoms-int", "state-atoms-nested",
+            "repeated-id", "boolean-id", "boolean-initial", "boolean-transition-end", "unsortable-ids",
+        ],
     )
     def test_field_of_wrong_json_type_exit_three(self, tmp_path, capsys, edit, named):
         # a string is not read letter by letter, an int is not iterated
@@ -245,16 +266,21 @@ class TestCheck:
         main(["check", "--system", sys2_file, "--formula", "EX K a . p"])
         assert "\x1b[" not in capsys.readouterr().out
 
-    def test_deadlock_rejected_and_allowed(self, tmp_path):
+    def test_deadlock_rejected_and_allowed(self, tmp_path, capsys):
         from epmu.system import MultiAgentSystem
 
         m = MultiAgentSystem([1, 2], 1, [(1, 2)], ["p"], {2: {"p"}}, {"a": set()})
         p = tmp_path / "dead.mas"
         p.write_text(system_to_json(m))
         assert main(["check", "--system", str(p), "--formula", "EX p"]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: deadlocked states [2]; use --allow-deadlock to accept them\n"
+        report = tmp_path / "r.json"
         assert main([
             "check", "--system", str(p), "--formula", "EX p", "--allow-deadlock",
+            "--report", str(report),
         ]) == 0
+        assert json.loads(report.read_text())["warnings"] == ["deadlocked states accepted: [2]"]
 
     def test_formula_file(self, sys2_file, tmp_path):
         f = tmp_path / "f.mu"
@@ -411,12 +437,22 @@ class TestTranslate:
                 lambda d: d["actions"]["alphabets"].__setitem__("o", [1]),
                 "agent 'o': 'actions.alphabets' is not a list of strings: [1]",
             ),
+            ("parity", lambda d: d["states"][0].__setitem__("priority", True), "bad priority True at state 1"),
+            ("parity", lambda d: d["actions"]["labels"][0].__setitem__(2, True), "uses a boolean as a state"),
+            (
+                "parity",
+                lambda d: d["states"].append({"id": 1, "atoms": [], "priority": 1}),
+                "an earlier state has its id",
+            ),
+            ("atl-until", lambda d: d["states"].append({"id": 1, "atoms": []}), "an earlier state has its id"),
+            ("atl-until", lambda d: d.__setitem__("initial", True), "initial state True is not a state"),
         ],
         ids=[
             "game-actions-string", "game-agent-list", "labeled-actions-string", "labeled-agent-list",
             "game-atoms-string", "game-labels-int", "game-state-atoms-int", "labeled-obs-string",
             "labeled-labels-int", "game-alphabet-string", "game-alphabets-list",
-            "labeled-alphabet-ints",
+            "labeled-alphabet-ints", "game-boolean-priority", "game-boolean-label-end",
+            "game-repeated-id", "labeled-repeated-id", "labeled-boolean-initial",
         ],
     )
     def test_bad_actions_or_agent_exit_three(self, tmp_path, capsys, mode, edit, named):
@@ -504,3 +540,75 @@ class TestTranslate:
         err = capsys.readouterr().err
         assert err.startswith("error: state ") and "has no 'priority'" in err
         assert "KeyError" not in err
+
+
+# A valid system for the loader fuzz: three states, both agents, a formula
+# that reads the atoms through knowledge.
+FUZZ_SYSTEM = {
+    "states": [{"id": 1, "atoms": ["p"]}, {"id": 2, "atoms": []}, {"id": 3, "atoms": ["p", "q"]}],
+    "initial": 1,
+    "transitions": [[1, 2], [1, 3], [2, 2], [3, 1]],
+    "atoms": ["p", "q"],
+    "agents": {"a": {"obs": ["p"]}, "b": {"obs": ["p", "q"]}},
+}
+FUZZ_FORMULA = "K a . EX p | K b . q"
+ODD_IDS = [True, "1", 1.5, [1], 4, None]
+# the places that hold a list, as (object, key)
+LIST_PLACES = [
+    lambda d: (d, "states"), lambda d: (d, "transitions"), lambda d: (d, "atoms"),
+    lambda d: (d["states"][0], "atoms"), lambda d: (d["agents"]["a"], "obs"),
+]
+
+
+def _mutate(d, kind, i, value):
+    """One edit of a copy of FUZZ_SYSTEM: i picks the place, value the odd
+    id, the wrong-typed value or the key."""
+    states = d["states"]
+    if kind == "duplicate":
+        entry = states[i % len(states)]
+        states.append({**entry, "atoms": sorted({"p", "q"} - set(entry["atoms"]))})
+    elif kind == "swap-id":
+        states[i % len(states)]["id"] = ODD_IDS[value % len(ODD_IDS)]
+    elif kind == "swap-end":
+        end = value // len(ODD_IDS) % 2
+        d["transitions"][i % len(d["transitions"])][end] = ODD_IDS[value % len(ODD_IDS)]
+    elif kind == "initial":
+        d["initial"] = ODD_IDS[value % len(ODD_IDS)]
+    elif kind == "not-a-list":
+        obj, key = LIST_PLACES[i % len(LIST_PLACES)](d)
+        obj[key] = ["p", 1][value % 2]
+    elif kind == "list-entry":
+        d["states" if value % 2 else "transitions"][i % 3] = ["p", 1][value // 2 % 2]
+    elif kind == "drop":
+        obj = [d, states[i % len(states)]][value % 2]
+        del obj[sorted(obj)[i % len(obj)]]
+    return d
+
+
+KINDS = ["duplicate", "swap-id", "swap-end", "initial", "not-a-list", "list-entry", "drop"]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(KINDS), st.integers(0, 5), st.integers(0, 11))
+def test_loader_fuzz_exits_cleanly(tmp_path_factory, kind, i, value):
+    """Every mutation of a valid file ends in exit 0-3; an error is one line
+    that names no Python exception; a verdict comes only from a load that
+    kept every state entry's atoms."""
+    d = _mutate(copy.deepcopy(FUZZ_SYSTEM), kind, i, value)
+    text = json.dumps(d)
+    path = tmp_path_factory.getbasetemp() / "fuzz.mas"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["check", "--system", str(path), "--formula", FUZZ_FORMULA])
+    assert code in (0, 1, 2, 3)
+    if code == 3:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        for name in ("TypeError", "KeyError", "AttributeError", "ValueError"):
+            assert name not in lines[0]
+    if code in (0, 1):
+        m = parse_system(text)
+        for entry in d["states"]:
+            if entry["id"] in m.labels:
+                assert m.labels[entry["id"]] == frozenset(entry.get("atoms", [])), entry

@@ -332,8 +332,8 @@ class TestGamma:
 
     def test_sources_targets(self, sys2):
         g = compute_gamma(sys2, "a")
-        assert g.sources_of(4) == {4, 5}
-        assert g.targets_of(5) == {4, 5}
+        assert {s for s, r in g.pairs if r == 4} == {4, 5}
+        assert {r for s, r in g.pairs if s == 5} == {4, 5}
 
 
 class TestKnowPoss:
@@ -381,7 +381,7 @@ class TestDistinguished:
     def test_sys2_not_distinguished(self, sys2):
         v = is_distinguished(sys2, "a")
         assert not v.ok
-        assert v.violated == "symmetry" and v.witness == (5, 4)
+        assert v.condition == "symmetry" and v.witness == (5, 4)
 
     def test_sys1_distinguished(self, sys1):
         assert is_distinguished(sys1, "a")

@@ -231,7 +231,7 @@ class TestSynTree:
         binders = 0
         for f in forms:
             for node in build_syntree(f):
-                assert node.closed == fm.is_closed(node.form), node.path
+                assert node.closed == (not fm.free_vars(node.form)), node.path
                 binders += isinstance(node.form, fm.BINDERS)
         assert binders > 100
 

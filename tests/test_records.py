@@ -2,7 +2,8 @@
 their repr prints, class-sensitive equality, hashing, frozen fields,
 keyword construction, copy and pickle.  Also checks that importing the
 package and its command line loads none of the heavy stdlib modules that
-a class-building decorator would pull in."""
+a class-building decorator would pull in, and neither the oracles nor the
+translators."""
 
 import copy
 import os
@@ -15,16 +16,15 @@ import pytest
 
 from epmu import formula as fm
 from epmu.checker import Verdict
-from epmu.distinction import DistinguishedVerdict, compute_gamma, is_distinguished
+from epmu.distinction import compute_gamma, is_distinguished
 from epmu.formula import parse_formula, to_positive_form
 from epmu.oracle import NodeSet
 from epmu.syntree import FragmentVerdict, FragmentWitness, SynNode, build_syntree, check_non_mixing
 from epmu.system import (
-    InSplitVerdict,
+    Finding,
+    InSplitting,
     MultiAgentSystem,
-    SerialVerdict,
     identity_insplitting,
-    validate_serial,
     verify_in_splitting,
 )
 
@@ -64,6 +64,11 @@ def _records():
     the repr it prints."""
     m = _one_state()
     dead = MultiAgentSystem([0, 1], 0, [(0, 1)], ["p"], {}, {"a": []})
+    # state 4 is reached through the observable 2 and the unobservable 3
+    mixed = MultiAgentSystem(
+        [1, 2, 3, 4, 5], 1, [(1, 2), (1, 3), (2, 4), (3, 4), (3, 5), (4, 4), (5, 5)],
+        ["p"], {2: {"p"}}, {"a": {"p"}},
+    )
     tree = build_syntree(parse_formula("mu Z . K a . Z & K b . Z"))
     return [
         (
@@ -76,17 +81,14 @@ def _records():
             "agent_a='a', agent_b='b'))",
         ),
         (check_non_mixing(tree, {"a": {"p"}, "b": {"p"}}), "FragmentVerdict(accepted=True, witness=None)"),
-        (is_distinguished(m, "a"), "DistinguishedVerdict(ok=True, violated='', witness=())"),
+        (is_distinguished(m, "a"), "Finding(ok=True, condition='', witness=None)"),
+        (Finding(False, "symmetry", (1, 2)), "Finding(ok=False, condition='symmetry', witness=(1, 2))"),
+        (is_distinguished(mixed, "a"), "Finding(ok=False, condition='symmetry', witness=(5, 4))"),
         (
-            DistinguishedVerdict(False, "symmetry", (1, 2)),
-            "DistinguishedVerdict(ok=False, violated='symmetry', witness=(1, 2))",
+            verify_in_splitting(InSplitting(dead, dead, {0: 1, 1: 0})),
+            "Finding(ok=False, condition='transitions-forward', witness=(0, 1))",
         ),
-        (
-            validate_serial(dead, allow_deadlock=True),
-            "SerialVerdict(ok=True, deadlocked=(1,), warning='deadlocked states accepted: [1]')",
-        ),
-        (validate_serial(dead), "SerialVerdict(ok=False, deadlocked=(1,), warning='')"),
-        (verify_in_splitting(identity_insplitting(m)), "InSplitVerdict(ok=True, condition='', witness=None)"),
+        (verify_in_splitting(identity_insplitting(m)), "Finding(ok=True, condition='', witness=None)"),
         (
             NodeSet(None, frozenset({(0,)}), 1, True),
             "NodeSet(prefix=None, nodes=frozenset({(0,)}), valid_depth=1, root_holds=True)",
@@ -127,7 +129,7 @@ class TestEquality:
         assert fm.And(p, q) != fm.Or(p, q)
         assert fm.Know("a", p) != fm.Poss("a", p)
         assert fm.And(p, q) != (p, q)
-        assert SerialVerdict(True) != InSplitVerdict(True)
+        assert Finding(True) != FragmentVerdict(True)
 
     def test_equal_nodes_hash_equal(self):
         f = to_positive_form(parse_formula(POSITIVE))
@@ -141,7 +143,7 @@ class TestEquality:
         assert hash(fm.And(p, q)) == hash((p, q))
         assert hash(p) == hash(("p",))
         assert hash(fm.TRUE) == hash(())
-        assert hash(SerialVerdict(True)) == hash((True, (), ""))
+        assert hash(Finding(True)) == hash((True, "", None))
 
     def test_verdict_unhashable(self):
         with pytest.raises(TypeError):
@@ -200,9 +202,8 @@ class TestConstruction:
         assert v.final is None
 
     def test_defaults(self):
-        assert SerialVerdict(True) == SerialVerdict(ok=True, deadlocked=(), warning="")
-        assert InSplitVerdict(False) == InSplitVerdict(False, condition="", witness=None)
-        assert DistinguishedVerdict(True) == DistinguishedVerdict(True, "", ())
+        assert Finding(False) == Finding(ok=False, condition="", witness=None)
+        assert bool(Finding(True)) is True and bool(Finding(False, "labels", 0)) is False
         assert FragmentVerdict(True) == FragmentVerdict(accepted=True, witness=None)
         assert bool(FragmentVerdict(False)) is False
 
@@ -236,13 +237,15 @@ class TestCopyAndPickle:
 
 
 def test_import_loads_no_class_building_modules():
-    """`import epmu` and `epmu.cli` leave out dataclasses and what it pulls in."""
+    """`import epmu` and `epmu.cli` leave out dataclasses and what it pulls
+    in, and the oracle and translator modules, which a check never calls."""
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     code = (
         "import epmu, epmu.cli, sys; "
-        "print(sorted(m for m in ('dataclasses', 'inspect', 'ast', 'dis') if m in sys.modules))"
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'epmu.oracle', "
+        "'epmu.translate') if m in sys.modules))"
     )
     r = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60

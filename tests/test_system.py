@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from epmu.checker import check
 from epmu.errors import SystemFormatError, UnknownAtom
+from epmu.formula import parse_formula
 from epmu.system import (
     InSplitting,
     MultiAgentSystem,
@@ -12,7 +14,6 @@ from epmu.system import (
     parse_system,
     system_to_json,
     to_dot,
-    validate_serial,
     verify_in_splitting,
 )
 from epmu.distinction import distinction
@@ -83,17 +84,17 @@ class TestParse:
 
 class TestSerial:
     def test_sys1_ok(self, sys1):
-        assert validate_serial(sys1).ok
+        assert sys1.deadlocks() == ()
 
     def test_deadlock_detected(self):
         m = MultiAgentSystem([1], 1, [], ["p"], {}, {"a": set()})
-        v = validate_serial(m)
-        assert not v.ok and v.deadlocked == (1,)
+        assert m.deadlocks() == (1,)
 
     def test_allow_deadlock(self):
+        # what --allow-deadlock accepts: AX holds vacuously at a deadlock
         m = MultiAgentSystem([1], 1, [], ["p"], {}, {"a": set()})
-        v = validate_serial(m, allow_deadlock=True)
-        assert v.ok and v.warning
+        assert check(m, parse_formula("AX false")).holds
+        assert not check(m, parse_formula("EX true")).holds
 
 
 class TestInSplitting:
@@ -176,8 +177,8 @@ class TestTreePrefix:
 
     def test_sys2_sim_classes(self, sys2):
         t = bounded_unfold(sys2, 2)
-        assert not t.related((1, 2, 4), (1, 3, 4), "a")
-        assert t.related((1, 3, 4), (1, 3, 5), "a")
+        assert t.signature((1, 2, 4), "a") != t.signature((1, 3, 4), "a")
+        assert t.signature((1, 3, 4), "a") == t.signature((1, 3, 5), "a")
         assert t.signature((1, 2, 4), "a") == (frozenset(), frozenset({"p"}), frozenset())
 
     def test_children_outdeg(self, sys2):

@@ -230,8 +230,8 @@ class TestCompileModal:
         t = bounded_unfold(c.system, 1)
         level = t.by_depth[1]
         assert len(level) == 2
-        assert t.related(level[0], level[1], "a")
-        assert not t.related(level[0], level[1], "b")
+        assert t.signature(level[0], "a") == t.signature(level[1], "a")
+        assert t.signature(level[0], "b") != t.signature(level[1], "b")
 
 
 class TestAtlUntil:
