@@ -459,22 +459,21 @@ def node_set_on_prefix(chain, S, depth):
     """Transport the final state set to tree nodes of the base system: the
     depth-bounded prefixes of the fine and base unfoldings are isomorphic, so
     each fine run projects to exactly one base run."""
-    comp = chain.composite()
+    chi = chain.composite().chi
     fine = chain.final
     out = set()
     seen = set()
-    level = [(fine.q0,)]
+    level = [(fine.q0, (chi[fine.q0],))]  # (last fine state, base run)
     for _ in range(depth + 1):
         next_level = []
-        for run in level:
-            base_run = tuple(comp.chi[q] for q in run)
+        for q, base_run in level:
             if base_run in seen:
                 raise EpmuError("prefix projection is not injective")
             seen.add(base_run)
-            if run[-1] in S:
+            if q in S:
                 out.add(base_run)
-            if len(run) <= depth:
-                next_level.extend(run + (r,) for r in fine.successors(run[-1]))
+            if len(base_run) <= depth:
+                next_level.extend((r, base_run + (chi[r],)) for r in fine.successors(q))
         level = next_level
     return out, seen
 

@@ -30,7 +30,7 @@ from .system import (
     GammaRelation,
     InSplitting,
     MultiAgentSystem,
-    _check_rows,
+    _check_shape,
     compose_insplitting,
     identity_insplitting,
 )
@@ -44,7 +44,7 @@ class DistinctionSystem(MultiAgentSystem):
     is the i-th pair found and `succ[i]` lists the ids of its successors in
     increasing order, so the states are 0..n-1, all reachable from 0, and
     the sorting and reachability pass of MultiAgentSystem is not needed.
-    The shape checks still run, on the rows of `succ`.  The atoms, agents
+    The shape check still runs, on the rows of `succ`.  The atoms, agents
     and observable sets are the base's, shared with it.
 
     The name of state (s, S) is "(s,{...})" over the base's names, built on
@@ -52,7 +52,7 @@ class DistinctionSystem(MultiAgentSystem):
     nested ones grow long.  `names` builds them all."""
 
     def __init__(self, base, agent, pair_of, labels, succ, partitions):
-        _check_rows(len(pair_of), succ, base.atoms, labels, base.obs)
+        _check_shape(set(range(len(pair_of))), 0, succ, base.atoms, labels, base.obs)
         self.base = base
         self.agent = agent
         self.pair_of = pair_of  # id -> (s, frozenset S)

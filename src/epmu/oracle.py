@@ -46,9 +46,8 @@ def eval_tree(prefix, f, require_root=True):
         if isinstance(g, fm.FalseF):
             return frozenset()
         if isinstance(g, fm.Atom):
-            return frozenset(
-                x for x in prefix.nodes if g.name in prefix.system.label(x[-1])
-            )
+            labels = prefix.system.labels
+            return frozenset(x for x in prefix.nodes if g.name in labels[x[-1]])
         if isinstance(g, fm.NegAtom):
             return all_nodes - ev(fm.Atom(g.name))
         if isinstance(g, fm.Not):
@@ -59,25 +58,17 @@ def eval_tree(prefix, f, require_root=True):
             return ev(g.left) | ev(g.right)
         if isinstance(g, fm.AX):
             S = ev(g.child)
-            return frozenset(
-                x for x in prefix.nodes if all(y in S for y in prefix.children(x))
-            )
+            return frozenset(x for x in prefix.nodes if S.issuperset(prefix.children(x)))
         if isinstance(g, fm.EX):
             S = ev(g.child)
-            return frozenset(
-                x for x in prefix.nodes if any(y in S for y in prefix.children(x))
-            )
+            return frozenset(x for x in prefix.nodes if not S.isdisjoint(prefix.children(x)))
         if isinstance(g, (fm.Know, fm.Poss)):
             S = ev(g.child)
             out = set()
             for d in range(prefix.depth + 1):
-                for _, cls in prefix.sim_classes(g.agent, d).items():
-                    if isinstance(g, fm.Know):
-                        if all(y in S for y in cls):
-                            out.update(cls)
-                    else:
-                        if any(y in S for y in cls):
-                            out.update(cls)
+                for cls in prefix.sim_classes(g.agent, d).values():
+                    if S.issuperset(cls) if isinstance(g, fm.Know) else not S.isdisjoint(cls):
+                        out.update(cls)
             return frozenset(out)
         raise TypeError(f"unexpected node {g!r}")
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from collections.abc import Hashable
 from functools import cached_property
 from itertools import chain
 
@@ -33,12 +32,12 @@ class MultiAgentSystem:
         states = sorted(set(states))
         atoms = frozenset(atoms)
         delta = list(delta)
-        _check_shape(set(states), q0, delta, atoms, labels, obs)
-
-        # restrict to the part reachable from q0
         succ = {q: set() for q in states}
         for q, r in delta:
-            succ[q].add(r)
+            succ.setdefault(q, set()).add(r)
+        _check_shape(set(states), q0, succ, atoms, labels, obs, delta)
+
+        # restrict to the part reachable from q0
         reachable = {q0}
         stack = [q0]
         while stack:
@@ -153,30 +152,24 @@ class BlockImage:
         return sum([b for b in self.blocks if b & S == b])
 
 
-def _check_shape(states, q0, delta, atoms, labels, obs):
-    """Reject an initial state or a transition end outside `states`, and an
-    atom outside `atoms` in a label or an observable set."""
+def _check_shape(states, q0, succ, atoms, labels, obs, edges=None):
+    """Reject an initial state outside the set `states`, an atom outside
+    `atoms` in a label or an observable set, and a transition end outside
+    `states`.  `succ` maps states to their successors.  Each label
+    object goes through one subset test and all rows through one; only a
+    failure walks `edges` (by default the rows' edges in order) to name the
+    first bad one."""
     if _bad_id(q0) or q0 not in states:
         raise SystemFormatError(f"initial state {q0} is not a state")
-    for lab in (*labels.values(), *obs.values()):
+    sets = (*labels.values(), *obs.values())
+    for lab in dict(zip(map(id, sets), sets)).values():
         if not atoms.issuperset(lab):
             raise UnknownAtom(next(p for p in lab if p not in atoms))
-    for q, r in delta:
+    if states.issuperset(succ) and states.issuperset(chain.from_iterable(succ.values())):
+        return
+    for q, r in edges or ((q, r) for q, rs in succ.items() for r in rs):
         if q not in states or r not in states:
             raise SystemFormatError(f"transition ({q},{r}) uses unknown state")
-
-
-def _check_rows(n, succ, atoms, labels, obs):
-    """_check_shape for a construction, with the same errors: states 0..n-1,
-    initial state 0, and the transitions of the successor rows `succ`
-    (state -> its successors).  All rows go through one subset test and each
-    label object through one; only a failure walks the edges in order, to
-    name the first bad one."""
-    states = set(range(n))
-    ok = states.issuperset(succ) and states.issuperset(chain.from_iterable(succ.values()))
-    edges = () if ok else ((q, r) for q, rs in succ.items() for r in rs)
-    sets = (*labels.values(), *obs.values())
-    _check_shape(states, 0, edges, atoms, dict(zip(map(id, sets), sets)), {})
 
 
 # ---------------------------------------------------------------------------
@@ -229,24 +222,23 @@ def _agent_obs(agents):
     }
 
 
+_ID_KINDS = {int: "", str: "", bool: "a boolean", float: "a float", type(None): "null"}
+
+
 def _bad_id(q):
-    """What keeps q from being a state id, or "" if nothing does: a list or
-    an object is unhashable, and a boolean would be taken for 0 or 1.  The
-    type test goes first: isinstance against Hashable takes four times as
-    long, and nearly every id is an int or a str."""
-    if type(q) in (int, str):
-        return ""
-    if type(q) is bool:
-        return "a boolean"
-    return "" if isinstance(q, Hashable) else "a list or an object"
+    """What keeps q from being a state id, or "" if nothing does: ids are
+    ints and strings, and a boolean or a float would be taken for the int
+    it equals."""
+    return _ID_KINDS.get(type(q), "a list or an object")
 
 
 def _state_entries(entries, keys=("id",)):
     """States, atom labels and names from the "states" list of a system or
     game file.  A value that is not a list, an entry that is not an object
-    with each of `keys`, an id that is a list, an object or a boolean, that
-    an earlier entry has or that does not sort with the first, or atoms
-    that are not a list of strings raise SystemFormatError naming it."""
+    with each of `keys`, an id that is no int or string (see _bad_id), that
+    an earlier entry has or that is not of the first id's type (ints and
+    strings do not sort together), or atoms that are not a list of strings
+    raise SystemFormatError naming it."""
     states, labels, names = [], {}, {}
     for entry in _entry_list(entries, "'states'"):
         for key in keys:
@@ -259,12 +251,7 @@ def _state_entries(entries, keys=("id",)):
         if q in labels:
             raise SystemFormatError(f"state {entry!r}: an earlier state has its id")
         if states and type(q) is not type(states[0]):
-            try:
-                sorted((states[0], q))
-            except TypeError:
-                raise SystemFormatError(
-                    f"state {entry!r}: its id does not sort with {states[0]!r}"
-                ) from None
+            raise SystemFormatError(f"state {entry!r}: its id does not sort with {states[0]!r}")
         states.append(q)
         labels[q] = _string_list(entry.get("atoms", []), f"state {q!r}: 'atoms'")
         if "name" in entry:
@@ -275,10 +262,7 @@ def _state_entries(entries, keys=("id",)):
 def _check_ends(kind, t):
     """A transition (or action label) t whose first or last element is no
     state id (see _bad_id) raises SystemFormatError."""
-    q, r = t[0], t[-1]
-    if type(q) in (int, str) and type(r) in (int, str):
-        return
-    why = _bad_id(q) or _bad_id(r)
+    why = _bad_id(t[0]) or _bad_id(t[-1])
     if why:
         raise SystemFormatError(f"{kind} {t!r} uses {why} as a state")
 
@@ -428,15 +412,18 @@ class TreePrefix:
         self.system = system
         self.depth = depth
         by_depth = [[(system.q0,)]]
+        self._children = {}
         count = 1
         for _ in range(depth):
             level = []
             for run in by_depth[-1]:
+                kids = self._children[run] = []
                 for r in system.successors(run[-1]):
-                    level.append(run + (r,))
+                    kids.append(run + (r,))
                     count += 1
                     if count > cap:
                         raise CapacityExceeded(count, cap, "tree prefix expansion")
+                level += kids
             by_depth.append(level)
         self.by_depth = by_depth
         self.nodes = [run for level in by_depth for run in level]
@@ -453,9 +440,7 @@ class TreePrefix:
         return len(run) - 1
 
     def children(self, run):
-        if len(run) - 1 >= self.depth:
-            return []
-        return [run + (r,) for r in self.system.successors(run[-1])]
+        return self._children.get(run, [])
 
     def signature(self, run, agent):
         m = self.system

@@ -1,10 +1,9 @@
 """Translators producing plain model-checking instances from action-labeled
 systems: action-atom compilation, the until-objective instance with its
-bookkeeping bit, coalition-next expansion, and the parity-game encoding."""
+bookkeeping bit, the coalition-next operator, and the parity-game encoding."""
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from functools import reduce
 
@@ -229,20 +228,17 @@ def compile_modal_formula(f, act_atom):
 
 
 # ---------------------------------------------------------------------------
-# Joint-action steps
+# One agent's move
 
 
-def _steps(a, alpha, alphabets, f, box):
-    """The &-join of [acts] f (box) or the |-join of <acts> f over the joint
-    actions in which agent a plays alpha, grouped to the left, the other
-    agents' actions in the order of itertools.product over sorted agents."""
-    others = [b for b in sorted(alphabets) if b != a]
-    step, join = (fm.BoxAct, fm.And) if box else (fm.DiamondAct, fm.Or)
-    steps = [
-        step(_canon_acts(((a, alpha), *zip(others, combo))), f)
-        for combo in itertools.product(*(alphabets[b] for b in others))
-    ]
-    return reduce(join, steps)
+def _plays(a, alpha, f, box):
+    """The step "agent a plays alpha" as one modality: [a=alpha] f (box) or
+    <a=alpha> f.  compile_modal labels every state but the root, which is
+    no successor, with one action atom per agent, those of the joint action
+    that entered it, so on a compiled system [a=alpha] f is the &-join of
+    [acts] f and <a=alpha> f the |-join of <acts> f over the joint actions
+    acts in which agent a plays alpha."""
+    return (fm.BoxAct if box else fm.DiamondAct)(((a, alpha),), f)
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +285,8 @@ def atl_until_instance(g, a0, p1, p2, dual=False):
     modality, join = (fm.Poss, fm.And) if dual else (fm.Know, fm.Or)
 
     def arm(alpha):
-        steps = _steps(a0, alpha, mprime.alphabets, fm.Var("Z"), not dual)
-        return modality(a0, fm.Or(core, fm.And(fm.Atom(p1), steps)))
+        step = _plays(a0, alpha, fm.Var("Z"), not dual)
+        return modality(a0, fm.Or(core, fm.And(fm.Atom(p1), step)))
 
     body = reduce(join, [arm(alpha) for alpha in mprime.alphabets[a0]])
     return mprime, fm.Mu("Z", body)
@@ -301,7 +297,10 @@ def atl_until_instance(g, a0, p1, p2, dual=False):
 
 
 def coalition_next(agents, f, existential, alphabets):
-    """Single-agent coalition next operator expanded over concrete tuples."""
+    """Single-agent coalition next operator: the |-join of K a . [a=alpha] f
+    (existential) or the &-join of P a . <a=alpha> f over the agent's
+    actions.  An empty alphabet of any agent leaves no joint action, and
+    SystemFormatError names the agent."""
     agents = set(agents)
     if len(agents) != 1:
         raise UnsupportedCoalition(agents)
@@ -310,7 +309,7 @@ def coalition_next(agents, f, existential, alphabets):
         raise UnknownAgent(a)
     _check_alphabets(alphabets)
     modality, join = (fm.Know, fm.Or) if existential else (fm.Poss, fm.And)
-    arms = [modality(a, _steps(a, alpha, alphabets, f, existential)) for alpha in alphabets[a]]
+    arms = [modality(a, _plays(a, alpha, f, existential)) for alpha in alphabets[a]]
     return reduce(join, arms)
 
 
@@ -382,7 +381,7 @@ def parity_encoding(game, player_index):
     # one subterm that is constant while that binder iterates.
     def arm(alpha):
         terms = [
-            fm.And(fm.Atom(prio_atom[k]), _steps(me, alpha, game.alphabets, fm.Var(zvar[k]), True))
+            fm.And(fm.Atom(prio_atom[k]), _plays(me, alpha, fm.Var(zvar[k]), True))
             for k in range(n, 0, -1)
         ]
         return fm.Know(me, reduce(fm.Or, terms))

@@ -12,6 +12,14 @@ from epmu.system import parse_system, system_to_json
 from epmu.translate import labeled_system_to_dict, LabeledSystem, ParityGame
 
 
+def _null_ids(d):
+    """Every state id of a one-state file, its initial state and the ends
+    of its transitions or action labels made null."""
+    d["states"][0]["id"] = d["initial"] = None
+    for t in d.get("transitions", []) + d.get("actions", {}).get("labels", []):
+        t[0] = t[-1] = None
+
+
 @pytest.fixture
 def sys2_file(tmp_path, sys2):
     p = tmp_path / "sys2.mas"
@@ -148,10 +156,15 @@ class TestCheck:
                 lambda d: d["states"].append({"id": "1", "atoms": []}),
                 "state {'id': '1', 'atoms': []}: its id does not sort with 1",
             ),
+            (lambda d: d.__setitem__("initial", 1.0), "initial state 1.0 is not a state"),
+            (lambda d: d["states"].append({"id": 2.0, "atoms": []}), "state {'id': 2.0, 'atoms': []}: its id is a float"),
+            (lambda d: d["transitions"].__setitem__(0, [1, 1.0]), "transition [1, 1.0] uses a float as a state"),
+            (_null_ids, "state {'id': None, 'atoms': ['p']}: its id is null"),
         ],
         ids=[
             "obs-string", "states-int", "transitions-int", "atoms-string", "state-atoms-int", "state-atoms-nested",
             "repeated-id", "boolean-id", "boolean-initial", "boolean-transition-end", "unsortable-ids",
+            "float-initial", "float-id", "float-transition-end", "null-ids",
         ],
     )
     def test_field_of_wrong_json_type_exit_three(self, tmp_path, capsys, edit, named):
@@ -446,6 +459,10 @@ class TestTranslate:
             ),
             ("atl-until", lambda d: d["states"].append({"id": 1, "atoms": []}), "an earlier state has its id"),
             ("atl-until", lambda d: d.__setitem__("initial", True), "initial state True is not a state"),
+            ("parity", lambda d: d["actions"]["labels"][0].__setitem__(2, 1.0), "label [1, {'e': 'x', 'o': 'u'}, 1.0] uses a float as a state"),
+            ("parity", _null_ids, "state {'id': None, 'atoms': ['s1'], 'priority': 2}: its id is null"),
+            ("atl-until", lambda d: d.__setitem__("initial", 1.0), "initial state 1.0 is not a state"),
+            ("atl-until", _null_ids, "state {'id': None, 'atoms': ['s1'], 'priority': 2}: its id is null"),
         ],
         ids=[
             "game-actions-string", "game-agent-list", "labeled-actions-string", "labeled-agent-list",
@@ -453,6 +470,7 @@ class TestTranslate:
             "labeled-labels-int", "game-alphabet-string", "game-alphabets-list",
             "labeled-alphabet-ints", "game-boolean-priority", "game-boolean-label-end",
             "game-repeated-id", "labeled-repeated-id", "labeled-boolean-initial",
+            "game-float-label-end", "game-null-ids", "labeled-float-initial", "labeled-null-ids",
         ],
     )
     def test_bad_actions_or_agent_exit_three(self, tmp_path, capsys, mode, edit, named):

@@ -18,7 +18,6 @@ from epmu.errors import CapacityExceeded, NonChainAgents, SystemFormatError, Unk
 from epmu.gen import random_system
 from epmu.system import (
     MultiAgentSystem,
-    _check_rows,
     _check_shape,
     system_to_dict,
     to_dot,
@@ -216,14 +215,26 @@ class TestShapeChecks:
             self.build(succ={}, labels={}, n=0)
 
     def test_same_errors_as_the_pair_check(self):
-        """The row check raises what _check_shape raises on the edges in
-        row order, on seeded rows and labels with stray ids and atoms."""
+        """The shape check raises what a check of one edge at a time
+        raises, on seeded rows and labels with stray ids and atoms: the
+        rows' edges in order by default, or the edges it is given."""
 
         def outcome(check, *args):
             try:
                 check(*args)
             except (SystemFormatError, UnknownAtom) as e:
                 return type(e), str(e)
+
+        def per_edge(states, q0, edges, atoms, labels, obs):
+            if q0 not in states:
+                raise SystemFormatError(f"initial state {q0} is not a state")
+            for lab in (*labels.values(), *obs.values()):
+                for p in lab:
+                    if p not in atoms:
+                        raise UnknownAtom(p)
+            for q, r in edges:
+                if q not in states or r not in states:
+                    raise SystemFormatError(f"transition ({q},{r}) uses unknown state")
 
         rng = random.Random(13)
         atoms = frozenset("pq")
@@ -237,9 +248,13 @@ class TestShapeChecks:
             lab = [frozenset(rng.sample("pqrs", rng.randint(0, 2))) for _ in range(4)]
             labels = {q: rng.choice(lab) for q in range(n)}
             obs = {"a": rng.choice(lab)}
+            states = set(range(n))
             edges = [(q, r) for q, rs in succ.items() for r in rs]
-            want = outcome(_check_shape, range(n), 0, edges, atoms, labels, obs)
-            assert outcome(_check_rows, n, succ, atoms, labels, obs) == want
+            want = outcome(per_edge, states, 0, edges, atoms, labels, obs)
+            assert outcome(_check_shape, states, 0, succ, atoms, labels, obs) == want
+            rng.shuffle(edges)
+            want = outcome(per_edge, states, 0, edges, atoms, labels, obs)
+            assert outcome(_check_shape, states, 0, succ, atoms, labels, obs, edges) == want
             raised += want is not None
         assert 100 < raised < 400
 

@@ -1,11 +1,13 @@
+import functools
 import hashlib
+import itertools
 import json
 import random
 
 import pytest
 
 from epmu import formula as fm
-from epmu.checker import check
+from epmu.checker import check, check_with_sets
 from epmu.errors import SystemFormatError, UnknownAgent, UnsupportedCoalition
 from epmu.formula import (
     Atom,
@@ -312,25 +314,11 @@ class TestCoalitionNext:
 
     def test_existential_golden(self):
         f = coalition_next({"a"}, Atom("p"), True, self.ALPH)
-        want = Know(
-            "a",
-            fm.And(
-                BoxAct((("a", "x"), ("b", "u")), Atom("p")),
-                BoxAct((("a", "x"), ("b", "v")), Atom("p")),
-            ),
-        )
-        assert f == want
+        assert f == Know("a", BoxAct((("a", "x"),), Atom("p")))
 
     def test_universal_golden(self):
         f = coalition_next({"a"}, Atom("p"), False, self.ALPH)
-        want = Poss(
-            "a",
-            fm.Or(
-                DiamondAct((("a", "x"), ("b", "u")), Atom("p")),
-                DiamondAct((("a", "x"), ("b", "v")), Atom("p")),
-            ),
-        )
-        assert f == want
+        assert f == Poss("a", DiamondAct((("a", "x"),), Atom("p")))
 
     @pytest.mark.parametrize("empty", ["a", "b"])
     def test_empty_alphabet_rejected(self, empty):
@@ -420,20 +408,57 @@ def three_agent_game(rng):
     return LabeledSystem(states, 1, trans, ["p1", "p2"], labels, obs, alphabets)
 
 
-class TestTranslatorDigest:
-    """Every translator on seeded instances, pinned by one sha256 over the
-    labeled system as a dict (key order included), the compiled plain
-    system, and the modal and compiled formulas as text: atl-until with
-    both dual values on 300 small_game_family games, the exhaustive tiny
-    games and 60 three-agent games; coalition_next for every agent of
-    several alphabets with both flags; parity_encoding for both players on
-    400 seeded games.  Computed before the encoders shared one step
-    builder, which must change none of them."""
+@functools.cache
+def translator_corpus():
+    """Every translator on seeded instances, as (labeled system, alphabets,
+    modal formula) triples: atl-until with both dual values on 300
+    small_game_family games, the exhaustive tiny games and 60 three-agent
+    games; coalition_next for every agent of several alphabets with both
+    flags, with no system; parity_encoding for both players on 400 seeded
+    games.  Built once per session: the corpus tests share it."""
+    import test_checker
 
-    DIGEST = "3d74b69c1328480ec75ede84b0f77acd8166c884183a8b3e9ff59c2747a96260"
+    rng = random.Random(1528)
+    corpus = []
 
-    @staticmethod
-    def update(h, g, phi):
+    def add(g, phi):
+        corpus.append((g, g.alphabets, phi))
+
+    games = small_game_family(300, rng, max_states=4)
+    games += exhaustive_tiny_games()
+    for g in games:
+        for dual in (False, True):
+            add(*atl_until_instance(g, "a0", "p1", "p2", dual=dual))
+    for _ in range(60):
+        g = three_agent_game(rng)
+        for dual in (False, True):
+            add(*atl_until_instance(g, "m", "p1", "p2", dual=dual))
+    for alphabets in (
+        {"a": ("x",)},
+        {"a": ("x", "y"), "b": ("u",)},
+        {"a": ("x",), "b": ("u", "v")},
+        {"a": ("x", "y"), "b": ("u", "v"), "c": ("s", "t", "w")},
+    ):
+        for a in alphabets:
+            for existential in (False, True):
+                f = coalition_next({a}, fm.Atom("p"), existential, alphabets)
+                corpus.append((None, alphabets, f))
+    for i in range(400):
+        game = test_checker.TestParityDigest.game(rng, i)
+        for player in (0, 1):
+            add(*parity_encoding(game, player))
+    return corpus
+
+
+def corpus_digest(corpus):
+    """One sha256 over the corpus: for each instance the labeled system as a
+    dict (key order included), the compiled plain system, and the modal and
+    compiled formulas as text; for a coalition_next formula its text."""
+    h = hashlib.sha256()
+    for g, _, phi in corpus:
+        if g is None:
+            h.update(fm.pretty(phi).encode())
+            continue
         c = compile_modal(g)
         for part in (
             labeled_system_to_dict(g),
@@ -442,33 +467,90 @@ class TestTranslatorDigest:
             fm.pretty(c.compile_formula(phi)),
         ):
             h.update(json.dumps(part).encode())
+    return h.hexdigest()
+
+
+def full_tuples(f, alphabets):
+    """f with each one-pair action modality [a=alpha] g (<a=alpha> g)
+    replaced by the &-join of [acts] g (the |-join of <acts> g) over the
+    joint actions acts in which agent a plays alpha, grouped to the left,
+    the other agents' actions in the order of itertools.product over the
+    sorted agents: the form the encoders wrote before they said "agent a
+    plays alpha" with one modality."""
+    kids = [full_tuples(c, alphabets) for c in f.children()]
+    if not isinstance(f, (BoxAct, DiamondAct)):
+        return fm._rebuild(f, kids) if kids else f
+    ((a, alpha),) = f.acts
+    others = [b for b in sorted(alphabets) if b != a]
+    join = fm.And if isinstance(f, BoxAct) else fm.Or
+    steps = [
+        type(f)(tuple(sorted(((a, alpha), *zip(others, combo)))), kids[0])
+        for combo in itertools.product(*(alphabets[b] for b in others))
+    ]
+    return functools.reduce(join, steps)
+
+
+class TestTranslatorDigest:
+    """The translator corpus pinned by one sha256 (see corpus_digest).
+    Re-pinned when the encoders began to say "agent a plays alpha" with one
+    modality; TestOneActionModality holds them to the form pinned before."""
+
+    DIGEST = "58d5f63022522b78a33508d323139e1999019516a1b2d619a4e55faf0e5cb19a"
 
     def test_digest(self):
-        import test_checker
+        assert corpus_digest(translator_corpus()) == self.DIGEST
 
-        rng = random.Random(1528)
-        h = hashlib.sha256()
-        games = small_game_family(300, rng, max_states=4)
-        games += exhaustive_tiny_games()
-        for g in games:
-            for dual in (False, True):
-                self.update(h, *atl_until_instance(g, "a0", "p1", "p2", dual=dual))
-        for _ in range(60):
-            g = three_agent_game(rng)
-            for dual in (False, True):
-                self.update(h, *atl_until_instance(g, "m", "p1", "p2", dual=dual))
-        for alphabets in (
-            {"a": ("x",)},
-            {"a": ("x", "y"), "b": ("u",)},
-            {"a": ("x",), "b": ("u", "v")},
-            {"a": ("x", "y"), "b": ("u", "v"), "c": ("s", "t", "w")},
-        ):
-            for a in alphabets:
-                for existential in (False, True):
-                    f = coalition_next({a}, fm.Atom("p"), existential, alphabets)
-                    h.update(fm.pretty(f).encode())
-        for i in range(400):
-            game = test_checker.TestParityDigest.game(rng, i)
-            for player in (0, 1):
-                self.update(h, *parity_encoding(game, player))
-        assert h.hexdigest() == self.DIGEST
+
+def coalition_instances():
+    """coalition_next over p1 and over p1 & EX p2 for every agent of 150
+    small games, both flags, each with the compiled game it is checked
+    on."""
+    rng = random.Random(1313)
+    for g in small_game_family(150, rng, max_states=4):
+        c = compile_modal(g)
+        for a in g.agents:
+            for existential in (False, True):
+                for f in (Atom("p1"), fm.And(Atom("p1"), fm.EX(Atom("p2")))):
+                    yield c, g.alphabets, coalition_next({a}, f, existential, g.alphabets)
+
+
+class TestOneActionModality:
+    """The encoders write "agent a plays alpha" as one modality, [a=alpha]
+    or <a=alpha>; full_tuples gives the join over joint actions they wrote
+    before, and the two decide the same on every compiled system.
+    FORMER_DIGEST is the corpus digest pinned before the change, so
+    full_tuples rebuilds the former encoders' output exactly."""
+
+    FORMER_DIGEST = "3d74b69c1328480ec75ede84b0f77acd8166c884183a8b3e9ff59c2747a96260"
+
+    def test_full_tuples_is_the_former_encoding(self):
+        former = [(g, alph, full_tuples(phi, alph)) for g, alph, phi in translator_corpus()]
+        assert corpus_digest(former) == self.FORMER_DIGEST
+
+    @staticmethod
+    def results(c, alphabets, phi):
+        for f in (phi, full_tuples(phi, alphabets)):
+            v, _, S = check_with_sets(c.system, c.compile_formula(f))
+            yield v.holds, v.refinement_sizes, v.iteration_counts, S
+
+    def test_same_sets_on_the_corpus(self):
+        for g, alphabets, phi in translator_corpus():
+            if g is not None:
+                new, old = self.results(compile_modal(g), alphabets, phi)
+                assert new == old
+
+    def test_same_sets_for_coalition_next(self):
+        for c, alphabets, phi in coalition_instances():
+            new, old = self.results(c, alphabets, phi)
+            assert new == old
+
+    def test_one_pair_per_action_tuple(self):
+        phis = [phi for _, _, phi in translator_corpus()]
+        phis += [phi for _, _, phi in coalition_instances()]
+        for phi in phis:
+            stack = [phi]
+            while stack:
+                f = stack.pop()
+                if isinstance(f, (BoxAct, DiamondAct)):
+                    assert len(f.acts) == 1, fm.pretty(f)
+                stack.extend(f.children())
