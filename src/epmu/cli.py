@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import formula as fm
 from .checker import check_with_sets
-from .distinction import distinction
+from .distinction import DistinctionSystem, distinction
 from .errors import EpmuError, FragmentRejected
 from .syntree import build_syntree, check_non_mixing
 from .system import DEFAULT_CAP, bounded_unfold, parse_system, system_to_dict, to_dot
@@ -102,6 +102,28 @@ def _fragment_dict(gate_witness):
     }
 
 
+NAME_LIMIT = 1024  # the longest state name a report spells out
+
+
+def _name_size(m, q):
+    """The length of m.state_name(q) and its tree digest (see README), found
+    bottom-up over the chain of bases without building the name."""
+    levels = [(m, {q})]
+    while isinstance(levels[-1][0], DistinctionSystem):
+        d, need = levels[-1]
+        levels.append((d.base, {r for i in need for r in (d.pair_of[i][0], *d.pair_of[i][1])}))
+    base, need = levels.pop()
+    sizes = {i: (len(base.state_name(i)), _digest(base.state_name(i))) for i in need}
+    for d, need in reversed(levels):
+        below, sizes = sizes, {}
+        for i in need:
+            s, S = d.pair_of[i]
+            parts = [below[r] for r in (s, *sorted(S))]
+            text = "({},{{{}}})".format(parts[0][1], ",".join([h for _, h in parts[1:]]))
+            sizes[i] = sum([n for n, _ in parts]) + len(S) + 4, _digest(text)
+    return sizes[q]
+
+
 def _write_report(args, report):
     if getattr(args, "report", None):
         Path(args.report).write_text(json.dumps(report, indent=2) + "\n")
@@ -144,10 +166,12 @@ def cmd_check(args):
 
     report["fragment"] = _fragment_dict(None)
     report["verdict"] = verdict.holds
+    length, digest = _name_size(verdict.final, verdict.final.q0)
+    summary = f"<{length} characters, sha256 tree digest {digest}>"
     report["statistics"] = {
         "refinement_sizes": verdict.refinement_sizes,
         "iteration_counts": verdict.iteration_counts,
-        "initial_state": verdict.initial_state,
+        "initial_state": verdict.initial_state if length <= NAME_LIMIT else summary,
         "wall_time": verdict.wall_time,
     }
     report["warnings"] = warnings

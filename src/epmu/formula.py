@@ -307,7 +307,10 @@ def subst(f, var, repl):
 def to_positive_form(f):
     """Push negations to atoms, rename bound variables apart, drop vacuous
     binders.  Raises NonMonotoneVariable for odd-polarity bound occurrences."""
-    g, free = depth_guarded("positive form", _push, f, False, frozenset())
+    kept = []
+    g, free = depth_guarded("positive form", _push, f, False, frozenset(), kept)
+    if len(set(kept)) == len(kept):  # renaming would return an equal tree
+        return g
     return depth_guarded("positive form", _rename_apart, g, free)
 
 
@@ -320,9 +323,10 @@ _DUAL = {
 _NO_VARS = frozenset()
 
 
-def _push(f, neg, flipped):
+def _push(f, neg, flipped, kept):
     """The positive form of f (of ~f when neg) and its free variables, found
-    bottom-up so that a binder need not walk its body again."""
+    bottom-up so that a binder need not walk its body again; the name of
+    each binder kept is appended to kept."""
     t = type(f)
     if t is Atom:
         return (NegAtom(f.name) if neg else f), _NO_VARS
@@ -337,27 +341,28 @@ def _push(f, neg, flipped):
             raise NonMonotoneVariable(f.name)
         return f, frozenset([f.name])
     if t is Not:
-        return _push(f.child, not neg, flipped)
+        return _push(f.child, not neg, flipped, kept)
     op = _DUAL.get(t) if neg else t
     if t is And or t is Or:
-        left, left_free = _push(f.left, neg, flipped)
-        right, right_free = _push(f.right, neg, flipped)
+        left, left_free = _push(f.left, neg, flipped, kept)
+        right, right_free = _push(f.right, neg, flipped, kept)
         return op(left, right), left_free | right_free
     if t is Mu or t is Nu:
         # ~mu Z.phi == nu Z.~phi[Z/~Z]
         flips = (flipped ^ {f.var}) if neg else (flipped - {f.var})
-        body, free = _push(f.body, neg, frozenset(flips))
+        body, free = _push(f.body, neg, frozenset(flips), kept)
         if f.var not in free:
             return body, free
+        kept.append(f.var)
         return op(f.var, body), free - {f.var}
     if t is AX or t is EX:
-        child, free = _push(f.child, neg, flipped)
+        child, free = _push(f.child, neg, flipped, kept)
         return op(child), free
     if t is Know or t is Poss:
-        child, free = _push(f.child, neg, flipped)
+        child, free = _push(f.child, neg, flipped, kept)
         return op(f.agent, child), free
     if t is DiamondAct or t is BoxAct:
-        child, free = _push(f.child, neg, flipped)
+        child, free = _push(f.child, neg, flipped, kept)
         return op(f.acts, child), free
     raise TypeError(f"unexpected node {f!r}")
 

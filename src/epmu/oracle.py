@@ -40,6 +40,9 @@ def eval_tree(prefix, f, require_root=True):
 
     all_nodes = frozenset(prefix.nodes)
 
+    def parents(S):
+        return frozenset([x[:-1] for x in S if len(x) > 1])
+
     def ev(g):
         if isinstance(g, fm.TrueF):
             return all_nodes
@@ -56,12 +59,11 @@ def eval_tree(prefix, f, require_root=True):
             return ev(g.left) & ev(g.right)
         if isinstance(g, fm.Or):
             return ev(g.left) | ev(g.right)
+        # on a tree, x has a child in S iff x is the parent of a node of S
         if isinstance(g, fm.AX):
-            S = ev(g.child)
-            return frozenset(x for x in prefix.nodes if S.issuperset(prefix.children(x)))
+            return all_nodes - parents(all_nodes - ev(g.child))
         if isinstance(g, fm.EX):
-            S = ev(g.child)
-            return frozenset(x for x in prefix.nodes if not S.isdisjoint(prefix.children(x)))
+            return parents(ev(g.child))
         if isinstance(g, (fm.Know, fm.Poss)):
             S = ev(g.child)
             out = set()

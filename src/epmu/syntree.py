@@ -63,30 +63,23 @@ def _build(f, path):
     node = SynNode(path, f, closed=not free, children=children, binds=binds)
     if free:
         node.free = frozenset(free)
-    # AgNCl: agents of epistemic operators reachable through non-closed nodes
-    if not node.closed:
-        acc = set()
-        if isinstance(f, fm.EPISTEMIC):
-            acc.add(f.agent)
-        for child in node.children:
-            if not child.closed:
-                acc |= child.agncl
-        node.agncl = frozenset(acc)
+        # AgNCl: agents of epistemic operators reachable through non-closed
+        # nodes; a closed child's set is empty
+        agents = {f.agent} if isinstance(f, fm.EPISTEMIC) else set()
+        node.agncl = frozenset(agents.union(*[c.agncl for c in children]))
     return node, free
 
 
 def frontier_nodes(node):
     """Nearest closed descendants of a non-closed node, left to right."""
     out = []
-
-    def walk(n):
-        for c in n.children:
-            if c.closed:
-                out.append(c)
-            else:
-                walk(c)
-
-    walk(node)
+    stack = list(reversed(node.children))
+    while stack:
+        n = stack.pop()
+        if n.closed:
+            out.append(n)
+        else:
+            stack.extend(reversed(n.children))
     return out
 
 
@@ -113,8 +106,16 @@ class FragmentVerdict(FrozenRecord):
 def check_non_mixing(tree, obs):
     """Accept iff at every node the observable sets of the AgNCl agents form
     a chain under inclusion (`chain_order`).  obs maps agent name -> set of
-    atoms."""
-    for node in tree:
+    atoms.
+
+    Only the tops of the non-closed parts are read: the root, and the body
+    of each closed binder, as `RefinementChain.region` does.  AgNCl is empty
+    at a closed node, a non-closed node's set holds those of its non-closed
+    children, and a closed node with a non-closed child binds its variable.
+    So every node's set lies in its top's, which comes earlier in pre-order,
+    and a subset of a chain is a chain: the verdict, the first witness and
+    the `UnknownAgent` are those of a walk over every node."""
+    for node in _part_tops(tree):
         for a in sorted(node.agncl):
             if a not in obs:
                 raise UnknownAgent(a)
@@ -124,3 +125,14 @@ def check_non_mixing(tree, obs):
             except NonChainAgents as e:
                 return FragmentVerdict(False, FragmentWitness(node.path, e.agent_a, e.agent_b))
     return FragmentVerdict(True)
+
+
+def _part_tops(tree):
+    """The root and each closed binder's body, in pre-order (binders lie under `binds`)."""
+    yield tree
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node.closed and isinstance(node.form, fm.BINDERS):
+            yield node.children[0]
+        stack.extend(reversed([c for c in node.children if c.binds]))

@@ -2,6 +2,8 @@ import copy
 import importlib
 import io
 import json
+import random
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -224,6 +226,51 @@ class TestCheck:
         out, err = capsys.readouterr()
         assert err == "error: formula is nested too deeply for the evaluation phase\n"
         assert "holds" not in out
+
+    def test_long_initial_state_name_summarised(self, loop_file, tmp_path, capsys):
+        # the name "(1,{1})" doubles with each K: 6 * 2**n - 5 characters
+        from epmu import check, parse_formula
+
+        def reported(n):
+            report = tmp_path / f"r{n}.json"
+            formula = "K a . " * n + "p"
+            assert main(["check", "--system", loop_file, "--formula", formula,
+                         "--report", str(report)]) == 0
+            assert len(report.read_bytes()) < 4096
+            return json.loads(report.read_text())["statistics"]["initial_state"]
+
+        m = parse_system(open(loop_file).read())
+        assert reported(7) == check(m, parse_formula("K a . " * 7 + "p")).initial_state
+        assert reported(8).startswith("<1531 characters, sha256 tree digest ")
+        start = time.perf_counter()
+        name = reported(60)  # a name that could not be built
+        assert time.perf_counter() - start < 5
+        assert name.startswith(f"<{6 * 2 ** 60 - 5} characters, sha256 tree digest ")
+
+    def test_name_size_matches_the_name(self, loop_file, sys2):
+        from epmu import check, parse_formula
+        from epmu.cli import _name_size
+        from epmu.gen import random_system
+
+        systems = [parse_system(open(loop_file).read()), sys2]
+        rng = random.Random(8)
+        systems += [random_system(rng, max_states=4) for _ in range(10)]
+        digests = {}
+        shared = 0  # states whose belief set has two or more members
+        for m in systems:
+            for n in range(13):
+                agents = [rng.choice(m.agents) for _ in range(n)]
+                text = "".join(f"K {a} . EX " for a in agents) + "p"
+                v = check(m, parse_formula(text))
+                sizes = {q: _name_size(v.final, q) for q in v.final.states}
+                if sum([length for length, _ in sizes.values()]) > 10**6:
+                    break
+                for q, (length, digest) in sizes.items():
+                    shared += n > 0 and len(v.final.pair_of[q][1]) > 1
+                    name = v.final.state_name(q)
+                    assert length == len(name), (text, m, q)
+                    assert digests.setdefault(name, digest) == digest
+        assert len(set(digests.values())) == len(digests) > 100 and shared > 20
 
     def test_negative_cap_exit_three(self, loop_file, capsys):
         # a one-state refinement never reaches the cap check, so it must be

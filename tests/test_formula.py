@@ -4,7 +4,14 @@ import random
 import pytest
 
 from epmu import formula as fm
-from epmu.errors import FormulaSyntaxError, FormulaTooDeep, NonMonotoneVariable
+from epmu.distinction import chain_order
+from epmu.errors import (
+    FormulaSyntaxError,
+    FormulaTooDeep,
+    NonChainAgents,
+    NonMonotoneVariable,
+    UnknownAgent,
+)
 from epmu.gen import random_plain_formula, random_single_binder_formula
 from epmu.formula import (
     AX,
@@ -410,3 +417,130 @@ class TestFrontEndCorpus:
                 out.append(f"{type(e).__name__}\t{e}\t{where[0]}\t{where[1]}")
         digest = hashlib.sha256("\n".join(out).encode()).hexdigest()
         assert digest == "5ad059e62a09b67f3a79a59fd630508396e00616c2f5e414108df83d2b2115be"
+
+
+def _reference_gate(tree, obs):
+    """The gate read at every node of the tree, in pre-order: the verdict
+    as (accepted, witness), or ("unknown", agent)."""
+    for node in tree:
+        for a in sorted(node.agncl):
+            if a not in obs:
+                return "unknown", a
+        if len(node.agncl) > 1:
+            try:
+                chain_order(obs, node.agncl)
+            except NonChainAgents as e:
+                return False, (node.path, e.agent_a, e.agent_b)
+    return True, None
+
+
+def _gate_outcome(tree, obs):
+    try:
+        v = check_non_mixing(tree, obs)
+    except UnknownAgent as e:
+        return "unknown", e.agent
+    w = v.witness
+    return v.accepted, None if w is None else (w.node_path, w.agent_a, w.agent_b)
+
+
+def _gate_corpus(seed, count):
+    """Seeded monotone formula texts over agents a, b and c, with free
+    variables, nested binders, C{x,y} and E{x,y}."""
+    rng = random.Random(seed)
+
+    def go(depth, bound):
+        if depth == 0 or rng.random() < 0.15:
+            return rng.choice(["p", "~q", "r", "true", "W", "V"] + sorted(bound) * 2)
+        kind = rng.choice(["&", "|", "K", "P", "AX", "EX", "C", "E", "mu", "nu", "mu", "nu"])
+        if kind in ("&", "|"):
+            return f"({go(depth - 1, bound)}) {kind} ({go(depth - 1, bound)})"
+        if kind in ("mu", "nu"):
+            v = rng.choice("XYZ")
+            return f"{kind} {v} . ({go(depth - 1, bound | {v})})"
+        if kind in ("C", "E"):
+            x, y = rng.sample("abc", 2)
+            return f"{kind}{{{x},{y}}} ({go(depth - 1, bound)})"
+        if kind in ("K", "P"):
+            return f"{kind} {rng.choice('aabbc')} . ({go(depth - 1, bound)})"
+        return f"{kind} ({go(depth - 1, bound)})"
+
+    return [go(rng.randint(1, 7), frozenset()) for _ in range(count)]
+
+
+# a chain, an incomparable pair, an unknown agent c, and equal sets
+_GATE_OBS = [
+    {"a": {"p"}, "b": {"p", "q"}, "c": {"p", "q", "r"}},
+    {"a": {"p"}, "b": {"q"}, "c": {"p", "q"}},
+    {"a": {"p", "q"}, "b": {"q"}},
+    {"a": set(), "b": {"p"}, "c": {"q"}},
+    {"a": {"p"}, "b": {"p"}},
+]
+
+
+class TestGateReadsPartTops:
+    def test_agrees_with_the_per_node_gate(self):
+        trees = [build_syntree(to_positive_form(parse_formula(t))) for t in _gate_corpus(14, 5000)]
+        outcomes = {"unknown": 0, False: 0, True: 0}
+        open_roots = nested = 0
+        for tree in trees:
+            open_roots += not tree.closed
+            nested += any(
+                c.closed and isinstance(c.form, fm.BINDERS)
+                for n in tree if not n.closed for c in n.children
+            )
+            for obs in _GATE_OBS:
+                want = _reference_gate(tree, obs)
+                assert _gate_outcome(tree, obs) == want, (pretty(tree.form), obs)
+                outcomes[want[0]] += 1
+        assert min(outcomes.values()) > 1000, outcomes
+        assert open_roots > 1000 and nested > 200, (open_roots, nested)
+
+    def test_frontier_nodes_left_to_right(self):
+        def reference(node):
+            out = []
+            for c in node.children:
+                out.extend([c] if c.closed else reference(c))
+            return out
+
+        checked = 0
+        for text in _gate_corpus(15, 500):
+            for node in build_syntree(to_positive_form(parse_formula(text))):
+                if not node.closed:
+                    assert frontier_nodes(node) == reference(node)
+                    checked += 1
+        assert checked > 1000
+
+
+def _renamed_unconditionally(f):
+    g, free = fm._push(f, False, frozenset(), [])
+    return fm._rename_apart(g, free)
+
+
+class TestRenamingSkipped:
+    def test_same_positive_forms_as_renaming_always(self):
+        texts = _front_end_corpus(11, 4000) + _ck_free_corpus(5, 400)
+        compared = 0
+        for text in texts:
+            try:
+                f = parse_formula(text)
+                want = _renamed_unconditionally(f)
+            except (FormulaSyntaxError, NonMonotoneVariable):
+                continue
+            assert to_positive_form(f) == want, text
+            compared += 1
+        assert compared > 2500
+
+    def test_repeated_binder_is_renamed(self, monkeypatch):
+        # distinct names, a free variable named like a binder, and a vacuous
+        # repeat that the positive form drops need no renaming
+        texts = ["mu Z . (EX Z & nu Y . (EX Y | Z1))", "Z & mu Z . EX Z", "mu Z . p & mu Z . EX Z"]
+        wants = [_renamed_unconditionally(parse_formula(text)) for text in texts]
+        calls = []
+        rename = fm._rename_apart
+        monkeypatch.setattr(fm, "_rename_apart", lambda g, free: calls.append(g) or rename(g, free))
+        for text, want in zip(texts, wants):
+            assert to_positive_form(parse_formula(text)) == want
+        assert calls == []
+        g = to_positive_form(parse_formula("mu Z . (EX Z & mu Z . (EX Z | Z1))"))
+        assert g == parse_formula("mu Z . (EX Z & mu Z2 . (EX Z2 | Z1))")
+        assert fm.free_vars(g) == {"Z1"} and len(calls) == 1

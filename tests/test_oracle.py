@@ -78,6 +78,63 @@ class TestEvalTree:
                 assert all(inside) or not any(inside)
 
 
+def _deadlock_system(rng):
+    """A random system of up to 5 states in which some states may have no
+    successor."""
+    n = rng.randint(1, 5)
+    states = list(range(n))
+    delta = [(q, r) for q in states for r in states if rng.random() < 0.35]
+    labels = {q: {a for a in ("p", "q") if rng.random() < 0.5} for q in states}
+    return MultiAgentSystem(states, 0, delta, ["p", "q"], labels, {"a": {"p"}})
+
+
+def _modal_formula(rng, depth):
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice([fm.Atom("p"), fm.Atom("q"), fm.NegAtom("p"), fm.TRUE, fm.FALSE])
+    kind = rng.choice([fm.AX, fm.EX, fm.AX, fm.EX, fm.And, fm.Or, fm.Not])
+    if kind in (fm.And, fm.Or):
+        return kind(_modal_formula(rng, depth - 1), _modal_formula(rng, depth - 1))
+    return kind(_modal_formula(rng, depth - 1))
+
+
+def _scan_eval(prefix, g):
+    """Tree semantics with AX/EX read from each node's children."""
+    nodes = frozenset(prefix.nodes)
+    if isinstance(g, fm.TrueF):
+        return nodes
+    if isinstance(g, fm.FalseF):
+        return frozenset()
+    if isinstance(g, (fm.Atom, fm.NegAtom)):
+        S = frozenset(x for x in nodes if g.name in prefix.system.labels[x[-1]])
+        return S if isinstance(g, fm.Atom) else nodes - S
+    if isinstance(g, fm.Not):
+        return nodes - _scan_eval(prefix, g.child)
+    if isinstance(g, (fm.And, fm.Or)):
+        S1, S2 = _scan_eval(prefix, g.left), _scan_eval(prefix, g.right)
+        return S1 & S2 if isinstance(g, fm.And) else S1 | S2
+    S = _scan_eval(prefix, g.child)
+    if isinstance(g, fm.AX):
+        return frozenset(x for x in nodes if all(y in S for y in prefix.children(x)))
+    return frozenset(x for x in nodes if any(y in S for y in prefix.children(x)))
+
+
+class TestEvalTreeModal:
+    def test_ax_ex_match_a_scan_of_the_children(self):
+        rng = random.Random(23)
+        dead = 0
+        for _ in range(150):
+            m = _deadlock_system(rng)
+            dead += bool(m.deadlocks())
+            t = bounded_unfold(m, rng.randint(0, 4))
+            for _ in range(8):
+                f = _modal_formula(rng, 4)
+                ns = eval_tree(t, f, require_root=False)
+                want = _scan_eval(t, f)
+                assert ns.nodes == {x for x in want if len(x) - 1 <= ns.valid_depth}
+                assert ns.root_holds == ((m.q0,) in want)
+        assert dead > 50
+
+
 class TestGammaByRuns:
     def test_sys1_saturation(self, sys1):
         g = gamma_by_runs(sys1, "a", 4)
