@@ -40,7 +40,7 @@ from functools import cached_property, partial
 from operator import itemgetter
 
 from . import formula as fm
-from .distinction import distinction, refine_for_agents
+from .distinction import distinction, refine_for_agents, short_name
 from .errors import EpmuError, FragmentRejected, MonotonicityViolated, depth_guarded
 from .syntree import build_syntree, check_non_mixing, frontier_nodes
 from .system import DEFAULT_CAP, BlockImage, compose_insplitting, identity_insplitting
@@ -118,14 +118,17 @@ class Verdict(fm.Record):
 
     `initial_state`, the name of the final system's initial state, is built
     on first read and then cached: belief-set names nest once per subset
-    construction and double in length with each.  For it a verdict holds
-    `final`, the chain's last system, which reaches every system of the
-    chain through `base`, with their cached tables, so a verdict keeps the
-    chain's systems alive until it is dropped; no system refers back to a
-    finer one, so reference counting then frees them.  Neither `final` nor
-    `initial_state` is one of the `_fields`, so `==` and `repr` leave them
-    out; a verdict keeps a `__dict__` for the cached name, and copy and
-    pickle carry all of it.  Verdicts are not hashable."""
+    construction and double in length with each, so past 1 024 characters
+    (`distinction.NAME_LIMIT`) it reads as the summary "<N characters,
+    sha256 tree digest D>" of `distinction.short_name`, which never builds
+    the name.  For it a verdict holds `final`, the chain's last system,
+    which reaches every system of the chain through `base`, with their
+    cached tables, so a verdict keeps the chain's systems alive until it is
+    dropped; no system refers back to a finer one, so reference counting
+    then frees them.  Neither `final` nor `initial_state` is one of the
+    `_fields`, so `==` and `repr` leave them out; a verdict keeps a
+    `__dict__` for the cached name, and copy and pickle carry all of it.
+    Verdicts are not hashable."""
 
     _fields = ("holds", "refinement_sizes", "iteration_counts", "wall_time")
     __reduce__ = object.__reduce__
@@ -139,7 +142,7 @@ class Verdict(fm.Record):
 
     @cached_property
     def initial_state(self):
-        return depth_guarded("evaluation", self.final.state_name, self.final.q0)
+        return depth_guarded("evaluation", short_name, self.final, self.final.q0)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +481,7 @@ def node_set_on_prefix(chain, S, depth):
     return out, seen
 
 
-def eval_state_naive(m, f, cap=DEFAULT_CAP):
+def eval_state_naive(m, f):
     """Refinement-free state-based semantics: epistemic operators use the
     memoryless observational equivalence on states (same currently visible
     atoms), with no subset construction anywhere.  Forgets run history, hence

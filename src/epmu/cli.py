@@ -14,8 +14,8 @@ import sys
 from pathlib import Path
 
 from . import formula as fm
-from .checker import check_with_sets
-from .distinction import DistinctionSystem, distinction
+from .checker import check
+from .distinction import distinction
 from .errors import EpmuError, FragmentRejected
 from .syntree import build_syntree, check_non_mixing
 from .system import DEFAULT_CAP, bounded_unfold, parse_system, system_to_dict, to_dot
@@ -52,8 +52,8 @@ def _read_file(path):
 
 
 def _count_arg(text):
-    """A --cap (states) or --depth (steps) value: a count, so never negative;
-    argparse names the option in the error."""
+    """A --cap or EPMU_CAP (states) or --depth (steps) value: a count, so
+    never negative; argparse, or `_cap`, names the option in the error."""
     try:
         n = int(text)
     except ValueError:
@@ -64,32 +64,32 @@ def _count_arg(text):
 
 
 def _cap(args):
-    if getattr(args, "cap", None) is not None:
+    if args.cap is not None:
         return args.cap
     env = os.environ.get("EPMU_CAP")
-    if env:
-        try:
-            cap = int(env)
-        except ValueError as e:
-            raise EpmuError(f"EPMU_CAP is not an integer: {env!r}") from e
-        if cap < 0:
-            raise EpmuError(f"EPMU_CAP must not be negative: {cap}")
-        return cap
-    return DEFAULT_CAP
+    if not env:
+        return DEFAULT_CAP
+    try:
+        return _count_arg(env)
+    except argparse.ArgumentTypeError as e:
+        raise EpmuError(f"EPMU_CAP: {e}") from None
 
 
-def _load_formula(args, agents=None):
-    if args.formula and args.formula_file:
-        raise EpmuError("give either --formula or --formula-file, not both")
-    if args.formula_file:
-        text = _read_file(args.formula_file)
-        src = ("formula-file", args.formula_file, _digest(text))
-    elif args.formula:
-        text = args.formula
-        src = ("formula", "<arg>", _digest(text))
+def _load(args):
+    """The system, the formula over its agents and atoms, and the `inputs`
+    block of a report: the path and sha256 of each."""
+    sys_text = _read_file(args.system)
+    m = parse_system(sys_text)
+    if args.formula_file is None:
+        text, key, path = args.formula, "formula", "<arg>"
     else:
-        raise EpmuError("a formula is required (--formula or --formula-file)")
-    return fm.parse_formula(text, agents=agents), src
+        text, key, path = _read_file(args.formula_file), "formula-file", args.formula_file
+    f = fm.parse_formula(text, agents=m.agents, atoms=m.atoms)
+    inputs = {
+        "system": {"path": args.system, "sha256": _digest(sys_text)},
+        key: {"path": path, "sha256": _digest(text)},
+    }
+    return m, f, inputs
 
 
 def _fragment_dict(gate_witness):
@@ -102,30 +102,8 @@ def _fragment_dict(gate_witness):
     }
 
 
-NAME_LIMIT = 1024  # the longest state name a report spells out
-
-
-def _name_size(m, q):
-    """The length of m.state_name(q) and its tree digest (see README), found
-    bottom-up over the chain of bases without building the name."""
-    levels = [(m, {q})]
-    while isinstance(levels[-1][0], DistinctionSystem):
-        d, need = levels[-1]
-        levels.append((d.base, {r for i in need for r in (d.pair_of[i][0], *d.pair_of[i][1])}))
-    base, need = levels.pop()
-    sizes = {i: (len(base.state_name(i)), _digest(base.state_name(i))) for i in need}
-    for d, need in reversed(levels):
-        below, sizes = sizes, {}
-        for i in need:
-            s, S = d.pair_of[i]
-            parts = [below[r] for r in (s, *sorted(S))]
-            text = "({},{{{}}})".format(parts[0][1], ",".join([h for _, h in parts[1:]]))
-            sizes[i] = sum([n for n, _ in parts]) + len(S) + 4, _digest(text)
-    return sizes[q]
-
-
 def _write_report(args, report):
-    if getattr(args, "report", None):
+    if args.report:
         Path(args.report).write_text(json.dumps(report, indent=2) + "\n")
 
 
@@ -134,9 +112,7 @@ def _write_report(args, report):
 
 
 def cmd_check(args):
-    sys_text = _read_file(args.system)
-    m = parse_system(sys_text)
-    f, fsrc = _load_formula(args, agents=m.agents)
+    m, f, inputs = _load(args)
     # runs are infinite, so a deadlocked state has no semantics unless the
     # caller opts into vacuous AX there
     dead = list(m.deadlocks())
@@ -144,34 +120,20 @@ def cmd_check(args):
         raise EpmuError(f"deadlocked states {dead}; use --allow-deadlock to accept them")
     warnings = [f"deadlocked states accepted: {dead}"] if dead else []
 
-    report = {
-        "command": "check",
-        "inputs": {
-            "system": {"path": args.system, "sha256": _digest(sys_text)},
-            fsrc[0]: {"path": fsrc[1], "sha256": fsrc[2]},
-        },
-    }
+    report = {"command": "check", "inputs": inputs}
     try:
-        verdict, chain, _ = check_with_sets(m, f, cap=_cap(args))
+        verdict = check(m, f, cap=_cap(args))
     except FragmentRejected as e:
-        report["fragment"] = _fragment_dict(e.witness)
-        report["verdict"] = None
-        report["warnings"] = warnings
+        report.update(fragment=_fragment_dict(e.witness), verdict=None, warnings=warnings)
         _write_report(args, report)
-        print(
-            "rejected: formula mixes observations of agents "
-            f"{e.witness.agent_a} and {e.witness.agent_b}"
-        )
+        print(f"rejected: {e}")
         return EXIT_REJECTED
-
     report["fragment"] = _fragment_dict(None)
     report["verdict"] = verdict.holds
-    length, digest = _name_size(verdict.final, verdict.final.q0)
-    summary = f"<{length} characters, sha256 tree digest {digest}>"
     report["statistics"] = {
         "refinement_sizes": verdict.refinement_sizes,
         "iteration_counts": verdict.iteration_counts,
-        "initial_state": verdict.initial_state if length <= NAME_LIMIT else summary,
+        "initial_state": verdict.initial_state,
         "wall_time": verdict.wall_time,
     }
     report["warnings"] = warnings
@@ -185,34 +147,19 @@ def cmd_check(args):
 
 
 def cmd_analyze(args):
-    sys_text = _read_file(args.system)
-    m = parse_system(sys_text)
-    f, fsrc = _load_formula(args, agents=m.agents)
-    tree = build_syntree(fm.to_positive_form(f))
-    gate = check_non_mixing(tree, m.obs)
-    report = {
-        "command": "analyze",
-        "inputs": {
-            "system": {"path": args.system, "sha256": _digest(sys_text)},
-            fsrc[0]: {"path": fsrc[1], "sha256": fsrc[2]},
-        },
-        "fragment": _fragment_dict(None if gate else gate.witness),
-    }
+    m, f, inputs = _load(args)
+    gate = check_non_mixing(build_syntree(fm.to_positive_form(f)), m.obs)
+    report = {"command": "analyze", "inputs": inputs, "fragment": _fragment_dict(gate.witness)}
     _write_report(args, report)
-    if gate:
-        print(_green("accepted: non-mixing"))
-        return EXIT_HOLDS
-    w = gate.witness
-    print(
-        "rejected: formula mixes observations of agents "
-        f"{w.agent_a} and {w.agent_b} at node {list(w.node_path)}"
-    )
-    return EXIT_REJECTED
+    if not gate:
+        print(f"rejected: {FragmentRejected(gate.witness)}")
+        return EXIT_REJECTED
+    print(_green("accepted: non-mixing"))
+    return EXIT_HOLDS
 
 
 def cmd_distinguish(args):
-    sys_text = _read_file(args.system)
-    m = parse_system(sys_text)
+    m = parse_system(_read_file(args.system))
     d = distinction(m, args.agent, cap=_cap(args))
     if args.emit_dot:
         Path(args.emit_dot).write_text(to_dot(d))
@@ -238,18 +185,15 @@ def cmd_distinguish(args):
 def cmd_oracle(args):
     from .oracle import eval_tree
 
-    sys_text = _read_file(args.system)
-    m = parse_system(sys_text)
-    f, _ = _load_formula(args, agents=m.agents)
-    prefix_depth = args.depth
-    prefix = bounded_unfold(m, prefix_depth, cap=_cap(args))
+    m, f, _ = _load(args)
+    prefix = bounded_unfold(m, args.depth, cap=_cap(args))
     ns = eval_tree(prefix, fm.to_positive_form(f))
     if args.json:
         print(
             json.dumps(
                 {
                     "command": "oracle",
-                    "depth": prefix_depth,
+                    "depth": args.depth,
                     "valid_depth": ns.valid_depth,
                     "root_holds": ns.root_holds,
                     "satisfying_nodes": sorted(
@@ -264,27 +208,11 @@ def cmd_oracle(args):
     return EXIT_HOLDS if ns.root_holds else EXIT_NOT_HOLDS
 
 
-def _write_instance(outdir, mprime, phi, cap):
-    from .translate import compile_modal, labeled_system_to_dict
-
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "system.mas").write_text(
-        json.dumps(labeled_system_to_dict(mprime), indent=2) + "\n"
-    )
-    compiled = compile_modal(mprime, cap=cap)
-    (outdir / "compiled.mas").write_text(
-        json.dumps(system_to_dict(compiled.system), indent=2) + "\n"
-    )
-    plain_phi = compiled.compile_formula(phi)
-    (outdir / "formula.mu").write_text(fm.pretty(plain_phi) + "\n")
-    (outdir / "formula_modal.mu").write_text(fm.pretty(phi) + "\n")
-    return compiled, plain_phi
-
-
 def cmd_translate(args):
     from .translate import (
         atl_until_instance,
+        compile_modal,
+        labeled_system_to_dict,
         parity_encoding,
         parse_labeled_system,
         parse_parity_game,
@@ -297,12 +225,30 @@ def cmd_translate(args):
     else:
         game = parse_parity_game(_read_file(args.game))
         mprime, phi = parity_encoding(game, args.player)
-    _write_instance(args.out, mprime, phi, cap)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "system.mas").write_text(
+        json.dumps(labeled_system_to_dict(mprime), indent=2) + "\n"
+    )
+    compiled = compile_modal(mprime, cap=cap)
+    (out / "compiled.mas").write_text(
+        json.dumps(system_to_dict(compiled.system), indent=2) + "\n"
+    )
+    plain_phi = compiled.compile_formula(phi)
+    (out / "formula.mu").write_text(fm.pretty(plain_phi) + "\n")
+    (out / "formula_modal.mu").write_text(fm.pretty(phi) + "\n")
     print(f"instance written to {args.out}")
     return EXIT_HOLDS
 
 
 # ---------------------------------------------------------------------------
+
+
+def _option(*flags, **kwargs):
+    """A parser holding one option, for the subcommands to share as a parent."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument(*flags, **kwargs)
+    return p
 
 
 def build_parser():
@@ -315,59 +261,60 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def add_formula_args(sp):
-        sp.add_argument("--formula", help="formula in concrete syntax")
-        sp.add_argument("--formula-file", help="file holding the formula")
+    # the options of several subcommands, each declared once
+    system = _option("--system", required=True, help="system file (.mas)")
+    formula = argparse.ArgumentParser(add_help=False)
+    one_of = formula.add_mutually_exclusive_group(required=True)
+    one_of.add_argument("--formula", help="formula in concrete syntax")
+    one_of.add_argument("--formula-file", help="file holding the formula")
+    cap = _option(
+        "--cap", type=_count_arg, help=f"state cap (default: EPMU_CAP, else {DEFAULT_CAP})"
+    )
+    report = _option("--report", help="write a JSON report here")
+    as_json = _option("--json", action="store_true")
+    agent = _option("--agent", required=True)
+    out = _option("--out", required=True)
 
-    sp = sub.add_parser("check", help="decide root satisfaction")
-    sp.add_argument("--system", required=True)
-    add_formula_args(sp)
-    sp.add_argument("--report", help="write a JSON report here")
-    sp.add_argument("--cap", type=_count_arg, help="state cap for refinements")
+    sp = sub.add_parser(
+        "check", parents=[system, formula, report, cap], help="decide root satisfaction"
+    )
     sp.add_argument("--trace", action="store_true")
     sp.add_argument("--allow-deadlock", action="store_true")
     sp.set_defaults(fn=cmd_check)
 
-    sp = sub.add_parser("analyze", help="fragment gate only")
-    sp.add_argument("--system", required=True)
-    add_formula_args(sp)
-    sp.add_argument("--report")
+    sp = sub.add_parser(
+        "analyze", parents=[system, formula, report], help="fragment gate only"
+    )
     sp.set_defaults(fn=cmd_analyze)
 
-    sp = sub.add_parser("distinguish", help="subset construction for one agent")
-    sp.add_argument("--system", required=True)
-    sp.add_argument("--agent", required=True)
+    sp = sub.add_parser(
+        "distinguish", parents=[system, agent, as_json, cap],
+        help="subset construction for one agent",
+    )
     sp.add_argument("--emit-dot")
-    sp.add_argument("--json", action="store_true")
-    sp.add_argument("--cap", type=_count_arg)
     sp.set_defaults(fn=cmd_distinguish)
 
-    sp = sub.add_parser("oracle", help="bounded-tree brute-force evaluation")
-    sp.add_argument("--system", required=True)
-    add_formula_args(sp)
+    sp = sub.add_parser(
+        "oracle", parents=[system, formula, as_json, cap],
+        help="bounded-tree brute-force evaluation",
+    )
     sp.add_argument("--depth", type=_count_arg, required=True)
-    sp.add_argument("--json", action="store_true")
-    sp.add_argument("--cap", type=_count_arg)
     sp.set_defaults(fn=cmd_oracle)
 
     sp = sub.add_parser("translate", help="build model-checking instances")
     tsub = sp.add_subparsers(dest="mode", required=True)
 
-    tp = tsub.add_parser("atl-until", help="single-agent until objective")
-    tp.add_argument("--system", required=True, help="action-labeled .mas file")
-    tp.add_argument("--agent", required=True)
+    tp = tsub.add_parser(
+        "atl-until", parents=[system, agent, out, cap], help="single-agent until objective"
+    )
     tp.add_argument("--p1", required=True)
     tp.add_argument("--p2", required=True)
     tp.add_argument("--dual", action="store_true")
-    tp.add_argument("--out", required=True)
-    tp.add_argument("--cap", type=_count_arg)
     tp.set_defaults(fn=cmd_translate)
 
-    tp = tsub.add_parser("parity", help="parity-winning-region encoding")
+    tp = tsub.add_parser("parity", parents=[out, cap], help="parity-winning-region encoding")
     tp.add_argument("--game", required=True, help=".pg priority-annotated file")
     tp.add_argument("--player", type=int, default=0, choices=(0, 1))
-    tp.add_argument("--out", required=True)
-    tp.add_argument("--cap", type=_count_arg)
     tp.set_defaults(fn=cmd_translate)
 
     return p
@@ -382,9 +329,6 @@ def main(argv=None):
         return EXIT_ERROR if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except FragmentRejected as e:
-        print(f"rejected: {e}", file=sys.stderr)
-        return EXIT_REJECTED
     except EpmuError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR

@@ -20,6 +20,7 @@ never reads carried blocks.  The checker reads only the blocks."""
 
 from __future__ import annotations
 
+import hashlib
 from collections import deque
 from functools import cached_property
 
@@ -89,6 +90,44 @@ class DistinctionSystem(MultiAgentSystem):
 def _belief_name(base, s, S):
     members = ",".join(base.state_name(q) for q in sorted(S))
     return f"({base.state_name(s)},{{{members}}})"
+
+
+NAME_LIMIT = 1024  # the longest state name `short_name` spells out
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _name_size(m, q):
+    """The length of m.state_name(q) and its tree digest: the sha256 of a
+    base state's name, and for a belief state (s, S) the sha256 of
+    "(H(s),{H(q1),...})" over its members in state order.  Both are found
+    bottom-up over the chain of bases without building the name."""
+    levels = [(m, {q})]
+    while isinstance(levels[-1][0], DistinctionSystem):
+        d, need = levels[-1]
+        levels.append((d.base, {r for i in need for r in (d.pair_of[i][0], *d.pair_of[i][1])}))
+    base, need = levels.pop()
+    sizes = {i: (len(base.state_name(i)), _digest(base.state_name(i))) for i in need}
+    for d, need in reversed(levels):
+        below, sizes = sizes, {}
+        for i in need:
+            s, S = d.pair_of[i]
+            parts = [below[r] for r in (s, *sorted(S))]
+            text = "({},{{{}}})".format(parts[0][1], ",".join([h for _, h in parts[1:]]))
+            sizes[i] = sum([n for n, _ in parts]) + len(S) + 4, _digest(text)
+    return sizes[q]
+
+
+def short_name(m, q):
+    """m.state_name(q) when it has at most NAME_LIMIT characters, else
+    "<N characters, sha256 tree digest D>" (see `_name_size`), built
+    without the name."""
+    length, digest = _name_size(m, q)
+    if length <= NAME_LIMIT:
+        return m.state_name(q)
+    return f"<{length} characters, sha256 tree digest {digest}>"
 
 
 def _post_by_view(m, S, view):

@@ -64,7 +64,7 @@ class FragmentRejected(EpmuError):
         self.witness = witness  # FragmentWitness from epmu.syntree
         super().__init__(
             f"formula mixes observations of agents {witness.agent_a} and "
-            f"{witness.agent_b} at node {witness.node_path}"
+            f"{witness.agent_b} at node {list(witness.node_path)}"
         )
 
 

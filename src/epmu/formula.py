@@ -18,7 +18,13 @@ from __future__ import annotations
 
 import re
 
-from .errors import FormulaSyntaxError, NonMonotoneVariable, UnknownAgent, depth_guarded
+from .errors import (
+    FormulaSyntaxError,
+    NonMonotoneVariable,
+    UnknownAgent,
+    UnknownAtom,
+    depth_guarded,
+)
 
 _set = object.__setattr__
 
@@ -460,11 +466,12 @@ def _tokenize(text):
 
 
 class _Parser:
-    def __init__(self, text, agents=None):
+    def __init__(self, text, agents=None, atoms=None):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.agents = agents
+        self.atoms = atoms
         self._fresh = 0
         self._vars = None  # every variable name in the text, on first need
 
@@ -566,6 +573,8 @@ class _Parser:
         if kind == "false":
             return FALSE
         if kind == "ident":
+            if self.atoms is not None and t[1] not in self.atoms:
+                raise UnknownAtom(t[1])
             return Atom(t[1])
         if kind == "VAR":
             return Var(t[1])
@@ -596,10 +605,11 @@ class _Parser:
         return tuple(sorted(pairs))
 
 
-def parse_formula(text, agents=None):
+def parse_formula(text, agents=None, atoms=None):
     """Parse concrete syntax into an AST; derived operators (->, E, C) are
-    expanded here.  If an agent roster is given, unknown agents are rejected."""
-    p = _Parser(text, agents)
+    expanded here.  If an agent or atom roster is given, an agent or atom
+    outside it raises UnknownAgent or UnknownAtom."""
+    p = _Parser(text, agents, atoms)
     f = depth_guarded("parse", p.formula)
     t = p.next()
     if t[0] != "eof":

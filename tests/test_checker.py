@@ -139,6 +139,8 @@ class TestLazyInitialState:
         v = check(m, parse_formula("K a . " * 40 + "p"))
         assert v.holds and v.refinement_sizes == [1] * 41
         assert "initial_state" not in vars(v)
+        # read, it is the summary of a name of 6 * 2**40 - 5 characters
+        assert v.initial_state.startswith(f"<{6 * 2 ** 40 - 5} characters, sha256 tree digest ")
 
     def test_name_is_built_once_on_first_read(self, sys2):
         v = check(sys2, parse_formula("EX K a . p"))

@@ -77,8 +77,20 @@ class TestCheck:
         code = main(["check", "--system", str(tmp_path / "nope.mas"), "--formula", "p"])
         assert code == 3
 
-    def test_bad_formula_exit_three(self, sys2_file):
-        assert main(["check", "--system", sys2_file, "--formula", "mu Z ."]) == 3
+    @pytest.mark.parametrize(
+        "command,formula,err",
+        [
+            (["check"], "mu Z .", "error: expected a formula, got 'end of input' (line 1, column 7)"),
+            (["check"], "EX typo", "error: unknown atom: typo"),
+            (["analyze"], "EX typo", "error: unknown atom: typo"),
+            (["oracle", "--depth", "2"], "EX typo", "error: unknown atom: typo"),
+        ],
+        ids=["syntax", "check-unknown-atom", "analyze-unknown-atom", "oracle-unknown-atom"],
+    )
+    def test_bad_formula_exit_three(self, sys2_file, capsys, command, formula, err):
+        # sys2 declares only the atom p
+        assert main([*command, "--system", sys2_file, "--formula", formula]) == 3
+        assert capsys.readouterr().err == err + "\n"
 
     def test_no_formula_exit_three(self, sys2_file):
         assert main(["check", "--system", sys2_file]) == 3
@@ -249,7 +261,7 @@ class TestCheck:
 
     def test_name_size_matches_the_name(self, loop_file, sys2):
         from epmu import check, parse_formula
-        from epmu.cli import _name_size
+        from epmu.distinction import _name_size
         from epmu.gen import random_system
 
         systems = [parse_system(open(loop_file).read()), sys2]
@@ -311,7 +323,7 @@ class TestCheck:
     def test_digest_changes_with_input(self, sys2_file, tmp_path):
         r1, r2 = tmp_path / "a.json", tmp_path / "b.json"
         main(["check", "--system", sys2_file, "--formula", "p", "--report", str(r1)])
-        main(["check", "--system", sys2_file, "--formula", "q | p", "--report", str(r2)])
+        main(["check", "--system", sys2_file, "--formula", "~p | p", "--report", str(r2)])
         d1, d2 = json.loads(r1.read_text()), json.loads(r2.read_text())
         assert d1["inputs"]["formula"]["sha256"] != d2["inputs"]["formula"]["sha256"]
         assert d1["inputs"]["system"]["sha256"] == d2["inputs"]["system"]["sha256"]
@@ -618,35 +630,51 @@ FUZZ_SYSTEM = {
 }
 FUZZ_FORMULA = "K a . EX p | K b . q"
 ODD_IDS = [True, "1", 1.5, [1], 4, None]
+
+
+def _edge_place(d):
+    """Where the edges are: a system's transitions, a game's action labels."""
+    return (d, "transitions") if "transitions" in d else (d["actions"], "labels")
+
+
 # the places that hold a list, as (object, key)
 LIST_PLACES = [
-    lambda d: (d, "states"), lambda d: (d, "transitions"), lambda d: (d, "atoms"),
-    lambda d: (d["states"][0], "atoms"), lambda d: (d["agents"]["a"], "obs"),
+    lambda d: (d, "states"), _edge_place, lambda d: (d, "atoms"),
+    lambda d: (d["states"][0], "atoms"), lambda d: (next(iter(d["agents"].values())), "obs"),
 ]
+# odd action objects of a game label, and odd priorities
+ODD_ACTS = ["xu", ["x", "u"], {"e": "x"}, {"e": "z", "o": "u"}, {"e": 1, "o": "u"}, {}]
+ODD_PRIORITIES = [True, -1, 1.5, "2", None, [1], 0]
 
 
 def _mutate(d, kind, i, value):
-    """One edit of a copy of FUZZ_SYSTEM: i picks the place, value the odd
-    id, the wrong-typed value or the key."""
+    """One edit of a copy of FUZZ_SYSTEM or FUZZ_GAME: i picks the place,
+    value the odd id, the wrong-typed value or the key."""
     states = d["states"]
+    obj, key = _edge_place(d)
+    edges = obj[key]
     if kind == "duplicate":
         entry = states[i % len(states)]
         states.append({**entry, "atoms": sorted({"p", "q"} - set(entry["atoms"]))})
     elif kind == "swap-id":
         states[i % len(states)]["id"] = ODD_IDS[value % len(ODD_IDS)]
     elif kind == "swap-end":
-        end = value // len(ODD_IDS) % 2
-        d["transitions"][i % len(d["transitions"])][end] = ODD_IDS[value % len(ODD_IDS)]
+        end = [0, -1][value // len(ODD_IDS) % 2]
+        edges[i % len(edges)][end] = ODD_IDS[value % len(ODD_IDS)]
     elif kind == "initial":
         d["initial"] = ODD_IDS[value % len(ODD_IDS)]
     elif kind == "not-a-list":
         obj, key = LIST_PLACES[i % len(LIST_PLACES)](d)
         obj[key] = ["p", 1][value % 2]
     elif kind == "list-entry":
-        d["states" if value % 2 else "transitions"][i % 3] = ["p", 1][value // 2 % 2]
+        (states if value % 2 else edges)[i % 3] = ["p", 1][value // 2 % 2]
     elif kind == "drop":
         obj = [d, states[i % len(states)]][value % 2]
         del obj[sorted(obj)[i % len(obj)]]
+    elif kind == "acts":
+        edges[i % len(edges)][1] = ODD_ACTS[value % len(ODD_ACTS)]
+    elif kind == "priority":
+        states[i % len(states)]["priority"] = ODD_PRIORITIES[value % len(ODD_PRIORITIES)]
     return d
 
 
@@ -677,3 +705,111 @@ def test_loader_fuzz_exits_cleanly(tmp_path_factory, kind, i, value):
         for entry in d["states"]:
             if entry["id"] in m.labels:
                 assert m.labels[entry["id"]] == frozenset(entry.get("atoms", [])), entry
+
+
+def _exits_cleanly(argv, codes):
+    """Run the CLI; its exit code must be one of codes, and stderr empty or
+    one error line that names no Python exception.  Returns the code."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in codes, (code, err.getvalue())
+    lines = err.getvalue().splitlines()
+    assert len(lines) == (1 if code == 3 else 0), lines
+    for line in lines:
+        assert line.startswith("error: "), line
+        for name in ("Traceback", "TypeError", "KeyError", "AttributeError", "ValueError", "IndexError"):
+            assert name not in line, line
+    return code
+
+
+# Formulas over FUZZ_SYSTEM, the words their mutations insert (every token
+# kind of the concrete syntax, and names the system does not declare), and
+# the prefixes that nest them.
+FUZZ_FORMULAS = [
+    FUZZ_FORMULA, "mu Z . p | EX Z", "nu Z . q & K a . Z & K b . Z",
+    "C{a,b} (p -> AX q)", "E{a,b} ~p & P b . true",
+]
+FORMULA_WORDS = [
+    "p", "q", "typo", "Z", "Y", "true", "false", "~", "&", "|", "->", "(", ")", "EX", "AX",
+    "K a .", "P b .", "K c .", "mu Z .", "nu Y .", "C{a,b}", "E{a,c}", "<a=x>", "[b=u]", ".", "$",
+]
+NESTINGS = ["EX ", "~", "(", "K a . ", "P b . ", "mu Z . EX "]
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from(FUZZ_FORMULAS),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["insert", "delete", "replace"]),
+            st.integers(0, 20),
+            st.sampled_from(FORMULA_WORDS),
+        ),
+        max_size=3,
+    ),
+    st.sampled_from(NESTINGS),
+    st.sampled_from([0, 1, 3, 1000]),
+)
+def test_formula_fuzz_agrees_with_check(tmp_path_factory, text, edits, nesting, depth):
+    """Every mutation of a formula ends in exit 0-3 with at most one error
+    line, and a verdict is the one `check` gives on the same input."""
+    from epmu import check, parse_formula
+
+    words = text.split()
+    for edit, i, word in edits:
+        i %= len(words) + 1
+        if edit == "insert":
+            words.insert(i, word)
+        elif words and edit == "delete":
+            del words[i % len(words)]
+        elif words:
+            words[i % len(words)] = word
+    text = nesting * depth + " ".join(words)
+    path = tmp_path_factory.getbasetemp() / "formula-fuzz.mas"
+    path.write_text(json.dumps(FUZZ_SYSTEM))
+    code = _exits_cleanly(["check", "--system", str(path), "--formula", text], (0, 1, 2, 3))
+    if code in (0, 1):
+        m = parse_system(json.dumps(FUZZ_SYSTEM))
+        assert check(m, parse_formula(text, agents=m.agents, atoms=m.atoms)).holds == (code == 0)
+
+
+# A valid game for the translate fuzz: three states, two players, priorities.
+FUZZ_GAME = {
+    "states": [
+        {"id": 1, "atoms": ["s1"], "priority": 1},
+        {"id": 2, "atoms": [], "priority": 2},
+        {"id": 3, "atoms": ["s1", "s2"], "priority": 3},
+    ],
+    "initial": 1,
+    "atoms": ["s1", "s2"],
+    "agents": {"e": {"obs": ["s1"]}, "o": {"obs": ["s1", "s2"]}},
+    "actions": {
+        "alphabets": {"e": ["x", "y"], "o": ["u"]},
+        "labels": [
+            [1, {"e": "x", "o": "u"}, 2], [1, {"e": "y", "o": "u"}, 3], [2, {"e": "x", "o": "u"}, 2],
+            [2, {"e": "y", "o": "u"}, 1], [3, {"e": "x", "o": "u"}, 3], [3, {"e": "y", "o": "u"}, 3],
+        ],
+    },
+    "players": ["e", "o"],
+}
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from(["parity", "atl-until"]),
+    st.sampled_from(KINDS + ["acts", "priority"]),
+    st.integers(0, 5),
+    st.integers(0, 11),
+)
+def test_translate_fuzz_exits_cleanly(tmp_path_factory, mode, kind, i, value):
+    """Every mutation of a valid game, read as a .pg or a labeled .mas file,
+    ends in exit 0 or 3 with no traceback."""
+    d = _mutate(copy.deepcopy(FUZZ_GAME), kind, i, value)
+    base = tmp_path_factory.getbasetemp()
+    path = base / "fuzz.pg"
+    path.write_text(json.dumps(d))
+    args = ["--game", str(path)] if mode == "parity" else [
+        "--system", str(path), "--agent", "e", "--p1", "s1", "--p2", "s2",
+    ]
+    _exits_cleanly(["translate", mode, *args, "--out", str(base / "fuzz-out")], (0, 3))
