@@ -21,13 +21,21 @@ Two evaluators share the work:
   innermost binder's variable keeps its last value while its free
   variables keep their values; binders and the nodes above them never do,
   so every Kleene loop runs and the iteration counts do not depend on it.
+  An inner binder restarts from its seed at each step of an outer one and
+  meets the same iterates again, so each EX/AX/P/K image goes through a
+  table of its results by argument, made for the region and dropped with
+  it: no image of an argument is computed twice in one region.
 
 Γ is held as blocks: on every system the checker applies it to, Γ is an
 equivalence, so ``K S`` is the union of the blocks inside S and ``P S`` the
-union of the blocks meeting S.  Each subset construction carries the blocks
-of the agents its system is distinguished for (``distinction``), and a
-construction for an agent the system already carries is a copy; the chain
-order of ``refine_for_agents`` gives a region the blocks of all its agents.
+union of the blocks meeting S.  When every block of an agent is a single
+state, K and P are the identity, in a region and on the chain alike.  Each
+subset construction carries the blocks of the agents its system is
+distinguished for (``distinction``), and a construction for an agent the
+system already carries is a copy; the chain order of ``refine_for_agents``
+gives a region the blocks of all its agents.
+
+A leaf over an atom the system does not declare raises ``UnknownAtom``.
 
 ``eval_state_naive`` compiles the whole formula into a region over the
 input system with memoryless Γs (states grouped by what the agent sees).
@@ -41,7 +49,13 @@ from operator import itemgetter
 
 from . import formula as fm
 from .distinction import distinction, refine_for_agents, short_name
-from .errors import EpmuError, FragmentRejected, MonotonicityViolated, depth_guarded
+from .errors import (
+    EpmuError,
+    FragmentRejected,
+    MonotonicityViolated,
+    UnknownAtom,
+    depth_guarded,
+)
 from .syntree import build_syntree, check_non_mixing, frontier_nodes
 from .system import DEFAULT_CAP, BlockImage, compose_insplitting, identity_insplitting
 
@@ -90,7 +104,10 @@ class RefinementChain:
         d = distinction(self.final, f.agent, cap=self.cap)
         step = d.insplit
         self.extend(step)
-        return _KNOWLEDGE[type(f)](d.partitions[f.agent], step.pullback(S))
+        blocks = d.partitions[f.agent]
+        S = step.pullback(S)
+        # singleton blocks: K and P are the identity
+        return S if len(blocks) == len(d) else _KNOWLEDGE[type(f)](blocks, S)
 
     def region(self, node):
         """The set of a closed binder: evaluate its nearest closed
@@ -175,6 +192,10 @@ _KNOWLEDGE = {fm.Know: know_blocks, fm.Poss: poss_blocks}
 
 
 def atom_set(m, name):
+    """The states labelled with the atom; UnknownAtom if m does not declare
+    it."""
+    if name not in m.atoms:
+        raise UnknownAtom(name)
     return frozenset([q for q, atoms in m.labels.items() if name in atoms])
 
 
@@ -289,6 +310,19 @@ def _apply(op, a):
     return (lambda: op(a())) if callable(a) else op(a)
 
 
+def _memo(op):
+    """op with a table of its results by argument."""
+    table = {}
+
+    def memo(S):
+        out = table.get(S)
+        if out is None:
+            out = table[S] = op(S)
+        return out
+
+    return memo
+
+
 MASK_STATES = 512  # the largest region the kernel runs on masks
 
 
@@ -304,7 +338,12 @@ class Region:
     states, and so does the time of an EX, one lookup per state in its
     argument, so a larger region works on frozensets with `ex_f`, `ax_f`,
     `poss_blocks` and `know_blocks`, whose costs grow with the states and
-    transitions.  `ops` maps EX and each agent to its (image, dual).
+    transitions.  `ops` maps EX and each agent to its (image, dual), each
+    behind a table of its results by argument (`_memo`) that lives as long
+    as the region, so a Kleene loop that meets an iterate again reads its
+    image.  An agent whose Γ blocks are all singletons has no entry: K and
+    P are then the identity, and a K/P node compiles to its child's value
+    or closure.
 
     A node the chain evaluated (a frontier node) and a closed node without
     a binder compile to their value; every other node compiles to a
@@ -326,21 +365,24 @@ class Region:
     def __init__(self, system, partitions, frontier, iteration_counts):
         self.final = system
         n = len(system)
+        # an agent with n blocks has singletons: K and P are the identity
+        partitions = {a: blocks for a, blocks in partitions.items() if len(blocks) < n}
         if n <= MASK_STATES:
             self.encode = partial(to_mask, system)
             self.decode = partial(to_set, system)
             self.empty, self.full = 0, (1 << n) - 1
             image = system.pred_image
-            self.ops = {fm.EX: (image.__call__, image.dual)}
+            ops = {fm.EX: (image.__call__, image.dual)}
             for a, blocks in partitions.items():
                 image = BlockImage(system, blocks)
-                self.ops[a] = image.__call__, image.dual
+                ops[a] = image.__call__, image.dual
         else:
             self.encode = self.decode = frozenset
             self.empty, self.full = frozenset(), frozenset(system.states)
-            self.ops = {fm.EX: (partial(ex_f, system), partial(ax_f, system))}
+            ops = {fm.EX: (partial(ex_f, system), partial(ax_f, system))}
             for a, blocks in partitions.items():
-                self.ops[a] = partial(poss_blocks, blocks), partial(know_blocks, blocks)
+                ops[a] = partial(poss_blocks, blocks), partial(know_blocks, blocks)
+        self.ops = {key: (_memo(image), _memo(dual)) for key, (image, dual) in ops.items()}
         self.frontier = {node: self.encode(S) for node, S in frontier.items()}
         self.iteration_counts = iteration_counts
         self.env = []
@@ -378,7 +420,8 @@ class Region:
         elif t is fm.AX or t is fm.EX:
             fn = _apply(self.ops[fm.EX][t is fm.AX], a)
         elif t is fm.Know or t is fm.Poss:
-            fn = _apply(self.ops[f.agent][t is fm.Know], a)
+            ops = self.ops.get(f.agent)
+            fn = a if ops is None else _apply(ops[t is fm.Know], a)
         else:
             raise EpmuError("action modalities must be compiled away before checking")
         return self.kept(fn, node.free) if keep and callable(fn) else fn

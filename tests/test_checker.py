@@ -25,6 +25,7 @@ from epmu.errors import (
     FormulaTooDeep,
     FragmentRejected,
     MonotonicityViolated,
+    UnknownAtom,
     depth_guarded,
 )
 from epmu.formula import parse_formula, to_positive_form
@@ -431,7 +432,7 @@ class TestSetRegions:
         TestMaskKernels().test_naive_kernel_agrees_with_chain_on_scattered_ids()
 
     def test_naive_knowledge_on_frozensets(self, sys2, monkeypatch):
-        f = parse_formula("AX K a . p | nu Z . P a . (q & EX Z)")
+        f = parse_formula("AX K a . p | nu Z . P a . (~p & EX Z)")  # sys2 declares only p
         want = eval_state_naive(sys2, f)
         monkeypatch.setattr(checker, "MASK_STATES", 0)
         assert eval_state_naive(sys2, f) == want
@@ -527,3 +528,188 @@ class TestParityDigest:
             v, _, S = check_with_sets(c.system, c.compile_formula(phi))
             h.update(repr((v.holds, v.refinement_sizes, v.iteration_counts, sorted(S))).encode())
         assert h.hexdigest() == self.DIGEST
+
+
+def _hidden_game(rng, n, top):
+    """A game of n states and priorities up to top in which e sees one
+    state bit h and neither the priorities nor o's move: its region is
+    refined past the game's size by e's subset construction."""
+    states = list(range(1, n + 1))
+    trans = [(q, {"e": x, "o": u}, rng.choice(states)) for q in states for x in "xy" for u in "uv"]
+    atoms = [f"s{q}" for q in states] + ["h"]
+    labels = {q: {f"s{q}"} | ({"h"} if rng.random() < 0.5 else set()) for q in states}
+    priority = {q: rng.randint(1, top) for q in states}
+    return ParityGame(states, 1, trans, atoms, labels, {"e": {"h"}, "o": set(atoms)},
+                      {"e": ["x", "y"], "o": ["u", "v"]}, priority=priority, players=("e", "o"))
+
+
+def _hidden_check(n, seed):
+    ext, phi = parity_encoding(_hidden_game(random.Random(seed), n, 4), 0)
+    c = compile_modal(ext)
+    return check(c.system, c.compile_formula(phi))
+
+
+def _ring():
+    """MASK_STATES + 1 states on a ring with chords, every state labelled
+    with its own bits, all of which agent a sees."""
+    n = 513
+    rng = random.Random(23)
+    atoms = [f"b{j}" for j in range(n.bit_length())]
+    delta = [(i, (i + 1) % n) for i in range(n)] + [(i, rng.randrange(n)) for i in range(n)]
+    labels = {i: {b for j, b in enumerate(atoms) if i >> j & 1} for i in range(n)}
+    return MultiAgentSystem(range(n), 0, delta, atoms, labels, {"a": atoms})
+
+
+@pytest.fixture(params=[512, 0], ids=["masks", "sets"])
+def mask_states(request, monkeypatch):
+    monkeypatch.setattr(checker, "MASK_STATES", request.param)
+
+
+class TestImageTables:
+    """A region computes each modal image of each argument once, under both
+    kernels, and K and P of an agent whose Γ blocks are singletons are the
+    identity; the pinned results do not move."""
+
+    @staticmethod
+    def spy_images(monkeypatch):
+        """A list that gets, per run of a region, the list of the images it
+        computes, each as (operator, its table, argument)."""
+        regions = []
+        running = []
+        inside = []  # MaskImage.dual calls the image itself
+        run = checker.Region.run
+
+        def spy_run(region, node):
+            regions.append([])
+            running.append(regions[-1])
+            try:
+                return run(region, node)
+            finally:
+                running.pop()
+
+        def record(name, fn):
+            def spy(owner, S):
+                if not running or inside:
+                    return fn(owner, S)
+                running[-1].append((name, id(owner), S))
+                inside.append(name)
+                try:
+                    return fn(owner, S)
+                finally:
+                    inside.pop()
+
+            return spy
+
+        monkeypatch.setattr(checker.Region, "run", spy_run)
+        for cls in (MaskImage, BlockImage):
+            for name in ("__call__", "dual"):
+                spy = record(f"{cls.__name__}.{name}", getattr(cls, name))
+                monkeypatch.setattr(cls, name, spy)
+        for name in ("ax_f", "ex_f", "know_blocks", "poss_blocks"):
+            monkeypatch.setattr(checker, name, record(name, getattr(checker, name)))
+        return regions
+
+    @staticmethod
+    def assert_each_image_once(regions):
+        assert regions and all(regions)
+        for computed in regions:
+            assert len(set(computed)) == len(computed)
+
+    @pytest.mark.parametrize("text,seed,holds,sizes,iters", TestRegionMemo.THREE_BINDERS)
+    def test_three_binders(self, monkeypatch, mask_states, text, seed, holds, sizes, iters):
+        regions = self.spy_images(monkeypatch)
+        TestRegionMemo().test_every_kleene_loop_runs(text, seed, holds, sizes, iters)
+        self.assert_each_image_once(regions)
+
+    def test_parity_encoding(self, monkeypatch, mask_states):
+        regions = self.spy_images(monkeypatch)
+        v = _hidden_check(12, 0)
+        assert (v.holds, v.refinement_sizes) == (False, [35, 348])
+        assert v.iteration_counts == [3, 3, 2, 3, 3, 2, 3, 3, 2, 3, 2, 1, 1, 3, 1, 2, 1, 1, 3, 1,
+                                      3]
+        self.assert_each_image_once(regions)
+        names = {name for computed in regions for name, _, _ in computed}
+        assert {"BlockImage.dual", "know_blocks"} & names  # K of e, not the identity
+
+    # holds, iteration_counts and the sha256 of the sorted final set of
+    # TestSetRegions' ring formula, computed before singleton blocks were
+    # taken as the identity
+    RING = (
+        False, [12, 12, 12, 12, 4],
+        "34db1cad20de1658d982797e1fdf83af92ed74a13d2915bbaccf4ab227a204c0",
+    )
+
+    @pytest.mark.parametrize("limit", [0, 513], ids=["sets", "masks"])
+    def test_identity_on_singleton_blocks(self, monkeypatch, limit):
+        m = _ring()
+        f = parse_formula(
+            "nu X . mu Y . (b0 & b1 & b2 & K a . EX X) | (b3 & AX Y) | (b4 & P a . EX Y)"
+        )
+        calls = []
+        init = BlockImage.__init__
+
+        def spy_init(image, *args):
+            calls.append(args)
+            init(image, *args)
+
+        monkeypatch.setattr(BlockImage, "__init__", spy_init)
+        for name in ("know_blocks", "poss_blocks"):
+            fn = getattr(checker, name)
+            monkeypatch.setattr(checker, name, lambda *a, fn=fn: calls.append(a) or fn(*a))
+        monkeypatch.setattr(checker, "MASK_STATES", limit)
+        v, _, S = check_with_sets(m, f)
+        assert v.refinement_sizes == [513, 513] and len(v.final.partitions["a"]) == 513
+        assert calls == []
+        digest = hashlib.sha256(repr(sorted(S)).encode()).hexdigest()
+        assert (v.holds, v.iteration_counts, digest) == self.RING
+
+    def test_closed_knowledge_on_singleton_blocks(self, monkeypatch):
+        m = _ring()
+        calls = []
+        for t, fn in list(checker._KNOWLEDGE.items()):
+            monkeypatch.setitem(checker._KNOWLEDGE, t, lambda *a, fn=fn: calls.append(a) or fn(*a))
+        _, chain, S = check_with_sets(m, parse_formula("K a . EX b0 | P a . AX b1"))
+        assert [len(s) for s in chain.systems] == [513, 513, 513] and calls == []
+        chi = chain.composite().chi
+        want = ex_f(m, checker.atom_set(m, "b0")) | ax_f(m, checker.atom_set(m, "b1"))
+        assert len(S) == len(want) == len({chi[q] for q in S}) and {chi[q] for q in S} == want
+
+
+class TestLargeRegions:
+    """Games whose region, refined for a player who sees one state bit,
+    runs above MASK_STATES, on the frozenset kernel.  (game size, seed of
+    _hidden_game, holds, refinement_sizes, iteration_counts), computed
+    before regions had image tables."""
+
+    GAMES = [
+        (12, 1, True, [34, 587], [3, 3, 3, 3, 3, 3, 6, 3, 3, 3, 3, 3, 3, 2, 3, 1, 3, 1, 5, 1]),
+        (12, 4, False, [33, 529], [4, 4, 2, 2, 4, 4, 4, 2, 2, 4, 2, 3, 2, 2, 3, 3, 2, 2, 3, 2,
+                                   3, 1, 1, 3, 1, 3, 1, 1, 3, 1, 4]),
+        (12, 12, False, [31, 1192], [2, 2, 2, 3, 2, 2, 2, 3, 2, 2, 1, 1, 3, 1, 2, 1, 1, 3, 1, 3]),
+        (13, 0, False, [34, 694], [3, 3, 3, 3, 3, 3, 3, 3, 2, 2, 1, 1, 3, 1, 2, 1, 1, 3, 1, 3]),
+    ]
+
+    @pytest.mark.parametrize("n,seed,holds,sizes,iters", GAMES)
+    def test_pinned(self, n, seed, holds, sizes, iters):
+        v = _hidden_check(n, seed)
+        assert v.refinement_sizes[-1] > checker.MASK_STATES
+        assert (v.holds, v.refinement_sizes, v.iteration_counts) == (holds, sizes, iters)
+
+
+class TestUndeclaredAtoms:
+    """An atom the system does not declare is an error, wherever it stands."""
+
+    @pytest.mark.parametrize("text", [
+        "EX typo", "AX ~typo", "K a . typo", "mu Z . typo | EX Z",
+        "nu Z . p & AX (q | P a . ~typo)",
+    ])
+    def test_raises(self, sys1, text):
+        f = parse_formula(text)
+        for run in (check, check_with_sets, eval_state_naive):
+            with pytest.raises(UnknownAtom, match="^unknown atom: typo$"):
+                run(sys1, f)
+
+    def test_declared_atom_on_no_state(self, sys1):
+        # sys1 declares p and labels no state with it
+        assert check_with_sets(sys1, parse_formula("EX p | AX ~p"))[2] == {1, 2, 3}
+        assert eval_state_naive(sys1, parse_formula("mu Z . p | EX Z")) == frozenset()
