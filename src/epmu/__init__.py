@@ -12,6 +12,7 @@ from .distinction import (
     closed_form_gamma,
     compute_gamma,
     distinction,
+    insplitting,
     is_distinguished,
     know_op,
     poss_op,
@@ -46,8 +47,6 @@ from .system import (
     MultiAgentSystem,
     TreePrefix,
     bounded_unfold,
-    compose_insplitting,
-    identity_insplitting,
     parse_system,
     system_to_dict,
     system_to_json,

@@ -4,12 +4,12 @@ Two evaluators share the work:
 
 - ``evaluate`` walks the closed nodes along a ``RefinementChain``, on
   frozensets of states.  Each closed K/P extends the chain by a subset
-  construction for its agent, and earlier sets are pulled back along it, so
-  one chain is threaded left-to-right through the tree.  A closed binder
-  gets a region: its nearest closed descendants (the frontier) are
-  evaluated on the chain, which is then refined once for all agents whose
-  epistemic operators are non-closed in the body, and their Γ is taken
-  there.
+  construction for its agent, and earlier sets are pulled back along its
+  ``distinction.insplitting``, so one chain is threaded left-to-right
+  through the tree.  A closed binder gets a region: its nearest closed
+  descendants (the frontier) are evaluated on the chain, which is then
+  refined once for all agents whose epistemic operators are non-closed in
+  the body, and their Γ is taken there.
 - ``Region`` compiles the binder once, on that fixed system, into closures
   over int masks (bit i is the i-th state), and runs it: frontier sets are
   constants, And/Or are ``&``/``|``, EX reads the system's predecessor
@@ -48,22 +48,24 @@ from functools import cached_property, partial
 from operator import itemgetter
 
 from . import formula as fm
-from .distinction import distinction, refine_for_agents, short_name
+from .distinction import distinction, insplitting, refine_for_agents, short_name
 from .errors import (
     EpmuError,
     FragmentRejected,
     MonotonicityViolated,
+    UnknownAgent,
     UnknownAtom,
     depth_guarded,
 )
 from .syntree import build_syntree, check_non_mixing, frontier_nodes
-from .system import DEFAULT_CAP, BlockImage, compose_insplitting, identity_insplitting
+from .system import DEFAULT_CAP, BlockImage
 
 
 class RefinementChain:
     """Systems connected by in-splitting steps; systems[0] is the input,
     the last entry is the current finest system.  It evaluates closed nodes
-    and extends itself at K/P and at binders."""
+    and extends itself at K/P and at binders.  Each step and the composite
+    are `insplitting`s, read off the chain of bases of the finer system."""
 
     def __init__(self, base, cap=DEFAULT_CAP):
         self.systems = [base]
@@ -79,11 +81,13 @@ class RefinementChain:
         """Position token for pull_forward."""
         return len(self.systems)
 
-    def extend(self, insplit):
-        if insplit.target is not self.final:
-            raise EpmuError("refinement step does not attach to the chain")
-        self.steps.append(insplit)
-        self.systems.append(insplit.source)
+    def extend(self, system):
+        """Append a refinement of the final system; returns the step onto
+        it (SystemFormatError if the system does not refine it)."""
+        step = insplitting(system, self.final)
+        self.steps.append(step)
+        self.systems.append(system)
+        return step
 
     def pull_forward(self, S, mark):
         """Transport a set over systems[mark-1] to the final system."""
@@ -93,19 +97,14 @@ class RefinementChain:
 
     def composite(self):
         """The in-splitting final -> base."""
-        comp = identity_insplitting(self.systems[0])
-        for step in self.steps:
-            comp = compose_insplitting(comp, step)
-        return comp
+        return insplitting(self.final, self.systems[0])
 
     def knowledge(self, f, S):
         """A closed K/P: one subset construction for its agent, which
         carries the agent's Γ blocks."""
         d = distinction(self.final, f.agent, cap=self.cap)
-        step = d.insplit
-        self.extend(step)
+        S = self.extend(d).pullback(S)
         blocks = d.partitions[f.agent]
-        S = step.pullback(S)
         # singleton blocks: K and P are the identity
         return S if len(blocks) == len(d) else _KNOWLEDGE[type(f)](blocks, S)
 
@@ -120,8 +119,8 @@ class RefinementChain:
         agents = node.children[0].agncl
         partitions = {}
         if agents:
-            d, comp = refine_for_agents(self.final, agents, cap=self.cap)
-            self.extend(comp)
+            d = refine_for_agents(self.final, agents, cap=self.cap)
+            self.extend(d)
             missing = sorted(agents - d.partitions.keys())
             if missing:
                 raise EpmuError(f"refined region carries no Γ blocks for {', '.join(missing)}")
@@ -533,6 +532,8 @@ def eval_state_naive(m, f):
     tree = build_syntree(fm.to_positive_form(f))
     partitions = {}
     for a in {n.form.agent for n in tree if isinstance(n.form, fm.EPISTEMIC)}:
+        if a not in m.obs:
+            raise UnknownAgent(a)
         groups = {}
         for q in m.states:
             groups.setdefault(m.obs_label(q, a), []).append(q)

@@ -11,7 +11,8 @@ input already carries the agent's blocks, the construction changes nothing
 but the names, and it is an O(n) copy that carries all of them.
 
 A construction stores its transitions once, as the successor lists its
-search found, and names its states only when a name is read.
+search found, and names its states only when a name is read;
+`insplitting` reads the maps (s, S) -> s off its `pair_of` and `base`.
 
 The pairs-based `GammaRelation`, `compute_gamma`, `closed_form_gamma`,
 `know_op`, `poss_op` and `is_distinguished` are the reference definitions
@@ -24,7 +25,7 @@ import hashlib
 from collections import deque
 from functools import cached_property
 
-from .errors import CapacityExceeded, NonChainAgents, UnknownAgent
+from .errors import CapacityExceeded, NonChainAgents, SystemFormatError, UnknownAgent
 from .system import (
     DEFAULT_CAP,
     Finding,
@@ -32,14 +33,12 @@ from .system import (
     InSplitting,
     MultiAgentSystem,
     _check_shape,
-    compose_insplitting,
-    identity_insplitting,
 )
 
 
 class DistinctionSystem(MultiAgentSystem):
-    """A system whose states are (base state, belief set) pairs, together
-    with the in-splitting map back to the base system (`insplit`).
+    """A system whose states are (base state, belief set) pairs over the
+    system it refines (`base`); `insplitting` builds the map back to it.
 
     Built straight from the breadth-first search of `distinction`: state i
     is the i-th pair found and `succ[i]` lists the ids of its successors in
@@ -79,12 +78,23 @@ class DistinctionSystem(MultiAgentSystem):
     def names(self):
         return {i: self.state_name(i) for i in self.states}
 
-    @property
-    def insplit(self):
-        """The in-splitting (s, S) -> s onto `base`, built on each read:
-        kept on the system it would refer back to it, and every refined
-        system would wait for the cyclic garbage collector."""
-        return InSplitting(self, self.base, {i: s for i, (s, _) in self.pair_of.items()})
+
+def insplitting(fine, coarse):
+    """The in-splitting of `fine` onto `coarse`, a system on fine's chain of
+    bases: (s, S) -> s at each `base` link down to coarse, so the identity
+    when fine is coarse; SystemFormatError if coarse is not on the chain.
+    No system keeps its map, which would refer back to the system."""
+    chi, m = None, fine
+    while m is not coarse:
+        if not isinstance(m, DistinctionSystem):
+            raise SystemFormatError(
+                f"no in-splitting from {len(fine)} states onto {len(coarse)} states: "
+                "the coarse system is not on the fine one's chain of bases"
+            )
+        down = {i: s for i, (s, _) in m.pair_of.items()}
+        chi = down if chi is None else {q: down[i] for q, i in chi.items()}
+        m = m.base
+    return InSplitting(fine, coarse, {q: q for q in fine.states} if chi is None else chi)
 
 
 def _belief_name(base, s, S):
@@ -238,8 +248,8 @@ def _copy(m, agent, blocks, cap):
     its successor lists sorted, so the search would number the pairs as m
     numbers its states, and the belief of state i is its block, since Γ is
     the equivalence of equal belief and is closed under matching
-    transitions.  So state i becomes (i, block of i), the in-splitting
-    that `insplit` builds is the identity, and states, successors, labels
+    transitions.  So state i becomes (i, block of i), its `insplitting`
+    onto m is the identity, and states, successors, labels
     and any cached transition set, state bits and predecessor image are
     m's, and so are all of m's blocks: the copy has m's runs.  The capacity
     check fires at the count the search would reach: it never checks the
@@ -364,12 +374,8 @@ def chain_order(obs, agents):
 
 def refine_for_agents(m, agents, cap=DEFAULT_CAP):
     """Apply the subset construction once per agent, largest observable set
-    first, so the final system is distinguished for every agent in the set.
-    Returns the refined system and the composite in-splitting back to m."""
-    order = chain_order(m.obs, agents)
-    cur = m
-    comp = identity_insplitting(m)
-    for a in order:
-        cur = distinction(cur, a, cap=cap)
-        comp = compose_insplitting(comp, cur.insplit)
-    return cur, comp
+    first, so the refined system it returns is distinguished for every
+    agent in the set; `insplitting(refined, m)` maps it back to m."""
+    for a in chain_order(m.obs, agents):
+        m = distinction(m, a, cap=cap)
+    return m

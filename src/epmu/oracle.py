@@ -72,6 +72,8 @@ def eval_tree(prefix, f, require_root=True):
                     if S.issuperset(cls) if isinstance(g, fm.Know) else not S.isdisjoint(cls):
                         out.update(cls)
             return frozenset(out)
+        if isinstance(g, (fm.DiamondAct, fm.BoxAct)):
+            raise EpmuError("action modalities must be compiled away before checking")
         raise TypeError(f"unexpected node {g!r}")
 
     result = ev(f)
@@ -126,17 +128,17 @@ def _belief_graph(g, a0):
     return beliefs, moves
 
 
-def reachability_strategy_oracle(g, a0, p1, p2, horizon=None):
+def reachability_strategy_oracle(g, a0, p1, p2):
     """Exhaustively search belief-positional strategies for one achieving
-    "p1 until p2" on every compatible run within the horizon.  Sound and
-    complete at this scale: reachability on the belief construction admits
-    belief-positional winning strategies, and a losing play can be pumped
-    inside the finite (state, belief) product."""
+    "p1 until p2" on every compatible run within the horizon, the size of
+    the (state, belief) product.  Sound and complete at this scale:
+    reachability on the belief construction admits belief-positional
+    winning strategies, and a losing play longer than the horizon can be
+    pumped inside the product."""
     beliefs, moves = _belief_graph(g, a0)
     if len(beliefs) > 14:
         raise CapacityExceeded(len(beliefs), 14, "strategy enumeration")
-    if horizon is None:
-        horizon = len(beliefs) * len(g.states)
+    horizon = len(beliefs) * len(g.states)
     blist = sorted(beliefs, key=sorted)
 
     def wins(sigma):
@@ -181,7 +183,6 @@ def reachability_strategy_oracle(g, a0, p1, p2, horizon=None):
 def _attractor(nodes, edges, owner, target, player):
     """Standard attractor of `target` for `player` in a turn-based graph."""
     attr = set(target)
-    changed = True
     preds = {v: set() for v in nodes}
     for u, vs in edges.items():
         for v in vs:
@@ -228,7 +229,6 @@ def parity_oracle(game, player_index=0):
     parity game, via the turn-based expansion: the player picks an action,
     then the opponent picks a reply and resolves nondeterminism."""
     me = game.players[player_index]
-    opp = game.players[1 - player_index]
     nodes = set()
     edges = {}
     owner = {}

@@ -1,4 +1,5 @@
-"""Multi-agent systems, in-splitting maps, and depth-bounded unfoldings."""
+"""Multi-agent systems, in-splitting maps (those of a refinement chain are
+built by `epmu.distinction.insplitting`), and depth-bounded unfoldings."""
 
 from __future__ import annotations
 
@@ -358,10 +359,6 @@ class InSplitting:
         )
 
 
-def identity_insplitting(m):
-    return InSplitting(m, m, {q: q for q in m.states})
-
-
 def verify_in_splitting(s):
     """Check the four defining conditions; report the first violation."""
     fine, coarse, chi = s.source, s.target, s.chi
@@ -387,14 +384,6 @@ def verify_in_splitting(s):
     if chi[fine.q0] != coarse.q0:
         return Finding(False, "initial", fine.q0)
     return Finding(True)
-
-
-def compose_insplitting(outer, inner):
-    """Composite of inner: A -> B with outer: B -> C."""
-    if inner.target is not outer.source:
-        raise SystemFormatError("in-splitting composition: middle systems differ")
-    chi = {q: outer.chi[inner.chi[q]] for q in inner.source.states}
-    return InSplitting(inner.source, outer.target, chi)
 
 
 # ---------------------------------------------------------------------------

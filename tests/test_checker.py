@@ -25,6 +25,7 @@ from epmu.errors import (
     FormulaTooDeep,
     FragmentRejected,
     MonotonicityViolated,
+    UnknownAgent,
     UnknownAtom,
     depth_guarded,
 )
@@ -713,3 +714,15 @@ class TestUndeclaredAtoms:
         # sys1 declares p and labels no state with it
         assert check_with_sets(sys1, parse_formula("EX p | AX ~p"))[2] == {1, 2, 3}
         assert eval_state_naive(sys1, parse_formula("mu Z . p | EX Z")) == frozenset()
+
+
+class TestUndeclaredAgents:
+    """An agent the system does not declare is an error, on a closed K/P and
+    in a region alike."""
+
+    @pytest.mark.parametrize("text", ["K z . p", "nu Z . p & K z . Z"])
+    def test_raises(self, sys1, text):
+        f = parse_formula(text)
+        for run in (check, check_with_sets, eval_state_naive):
+            with pytest.raises(UnknownAgent, match="^unknown agent: z$"):
+                run(sys1, f)

@@ -84,8 +84,14 @@ class TestCheck:
             (["check"], "EX typo", "error: unknown atom: typo"),
             (["analyze"], "EX typo", "error: unknown atom: typo"),
             (["oracle", "--depth", "2"], "EX typo", "error: unknown atom: typo"),
+            (["check"], "<a=x> p", "error: action modalities must be compiled away before checking"),
+            (["oracle", "--depth", "2"], "<a=x> p",
+             "error: action modalities must be compiled away before checking"),
         ],
-        ids=["syntax", "check-unknown-atom", "analyze-unknown-atom", "oracle-unknown-atom"],
+        ids=[
+            "syntax", "check-unknown-atom", "analyze-unknown-atom", "oracle-unknown-atom",
+            "check-action-modality", "oracle-action-modality",
+        ],
     )
     def test_bad_formula_exit_three(self, sys2_file, capsys, command, formula, err):
         # sys2 declares only the atom p
@@ -364,6 +370,11 @@ class TestAnalyze:
     def test_accept(self, sys2_file, capsys):
         assert main(["analyze", "--system", sys2_file, "--formula", "mu Z . p | EX Z"]) == 0
         assert "accepted" in capsys.readouterr().out
+
+    def test_accept_action_modality(self, sys2_file, capsys):
+        # the gate accepts what check and oracle refuse to evaluate
+        assert main(["analyze", "--system", sys2_file, "--formula", "<a=x> p"]) == 0
+        assert capsys.readouterr().out == "accepted: non-mixing\n"
 
     def test_reject_names_agents(self, mixed_file, capsys):
         code = main([

@@ -9,6 +9,7 @@ from epmu.distinction import (
     closed_form_gamma,
     compute_gamma,
     distinction,
+    insplitting,
     is_distinguished,
     know_op,
     poss_op,
@@ -17,6 +18,7 @@ from epmu.distinction import (
 from epmu.errors import CapacityExceeded, NonChainAgents, SystemFormatError, UnknownAtom
 from epmu.gen import random_system
 from epmu.system import (
+    InSplitting,
     MultiAgentSystem,
     _check_shape,
     system_to_dict,
@@ -114,7 +116,7 @@ class TestDistinctionAgainstScan:
         assert d.states == ref.states and d.q0 == ref.q0
         assert d.delta == ref.delta
         assert d._succ == ref._succ
-        assert d.insplit.chi == {i: s for i, (s, _) in pairs.items()}
+        assert insplitting(d, d.base).chi == {i: s for i, (s, _) in pairs.items()}
         assert [d.state_name(i) for i in d.states] == [ref.state_name(i) for i in ref.states]
         assert system_to_dict(d) == system_to_dict(ref)
 
@@ -137,7 +139,7 @@ class TestDistinctionAgainstScan:
         d = distinction(m, "a")
         d.delta, d.bit_of, d.pred_image  # cached on d, handed on by the copy
         e = distinction(d, "a")
-        assert e.insplit.chi == {i: i for i in d.states}
+        assert insplitting(e, d).chi == {i: i for i in d.states}
         assert e._succ is d._succ and e.delta is d.delta and e.labels is d.labels
         assert e.bit_of is d.bit_of and e.pred_image is d.pred_image
         assert e.partitions["a"] == d.partitions["a"]
@@ -178,6 +180,44 @@ class TestDistinctionAgainstScan:
         assert raised > 15 and copies_raised > 15
         with pytest.raises(CapacityExceeded, match="during subset construction for agent a$"):
             distinction(d, "a", cap=1)
+
+
+def _one_level(d):
+    """The in-splitting (s, S) -> s of one construction onto its base."""
+    return InSplitting(d, d.base, {i: s for i, (s, _) in d.pair_of.items()})
+
+
+class TestInsplitting:
+    """`insplitting` maps the end of a chain of 2-4 constructions onto every
+    system of the chain as the one-level maps do in turn; agents alternate,
+    so some steps are copies."""
+
+    def test_random_chains(self):
+        rng = random.Random(17)
+        copies = 0
+        for _ in range(40):
+            m = random_system(rng, max_states=5, chain_obs=True)
+            agents = rng.choice([("a", "b"), ("b", "a")])
+            systems = [m]
+            for k in range(rng.randint(2, 4)):
+                copies += agents[k % 2] in systems[-1].partitions
+                systems.append(distinction(systems[-1], agents[k % 2]))
+            final = systems[-1]
+            for j, s in enumerate(systems):
+                comp = insplitting(final, s)
+                assert comp.source is final and comp.target is s
+                assert verify_in_splitting(comp)
+                A = frozenset(q for q in s.states if rng.random() < 0.5)
+                stepwise = A
+                for d in systems[j + 1 :]:
+                    stepwise = _one_level(d).pullback(stepwise)
+                assert comp.pullback(A) == stepwise
+                assert insplitting(s, s).chi == {q: q for q in s.states}
+                if s is not final:
+                    off = f"^no in-splitting from {len(s)} states onto {len(final)} states"
+                    with pytest.raises(SystemFormatError, match=off):
+                        insplitting(s, final)
+        assert copies >= 20
 
 
 class TestShapeChecks:
@@ -404,16 +444,16 @@ class TestDistinguished:
 
 class TestRefineForAgents:
     def test_singleton_equals_distinction(self, sys2):
-        refined, comp = refine_for_agents(sys2, {"a"})
+        refined = refine_for_agents(sys2, {"a"})
         d = distinction(sys2, "a")
         assert len(refined) == len(d)
-        assert verify_in_splitting(comp)
+        assert verify_in_splitting(insplitting(refined, sys2))
 
     def test_two_agent_chain(self, sys1_ab):
-        refined, comp = refine_for_agents(sys1_ab, {"a", "b"})
+        refined = refine_for_agents(sys1_ab, {"a", "b"})
         assert is_distinguished(refined, "a")
         assert is_distinguished(refined, "b")
-        assert verify_in_splitting(comp)
+        assert verify_in_splitting(insplitting(refined, sys1_ab))
 
     def test_order_largest_first(self):
         obs = {"a": {"p"}, "b": {"p", "q"}, "c": set()}

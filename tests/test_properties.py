@@ -8,7 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from epmu import formula as fm
 from epmu.checker import check, know_blocks, kleene, poss_blocks
-from epmu.distinction import compute_gamma, distinction, is_distinguished, know_op, poss_op
+from epmu.distinction import (
+    compute_gamma,
+    distinction,
+    insplitting,
+    is_distinguished,
+    know_op,
+    poss_op,
+    refine_for_agents,
+)
 from epmu.errors import FragmentRejected
 from epmu.formula import to_positive_form
 from epmu.gen import (
@@ -74,7 +82,7 @@ def test_pullback_is_boolean_homomorphism(seed):
     rng = random.Random(seed)
     m = random_system(rng)
     d = distinction(m, "a")
-    chain_m, comp = _refined_with_map(m)
+    comp = insplitting(refine_for_agents(m, {"a"}), m)
     full = frozenset(m.states)
     A = frozenset(q for q in m.states if rng.random() < 0.5)
     B = frozenset(q for q in m.states if rng.random() < 0.5)
@@ -85,13 +93,6 @@ def test_pullback_is_boolean_homomorphism(seed):
     assert pb(full) == frozenset(comp.source.states)
     assert pb(frozenset()) == frozenset()
     assert len(d) == len(comp.source)
-
-
-def _refined_with_map(m):
-    from epmu.distinction import refine_for_agents
-
-    refined, comp = refine_for_agents(m, {"a"})
-    return refined, comp
 
 
 @MODEST

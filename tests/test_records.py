@@ -16,7 +16,7 @@ import pytest
 
 from epmu import formula as fm
 from epmu.checker import Verdict
-from epmu.distinction import compute_gamma, is_distinguished
+from epmu.distinction import compute_gamma, insplitting, is_distinguished
 from epmu.formula import parse_formula, to_positive_form
 from epmu.oracle import NodeSet
 from epmu.syntree import FragmentVerdict, FragmentWitness, SynNode, build_syntree, check_non_mixing
@@ -24,7 +24,6 @@ from epmu.system import (
     Finding,
     InSplitting,
     MultiAgentSystem,
-    identity_insplitting,
     verify_in_splitting,
 )
 
@@ -88,7 +87,7 @@ def _records():
             verify_in_splitting(InSplitting(dead, dead, {0: 1, 1: 0})),
             "Finding(ok=False, condition='transitions-forward', witness=(0, 1))",
         ),
-        (verify_in_splitting(identity_insplitting(m)), "Finding(ok=True, condition='', witness=None)"),
+        (verify_in_splitting(insplitting(m, m)), "Finding(ok=True, condition='', witness=None)"),
         (
             NodeSet(None, frozenset({(0,)}), 1, True),
             "NodeSet(prefix=None, nodes=frozenset({(0,)}), valid_depth=1, root_holds=True)",

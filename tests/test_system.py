@@ -9,14 +9,12 @@ from epmu.system import (
     InSplitting,
     MultiAgentSystem,
     bounded_unfold,
-    compose_insplitting,
-    identity_insplitting,
     parse_system,
     system_to_json,
     to_dot,
     verify_in_splitting,
 )
-from epmu.distinction import distinction
+from epmu.distinction import distinction, insplitting
 
 SYS1_JSON = json.dumps(
     {
@@ -99,10 +97,10 @@ class TestSerial:
 
 class TestInSplitting:
     def test_identity_ok(self, sys1):
-        assert verify_in_splitting(identity_insplitting(sys1))
+        assert verify_in_splitting(insplitting(sys1, sys1))
 
     def test_distinction_map_ok(self, sys1):
-        assert verify_in_splitting(distinction(sys1, "a").insplit)
+        assert verify_in_splitting(insplitting(distinction(sys1, "a"), sys1))
 
     def test_label_violation_witnessed(self, sys1):
         # collapse everything onto state 1 of a single-state coarse system
@@ -122,33 +120,25 @@ class TestInSplitting:
         v = verify_in_splitting(s)
         assert not v.ok and v.condition in ("outdegree", "transitions-preimage")
 
-    def test_compose_identities(self, sys1):
-        i = identity_insplitting(sys1)
-        c = compose_insplitting(i, i)
-        assert c.chi == i.chi
-        assert verify_in_splitting(c)
-
-    def test_compose_two_refinements(self, sys1_ab):
+    def test_two_refinements_onto_the_base(self, sys1_ab):
         da = distinction(sys1_ab, "a")
         db = distinction(da, "b")
-        comp = compose_insplitting(da.insplit, db.insplit)
+        comp = insplitting(db, sys1_ab)
         assert comp.source is db and comp.target is sys1_ab
         assert verify_in_splitting(comp)
 
-    def test_compose_mismatch(self, sys1, sys2):
-        with pytest.raises(SystemFormatError):
-            compose_insplitting(
-                identity_insplitting(sys1), identity_insplitting(sys2)
-            )
+    def test_coarse_off_the_chain_rejected(self, sys1, sys2):
+        with pytest.raises(SystemFormatError, match="from 3 states onto 5 states"):
+            insplitting(sys1, sys2)
 
     def test_pullback_identity(self, sys1):
-        i = identity_insplitting(sys1)
+        i = insplitting(sys1, sys1)
         assert i.pullback({2, 3}) == {2, 3}
         assert i.pullback(set()) == frozenset()
 
     def test_pullback_distinction_sys2(self, sys2):
         d = distinction(sys2, "a")
-        fine = d.insplit.pullback({4})
+        fine = insplitting(d, sys2).pullback({4})
         pairs = {d.pair_of[i] for i in fine}
         assert pairs == {
             (4, frozenset({4})),
@@ -157,7 +147,7 @@ class TestInSplitting:
 
     def test_pullback_is_boolean_homomorphism(self, sys2):
         d = distinction(sys2, "a")
-        pb = d.insplit.pullback
+        pb = insplitting(d, sys2).pullback
         A, B = {1, 4}, {4, 5}
         assert pb(A | B) == pb(A) | pb(B)
         assert pb(A & B) == pb(A) & pb(B)
