@@ -7,20 +7,22 @@ Two evaluators share the work:
   construction for its agent, and earlier sets are pulled back along its
   ``distinction.insplitting``, so one chain is threaded left-to-right
   through the tree.  A closed binder gets a region: its nearest closed
-  descendants (the frontier) are evaluated on the chain, which is then
-  refined once for all agents whose epistemic operators are non-closed in
-  the body, and their Γ is taken there.
+  descendants that are not leaves (the frontier) are evaluated on the
+  chain, which is then refined once for all agents whose epistemic
+  operators are non-closed in the body, and their Γ is taken there.
 - ``Region`` compiles the binder once, on that fixed system, into closures
-  over int masks (bit i is the i-th state), and runs it: frontier sets are
-  constants, And/Or are ``&``/``|``, EX reads the system's predecessor
-  image (``MultiAgentSystem.pred_image``, built once per system) and P the
-  Γ blocks, and AX/K are their duals.  A region above ``MASK_STATES``
-  states, where masks would cost memory and time quadratic in the states,
-  runs the same closures on frozensets.  Nested binders iterate in place
-  through ``kleene``.  A node that holds no binder and does not mention the
-  innermost binder's variable keeps its last value while its free
-  variables keep their values; binders and the nodes above them never do,
-  so every Kleene loop runs and the iteration counts do not depend on it.
+  over int masks (bit i is the i-th state), and runs it: frontier sets and
+  leaves, read on the region's own system (in-splittings keep labels), are
+  constants, And/Or are ``&``/``|``, EX reads predecessor masks and P the
+  Γ blocks, and AX/K are their duals; the region builds these tables
+  itself, and no other module knows the masks.  A region above
+  ``MASK_STATES`` states, where masks would cost memory and time quadratic
+  in the states, runs the same closures on frozensets.  Nested binders
+  iterate in place through ``kleene``.  A node that holds no binder and
+  does not mention the innermost binder's variable keeps its last value
+  while its free variables keep their values; binders and the nodes above
+  them never do, so every Kleene loop runs and the iteration counts do not
+  depend on it.
   An inner binder restarts from its seed at each step of an outer one and
   meets the same iterates again, so each EX/AX/P/K image goes through a
   table of its results by argument, made for the region and dropped with
@@ -35,7 +37,8 @@ distinguished for (``distinction``), and a construction for an agent the
 system already carries is a copy; the chain order of ``refine_for_agents``
 gives a region the blocks of all its agents.
 
-A leaf over an atom the system does not declare raises ``UnknownAtom``.
+A leaf over an atom the system does not declare raises ``UnknownAtom``;
+under a binder it is read, and raises, once the region is refined.
 
 ``eval_state_naive`` compiles the whole formula into a region over the
 input system with memoryless Γs (states grouped by what the agent sees).
@@ -58,7 +61,7 @@ from .errors import (
     depth_guarded,
 )
 from .syntree import build_syntree, check_non_mixing, frontier_nodes
-from .system import DEFAULT_CAP, BlockImage
+from .system import DEFAULT_CAP
 
 
 class RefinementChain:
@@ -217,15 +220,58 @@ def leaf_set(m, f):
 # State masks (see Region).
 
 
-def to_mask(m, S):
-    """The mask of a set of m's states."""
-    return sum(map(m.bit_of.__getitem__, S))
+def to_mask(bit, S):
+    """The mask of a set of states, by the bit table of their system."""
+    return sum(map(bit.__getitem__, S))
 
 
 def to_set(m, mask):
     """The set of m's states in a mask."""
     states = m.states
     return frozenset([states[i] for i in range(mask.bit_length()) if mask >> i & 1])
+
+
+class MaskImage:
+    """S -> the union of masks[i] over the bits i of the state mask S;
+    `dual(S)` is the mask of the states j such that every i whose mask
+    holds j lies in S.  With predecessor masks these are EX and AX.  A call
+    costs one lookup per bit of S."""
+
+    __slots__ = ("masks", "full")
+
+    def __init__(self, masks):
+        self.full = (1 << len(masks)) - 1
+        self.masks = [0, *masks]  # indexed by the bit_length of a bit
+
+    def __call__(self, S):
+        masks = self.masks
+        out = 0
+        while S:
+            low = S & -S
+            out |= masks[low.bit_length()]
+            S ^= low
+        return out
+
+    def dual(self, S):
+        full = self.full
+        return full ^ self(full ^ S)
+
+
+class BlockImage:
+    """S -> the union of the block masks of a partition that meet the state
+    mask S; `dual(S)` is the union of the blocks inside S.  With Γ blocks
+    these are P and K on masks."""
+
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks):
+        self.blocks = blocks
+
+    def __call__(self, S):
+        return sum([b for b in self.blocks if b & S])
+
+    def dual(self, S):
+        return sum([b for b in self.blocks if b & S == b])
 
 
 def _subset(a, b):
@@ -329,26 +375,26 @@ class Region:
     """A fixed system with Γ blocks per agent, on which a binder is compiled
     once into closures and run.
 
-    A region of up to MASK_STATES states works on int masks: bit i stands
-    for the i-th state of the system (`bit_of`), EX is the system's
-    predecessor image of a mask (`MaskImage`), P the union of the Γ blocks
-    meeting it (`BlockImage`), and AX and K are their duals.  The masks
-    behind these images take memory that grows with the square of the
-    states, and so does the time of an EX, one lookup per state in its
-    argument, so a larger region works on frozensets with `ex_f`, `ax_f`,
-    `poss_blocks` and `know_blocks`, whose costs grow with the states and
-    transitions.  `ops` maps EX and each agent to its (image, dual), each
-    behind a table of its results by argument (`_memo`) that lives as long
-    as the region, so a Kleene loop that meets an iterate again reads its
-    image.  An agent whose Γ blocks are all singletons has no entry: K and
-    P are then the identity, and a K/P node compiles to its child's value
-    or closure.
+    A region of up to MASK_STATES states works on int masks, from tables it
+    builds for its system: bit i stands for the i-th state, EX is the
+    union of the predecessor masks of the bits of a mask (`MaskImage`), P
+    the union of the Γ block masks meeting it (`BlockImage`), and AX and K
+    are their duals.  The masks behind these images take memory that grows
+    with the square of the states, and so does the time of an EX, one
+    lookup per state in its argument, so a larger region works on
+    frozensets with `ex_f`, `ax_f`, `poss_blocks` and `know_blocks`, whose
+    costs grow with the states and transitions.  `ops` maps EX and each
+    agent to its (image, dual), each behind a table of its results by
+    argument (`_memo`) that lives as long as the region, so a Kleene loop
+    that meets an iterate again reads its image.  An agent whose Γ blocks
+    are all singletons has no entry: K and P are then the identity, and a
+    K/P node compiles to its child's value or closure.
 
-    A node the chain evaluated (a frontier node) and a closed node without
-    a binder compile to their value; every other node compiles to a
-    closure of no arguments that reads the current values of the bound
-    variables from `env`.  A binder runs `kleene` on its body and appends
-    the iteration count.
+    A node the chain evaluated (a frontier node), a leaf, read on the
+    region's system, and a closed node without a binder compile to their
+    value; every other node compiles to a closure of no arguments that
+    reads the current values of the bound variables from `env`.  A binder
+    runs `kleene` on its body and appends the iteration count.
 
     A closure of a node that is not a binder and holds none keeps the last
     value it returned and the values of its free variables then, and
@@ -367,13 +413,18 @@ class Region:
         # an agent with n blocks has singletons: K and P are the identity
         partitions = {a: blocks for a, blocks in partitions.items() if len(blocks) < n}
         if n <= MASK_STATES:
-            self.encode = partial(to_mask, system)
+            bit = {q: 1 << i for i, q in enumerate(system.states)}
+            pred = dict.fromkeys(system.states, 0)
+            for q, rs in system._succ.items():
+                for r in rs:
+                    pred[r] |= bit[q]
+            self.encode = partial(to_mask, bit)
             self.decode = partial(to_set, system)
             self.empty, self.full = 0, (1 << n) - 1
-            image = system.pred_image
+            image = MaskImage(list(pred.values()))
             ops = {fm.EX: (image.__call__, image.dual)}
             for a, blocks in partitions.items():
-                image = BlockImage(system, blocks)
+                image = BlockImage([to_mask(bit, b) for b in blocks])
                 ops[a] = image.__call__, image.dual
         else:
             self.encode = self.decode = frozenset
@@ -472,13 +523,19 @@ class Region:
 # Entry points
 
 
+def _closed_tree(f):
+    """The syntactic tree of f's positive form; EpmuError naming its free
+    fixpoint variables if it has any."""
+    tree = build_syntree(fm.to_positive_form(f))
+    if not tree.closed:
+        raise EpmuError(f"free fixpoint variables: {', '.join(sorted(tree.free))}")
+    return tree
+
+
 def check_with_sets(m, f, cap=DEFAULT_CAP):
     """Full pipeline returning (verdict, chain, final state set)."""
     t0 = time.perf_counter()
-    pf = fm.to_positive_form(f)
-    tree = build_syntree(pf)
-    if not tree.closed:
-        raise EpmuError(f"free fixpoint variables: {', '.join(sorted(tree.free))}")
+    tree = _closed_tree(f)
     gate = check_non_mixing(tree, m.obs)
     if not gate:
         raise FragmentRejected(gate.witness)
@@ -528,8 +585,9 @@ def eval_state_naive(m, f):
     memoryless observational equivalence on states (same currently visible
     atoms), with no subset construction anywhere.  Forgets run history, hence
     unsound under perfect recall; tests use it as the negative witness for
-    the commutation requirement."""
-    tree = build_syntree(fm.to_positive_form(f))
+    the commutation requirement.  Free fixpoint variables and undeclared
+    atoms and agents raise as in `check`."""
+    tree = _closed_tree(f)
     partitions = {}
     for a in {n.form.agent for n in tree if isinstance(n.form, fm.EPISTEMIC)}:
         if a not in m.obs:

@@ -249,11 +249,10 @@ def _copy(m, agent, blocks, cap):
     numbers its states, and the belief of state i is its block, since Γ is
     the equivalence of equal belief and is closed under matching
     transitions.  So state i becomes (i, block of i), its `insplitting`
-    onto m is the identity, and states, successors, labels
-    and any cached transition set, state bits and predecessor image are
-    m's, and so are all of m's blocks: the copy has m's runs.  The capacity
-    check fires at the count the search would reach: it never checks the
-    initial state."""
+    onto m is the identity, and states, successors, labels and any cached
+    transition set are m's, and so are all of m's blocks: the copy has m's
+    runs.  The capacity check fires at the count the search would reach:
+    it never checks the initial state."""
     n = len(m.states)
     if n > max(cap, 1):
         raise CapacityExceeded(max(cap, 1) + 1, cap, _context(agent))
@@ -266,9 +265,8 @@ def _copy(m, agent, blocks, cap):
         m._succ,
         m.partitions,
     )
-    for name in ("delta", "bit_of", "pred_image"):
-        if name in vars(m):
-            setattr(d, name, vars(m)[name])
+    if "delta" in vars(m):
+        d.delta = m.delta
     return d
 
 

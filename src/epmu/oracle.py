@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 
 from . import formula as fm
-from .errors import CapacityExceeded, DepthInsufficient, EpmuError
+from .errors import CapacityExceeded, DepthInsufficient, EpmuError, UnknownAtom
 from .formula import FrozenRecord, _set
 from .system import DEFAULT_CAP, GammaRelation, TreePrefix
 
@@ -28,6 +28,8 @@ def eval_tree(prefix, f, require_root=True):
     """Exact tree semantics of a fixpoint-free closed formula on the bounded
     unfolding.  Membership is reliable only for nodes whose depth leaves room
     for the formula's modal nesting; the returned set is restricted to those.
+    An atom or agent the system does not declare raises UnknownAtom or
+    UnknownAgent, as in the checker.
     """
     if not fm.is_fixpoint_free(f):
         raise EpmuError("the tree oracle only handles fixpoint-free formulas")
@@ -49,6 +51,8 @@ def eval_tree(prefix, f, require_root=True):
         if isinstance(g, fm.FalseF):
             return frozenset()
         if isinstance(g, fm.Atom):
+            if g.name not in prefix.system.atoms:
+                raise UnknownAtom(g.name)
             labels = prefix.system.labels
             return frozenset(x for x in prefix.nodes if g.name in labels[x[-1]])
         if isinstance(g, fm.NegAtom):
@@ -86,7 +90,8 @@ def gamma_by_runs(m, agent, depth, cap=DEFAULT_CAP):
     """Run-level approximation of the knowledge-transfer relation: (q, r)
     survives iff every run of length <= depth to q has an equally long,
     identically observed run to r.  Antitone in depth; exact once depth covers
-    the reachable belief states."""
+    the reachable belief states.  UnknownAgent if m does not declare the
+    agent."""
     prefix = TreePrefix(m, depth, cap=cap)
     pairs = {(q, r) for q in m.states for r in m.states}
     for d in range(depth + 1):

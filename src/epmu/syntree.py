@@ -71,15 +71,16 @@ def _build(f, path):
 
 
 def frontier_nodes(node):
-    """Nearest closed descendants of a non-closed node, left to right."""
+    """Nearest closed descendants of a non-closed node that have children,
+    left to right: a closed leaf is read where it is used."""
     out = []
     stack = list(reversed(node.children))
     while stack:
         n = stack.pop()
-        if n.closed:
-            out.append(n)
-        else:
+        if not n.closed:
             stack.extend(reversed(n.children))
+        elif n.children:
+            out.append(n)
     return out
 
 

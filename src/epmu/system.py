@@ -1,5 +1,7 @@
 """Multi-agent systems, in-splitting maps (those of a refinement chain are
-built by `epmu.distinction.insplitting`), and depth-bounded unfoldings."""
+built by `epmu.distinction.insplitting`), and depth-bounded unfoldings.
+Systems keep no state-mask tables: each region of the checker builds its
+own (`epmu.checker.Region`)."""
 
 from __future__ import annotations
 
@@ -7,7 +9,7 @@ import json
 from functools import cached_property
 from itertools import chain
 
-from .errors import CapacityExceeded, SystemFormatError, UnknownAtom
+from .errors import CapacityExceeded, SystemFormatError, UnknownAgent, UnknownAtom
 from .formula import FrozenRecord, _set
 
 DEFAULT_CAP = 10**6
@@ -20,7 +22,8 @@ class MultiAgentSystem:
     kept.  Instances are immutable after construction and safe to share.
     The transitions are stored once, as the sorted successor list of each
     state; `delta`, the set of (from, to) pairs, is built from them on first
-    read.
+    read.  The state masks of the checker are not the system's: a region
+    builds them for the system it runs on.
 
     `partitions` maps each agent the system is known to be distinguished for
     to its Γ blocks; a system built here is known for none (a
@@ -68,24 +71,6 @@ class MultiAgentSystem:
         succ = self._succ
         return frozenset([(q, r) for q in self.states for r in succ[q]])
 
-    @cached_property
-    def bit_of(self):
-        """state -> its bit in a state mask: bit i stands for the i-th state
-        of `states`, which is the id itself when the ids are 0..n-1."""
-        return {q: 1 << i for i, q in enumerate(self.states)}
-
-    @cached_property
-    def pred_image(self):
-        """The predecessors of a state mask (see MaskImage): the states with
-        a successor in it.  The checker's region kernel reads AX and EX
-        from it."""
-        bit = self.bit_of
-        pred = dict.fromkeys(self.states, 0)
-        for q in self.states:
-            for r in self._succ[q]:
-                pred[r] |= bit[q]
-        return MaskImage(list(pred.values()))
-
     def label(self, q):
         return self.labels[q]
 
@@ -107,50 +92,6 @@ class MultiAgentSystem:
 
     def __repr__(self):
         return f"MultiAgentSystem({len(self.states)} states, q0={self.q0})"
-
-
-class MaskImage:
-    """S -> the union of masks[i] over the bits i of the state mask S;
-    `dual(S)` is the mask of the states j such that every i whose mask
-    holds j lies in S.  With predecessor masks these are EX and AX.  A call
-    costs one lookup per bit of S."""
-
-    __slots__ = ("masks", "full")
-
-    def __init__(self, masks):
-        self.full = (1 << len(masks)) - 1
-        self.masks = [0, *masks]  # indexed by the bit_length of a bit
-
-    def __call__(self, S):
-        masks = self.masks
-        out = 0
-        while S:
-            low = S & -S
-            out |= masks[low.bit_length()]
-            S ^= low
-        return out
-
-    def dual(self, S):
-        full = self.full
-        return full ^ self(full ^ S)
-
-
-class BlockImage:
-    """S -> the union of the blocks of a partition of m's states that meet
-    the state mask S; `dual(S)` is the union of the blocks inside S.  With
-    Γ blocks these are P and K on masks."""
-
-    __slots__ = ("blocks",)
-
-    def __init__(self, m, blocks):
-        bit = m.bit_of.__getitem__
-        self.blocks = [sum(map(bit, b)) for b in blocks]
-
-    def __call__(self, S):
-        return sum([b for b in self.blocks if b & S])
-
-    def dual(self, S):
-        return sum([b for b in self.blocks if b & S == b])
 
 
 def _check_shape(states, q0, succ, atoms, labels, obs, edges=None):
@@ -436,9 +377,12 @@ class TreePrefix:
         return tuple(m.obs_label(q, agent) for q in run)
 
     def sim_classes(self, agent, depth):
-        """Partition of the depth-d level into indistinguishability classes."""
+        """Partition of the depth-d level into indistinguishability classes;
+        UnknownAgent if the system does not declare the agent."""
         key = (agent, depth)
         if key not in self._class_cache:
+            if agent not in self.system.obs:
+                raise UnknownAgent(agent)
             classes = {}
             for run in self.by_depth[depth]:
                 classes.setdefault(self.signature(run, agent), []).append(run)

@@ -43,6 +43,19 @@ def _check_alphabets(alphabets):
             raise SystemFormatError(f"agent {a!r} has an empty action alphabet")
 
 
+def _check_playable(g, agent):
+    """[agent=alpha] f is vacuously true where no transition carries alpha,
+    so an encoder that lets the agent choose alpha needs it playable at
+    every state; SystemFormatError names the first state, in state order,
+    and the action that is not."""
+    slot = g.agents.index(agent)  # the agent's place in a sorted action tuple
+    played = {(q, acts[slot][1]) for q, acts, _ in g.trans}
+    for q in g.states:
+        for alpha in g.alphabets[agent]:
+            if (q, alpha) not in played:
+                raise SystemFormatError(f"state {q}: no transition lets agent {agent!r} play {alpha!r}")
+
+
 class LabeledSystem(MultiAgentSystem):
     """Multi-agent system with per-transition joint-action labels: the plain
     system of its (from, to) pairs, plus `alphabets` (agent -> sorted
@@ -248,13 +261,15 @@ def _plays(a, alpha, f, box):
 def atl_until_instance(g, a0, p1, p2, dual=False):
     """Doubled system with a bookkeeping bit on the acting agent's actions:
     the bit-1 copy remembers that the target atom was already passed.
-    State (q, bit) is 2·index(q) + bit.
+    State (q, bit) is 2·index(q) + bit.  Every action of a0 must be
+    playable at every state (`_check_playable`).
     Returns (modified labeled system, modal formula)."""
     if a0 not in g.obs:
         raise UnknownAgent(a0)
     for p in (p1, p2):
         if p not in g.atoms:
             raise UnknownAtom(p)
+    _check_playable(g, a0)
     past = _fresh_atom(f"past_{p2}", g.atoms)
     index = {q: 2 * i for i, q in enumerate(g.states)}
     labels, names = {}, {}
@@ -344,6 +359,8 @@ def parse_parity_game(text):
 def parity_encoding(game, player_index):
     """Encode player i's winning condition as an alternating fixpoint over
     priority atoms: nu on even indices, mu on odd, outermost index even.
+    Every action of the player must be playable at every state
+    (`_check_playable`).
 
     Returns (labeled system extended with priority atoms, modal formula with
     a single epistemic agent, hence non-mixing by construction).
@@ -354,6 +371,7 @@ def parity_encoding(game, player_index):
         raise SystemFormatError("priorities must be >= 1")
     if n % 2 == 1:
         n += 1  # pad with an unused even level
+    _check_playable(game, me)
 
     prio_atom = {}
     atoms = set(game.atoms)

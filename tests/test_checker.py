@@ -9,6 +9,8 @@ import pytest
 from epmu import checker
 from epmu import formula as fm
 from epmu.checker import (
+    BlockImage,
+    MaskImage,
     ax_f,
     check,
     check_with_sets,
@@ -32,7 +34,7 @@ from epmu.errors import (
 from epmu.formula import parse_formula, to_positive_form
 from epmu.oracle import eval_tree
 from epmu.gen import random_system
-from epmu.system import BlockImage, MaskImage, MultiAgentSystem, bounded_unfold
+from epmu.system import InSplitting, MultiAgentSystem, bounded_unfold
 from epmu.translate import ParityGame, compile_modal, parity_encoding
 
 
@@ -303,23 +305,27 @@ class TestMaskKernels:
         assert any(m.states != tuple(range(len(m))) for m in systems)
         assert max(len(m) for m in systems) > 64
         for m in systems:
-            image = BlockImage(m, self.blocks(m))
+            # the region's own tables: its EX image and dual, and its bits
+            region = checker.Region(m, {}, {}, [])
+            ex, ax = region.ops[fm.EX]
+            blocks = self.blocks(m)
+            image = BlockImage([region.encode(b) for b in blocks])
             for S in TestModalKernels.subsets(m, rng):
-                mask = checker.to_mask(m, S)
-                assert checker.to_set(m, mask) == S
-                assert checker.to_mask(m, ax_f(m, S)) == m.pred_image.dual(mask)
-                assert checker.to_mask(m, ex_f(m, S)) == m.pred_image(mask)
-                blocks = self.blocks(m)
-                assert checker.to_mask(m, know_blocks(blocks, S)) == image.dual(mask)
-                assert checker.to_mask(m, poss_blocks(blocks, S)) == image(mask)
+                mask = region.encode(S)
+                assert region.decode(mask) == S
+                assert region.encode(ax_f(m, S)) == ax(mask)
+                assert region.encode(ex_f(m, S)) == ex(mask)
+                assert region.encode(know_blocks(blocks, S)) == image.dual(mask)
+                assert region.encode(poss_blocks(blocks, S)) == image(mask)
 
     def test_round_trip_from_masks(self):
         rng = random.Random(17)
         for m in self.systems():
-            assert [m.bit_of[q] for q in m.states] == [1 << i for i in range(len(m))]
+            region = checker.Region(m, {}, {}, [])
+            assert [region.encode({q}) for q in m.states] == [1 << i for i in range(len(m))]
             for _ in range(10):
                 mask = rng.getrandbits(len(m))
-                assert checker.to_mask(m, checker.to_set(m, mask)) == mask
+                assert region.encode(region.decode(mask)) == mask
 
     def test_naive_kernel_agrees_with_chain_on_scattered_ids(self):
         # without K/P there is no refinement, so both give sets of m's states
@@ -530,6 +536,19 @@ class TestParityDigest:
             h.update(repr((v.holds, v.refinement_sizes, v.iteration_counts, sorted(S))).encode())
         assert h.hexdigest() == self.DIGEST
 
+    def test_nothing_is_pulled_back(self, monkeypatch):
+        # every closed node under a binder of these encodings is a leaf,
+        # which the region reads on its own system
+        calls = []
+        pullback = InSplitting.pullback
+        monkeypatch.setattr(InSplitting, "pullback", lambda s, S: calls.append(S) or pullback(s, S))
+        rng = random.Random(2718)
+        for i in range(200):
+            ext, phi = parity_encoding(self.game(rng, i), 0)
+            c = compile_modal(ext)
+            check(c.system, c.compile_formula(phi))
+        assert calls == []
+
 
 def _hidden_game(rng, n, top):
     """A game of n states and priorities up to top in which e sees one
@@ -725,4 +744,17 @@ class TestUndeclaredAgents:
         f = parse_formula(text)
         for run in (check, check_with_sets, eval_state_naive):
             with pytest.raises(UnknownAgent, match="^unknown agent: z$"):
+                run(sys1, f)
+
+
+class TestFreeVariables:
+    """A formula with a free fixpoint variable is an error for every
+    evaluator, with the same message."""
+
+    @pytest.mark.parametrize("f", [fm.Var("Z"), parse_formula("p | EX Z"),
+                                   parse_formula("mu Y . Y | K a . Z | X")])
+    def test_raises(self, sys1, f):
+        names = ", ".join(sorted(fm.free_vars(f)))
+        for run in (check, check_with_sets, eval_state_naive):
+            with pytest.raises(EpmuError, match=f"^free fixpoint variables: {names}$"):
                 run(sys1, f)

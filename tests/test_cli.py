@@ -5,6 +5,7 @@ import json
 import random
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -257,7 +258,7 @@ class TestCheck:
             assert len(report.read_bytes()) < 4096
             return json.loads(report.read_text())["statistics"]["initial_state"]
 
-        m = parse_system(open(loop_file).read())
+        m = parse_system(Path(loop_file).read_text())
         assert reported(7) == check(m, parse_formula("K a . " * 7 + "p")).initial_state
         assert reported(8).startswith("<1531 characters, sha256 tree digest ")
         start = time.perf_counter()
@@ -270,7 +271,7 @@ class TestCheck:
         from epmu.distinction import _name_size
         from epmu.gen import random_system
 
-        systems = [parse_system(open(loop_file).read()), sys2]
+        systems = [parse_system(Path(loop_file).read_text()), sys2]
         rng = random.Random(8)
         systems += [random_system(rng, max_states=4) for _ in range(10)]
         digests = {}
@@ -563,6 +564,27 @@ class TestTranslate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
         assert "ValueError" not in err and "AttributeError" not in err and "TypeError" not in err
+
+    def test_unplayable_action_exits_three_and_writes_nothing(self, tmp_path, capsys):
+        # e cannot play y at state 1, so [e=y] Z would hold vacuously there
+        g = ParityGame(
+            [1, 2], 1,
+            [(1, {"e": "x", "o": "u"}, 2), (2, {"e": "x", "o": "u"}, 2),
+             (2, {"e": "y", "o": "u"}, 2)],
+            [], {}, {"e": set(), "o": set()}, {"e": ["x", "y"], "o": ["u"]},
+            priority={1: 2, 2: 1}, players=("e", "o"),
+        )
+        d = labeled_system_to_dict(g)
+        for entry in d["states"]:
+            entry["priority"] = g.priority[entry["id"]]
+        src = tmp_path / "partial.pg"
+        src.write_text(json.dumps(d))
+        out = tmp_path / "inst"
+        code = main(["translate", "parity", "--game", str(src), "--player", "0", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "error: state 1: no transition lets agent 'e' play 'y'\n"
+        assert not out.exists()
 
     def test_empty_alphabet_exits_three_and_writes_nothing(self, tmp_path, capsys):
         src = tmp_path / "g.mas"

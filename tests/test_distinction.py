@@ -18,6 +18,7 @@ from epmu.distinction import (
 from epmu.errors import CapacityExceeded, NonChainAgents, SystemFormatError, UnknownAtom
 from epmu.gen import random_system
 from epmu.system import (
+    GammaRelation,
     InSplitting,
     MultiAgentSystem,
     _check_shape,
@@ -137,11 +138,10 @@ class TestDistinctionAgainstScan:
     def test_copy_step_is_the_identity_on_the_system(self):
         m = random_system(random.Random(3), max_states=6, chain_obs=True)
         d = distinction(m, "a")
-        d.delta, d.bit_of, d.pred_image  # cached on d, handed on by the copy
+        d.delta  # cached on d, handed on by the copy
         e = distinction(d, "a")
         assert insplitting(e, d).chi == {i: i for i in d.states}
         assert e._succ is d._succ and e.delta is d.delta and e.labels is d.labels
-        assert e.bit_of is d.bit_of and e.pred_image is d.pred_image
         assert e.partitions["a"] == d.partitions["a"]
 
     def test_transitions_are_stored_once(self):
@@ -440,6 +440,13 @@ class TestDistinguished:
 
     def test_sys1_distinguished(self, sys1):
         assert is_distinguished(sys1, "a")
+
+    def test_transitivity_violation(self, sys1):
+        # symmetric, and (1, 2), (2, 1) hold while (1, 1) does not: the
+        # only triple that breaks transitivity is (1, 2, 1)
+        gamma = GammaRelation("a", sys1, frozenset({(1, 2), (2, 1), (2, 2)}))
+        v = is_distinguished(sys1, "a", gamma=gamma)
+        assert (v.ok, v.condition, v.witness) == (False, "transitivity", (1, 2, 1))
 
 
 class TestRefineForAgents:

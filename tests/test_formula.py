@@ -243,10 +243,11 @@ class TestSynTree:
         assert binders > 100
 
     def test_frontier_nodes(self):
-        f = to_positive_form(parse_formula("mu Z . p | EX Z"))
-        t = build_syntree(f)
-        fr = frontier_nodes(t)
-        assert [n.form for n in fr] == [Atom("p")]
+        # a closed leaf is no frontier node: the region reads it itself
+        t = build_syntree(to_positive_form(parse_formula("mu Z . p | EX Z")))
+        assert frontier_nodes(t) == []
+        t = build_syntree(to_positive_form(parse_formula("mu Z . ~q | EX Z | (p & EX q)")))
+        assert [n.form for n in frontier_nodes(t)] == [parse_formula("p & EX q")]
 
 
 class TestNonMixing:
@@ -499,7 +500,10 @@ class TestGateReadsPartTops:
         def reference(node):
             out = []
             for c in node.children:
-                out.extend([c] if c.closed else reference(c))
+                if not c.closed:
+                    out.extend(reference(c))
+                elif c.children:
+                    out.append(c)
             return out
 
         checked = 0

@@ -8,7 +8,7 @@ import epmu.oracle
 
 from epmu import formula as fm
 from epmu.distinction import compute_gamma
-from epmu.errors import DepthInsufficient, EpmuError
+from epmu.errors import DepthInsufficient, EpmuError, UnknownAgent, UnknownAtom
 from epmu.formula import parse_formula, to_positive_form
 from epmu.gen import random_system
 from epmu.oracle import (
@@ -263,6 +263,28 @@ class TestParityOracle:
             priority={1: 1, 2: 2}, players=("e", "o"),
         )
         assert parity_oracle(g) == frozenset()
+
+
+class TestUndeclaredNames:
+    """An undeclared atom or agent raises the checker's error, not a
+    KeyError or a silent answer."""
+
+    @pytest.mark.parametrize("text", ["typo", "EX ~typo", "K a . typo", "AX (p | typo)"])
+    def test_atom_in_eval_tree(self, sys1, text):
+        with pytest.raises(UnknownAtom, match="^unknown atom: typo$"):
+            eval_tree(bounded_unfold(sys1, 2), parse_formula(text))
+
+    @pytest.mark.parametrize("text", ["K z . p", "EX P z . ~q"])
+    def test_agent_in_eval_tree(self, sys1, text):
+        with pytest.raises(UnknownAgent, match="^unknown agent: z$"):
+            eval_tree(bounded_unfold(sys1, 2), parse_formula(text))
+
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_agent_in_gamma_by_runs_and_sim_classes(self, sys1, depth):
+        with pytest.raises(UnknownAgent, match="^unknown agent: z$"):
+            gamma_by_runs(sys1, "z", depth)
+        with pytest.raises(UnknownAgent, match="^unknown agent: z$"):
+            bounded_unfold(sys1, 2).sim_classes("z", depth)
 
 
 def test_oracle_imports_nothing_from_the_checker():

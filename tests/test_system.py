@@ -120,6 +120,36 @@ class TestInSplitting:
         v = verify_in_splitting(s)
         assert not v.ok and v.condition in ("outdegree", "transitions-preimage")
 
+    @staticmethod
+    def plain(states, q0, delta):
+        return MultiAgentSystem(states, q0, delta, ["p"], {}, {"a": set()})
+
+    def test_map_violation(self):
+        m = self.plain([0, 1], 0, [(0, 1), (1, 1)])
+        v = verify_in_splitting(InSplitting(m, m, {0: 0}))  # 1 is not mapped
+        assert (v.ok, v.condition, v.witness) == (False, "map", 1)
+        v = verify_in_splitting(InSplitting(m, m, {0: 0, 1: 7}))  # 7 is no state
+        assert (v.ok, v.condition, v.witness) == (False, "map", 1)
+
+    def test_surjectivity_violation(self):
+        fine = self.plain([0], 0, [(0, 0)])
+        coarse = self.plain([0, 1, 2], 0, [(0, 0), (0, 1), (0, 2), (1, 1), (2, 2)])
+        v = verify_in_splitting(InSplitting(fine, coarse, {0: 0}))
+        assert (v.ok, v.condition, v.witness) == (False, "surjectivity", 1)
+
+    def test_outdegree_violation_alone(self):
+        # 0 has two successors that both map onto the one successor of 0
+        fine = self.plain([0, 1, 2], 0, [(0, 1), (0, 2), (1, 1), (2, 2)])
+        coarse = self.plain([0, 1], 0, [(0, 1), (1, 1)])
+        v = verify_in_splitting(InSplitting(fine, coarse, {0: 0, 1: 1, 2: 1}))
+        assert (v.ok, v.condition, v.witness) == (False, "outdegree", 0)
+
+    def test_initial_violation(self):
+        # swapping the two states of a 2-cycle keeps all but the initial state
+        m = self.plain([0, 1], 0, [(0, 1), (1, 0)])
+        v = verify_in_splitting(InSplitting(m, m, {0: 1, 1: 0}))
+        assert (v.ok, v.condition, v.witness) == (False, "initial", 0)
+
     def test_two_refinements_onto_the_base(self, sys1_ab):
         da = distinction(sys1_ab, "a")
         db = distinction(da, "b")

@@ -308,6 +308,24 @@ class TestAtlUntil:
             want = reachability_strategy_oracle(g, "a0", "p1", "p2")
             assert got == want
 
+    def test_unplayable_action_rejected(self):
+        g = unplayable_game()
+        with pytest.raises(SystemFormatError, match=UNPLAYABLE):
+            atl_until_instance(g, "e", "s", "s")
+        atl_until_instance(g, "o", "s", "s")  # o plays u everywhere
+
+    def test_unplayable_action_read_in_the_agents_slot(self):
+        # m sits between a and z in a sorted action tuple
+        g = LabeledSystem(
+            [1, 2], 1,
+            [(1, {"a": "x", "m": "x", "z": "y"}, 2), (1, {"a": "y", "m": "y", "z": "y"}, 2),
+             (2, {"a": "y", "m": "x", "z": "x"}, 1)],
+            ["p"], {}, {"a": set(), "m": set(), "z": set()},
+            {"a": ["x", "y"], "m": ["x", "y"], "z": ["x", "y"]},
+        )
+        with pytest.raises(SystemFormatError, match="^state 2: no transition lets agent 'm' play 'y'$"):
+            atl_until_instance(g, "m", "p", "p")
+
 
 class TestCoalitionNext:
     ALPH = {"a": ("x",), "b": ("u", "v")}
@@ -341,6 +359,19 @@ def loop_parity(priority):
         {"e": ["x"], "o": ["u"]},
         priority={1: priority}, players=("e", "o"),
     )
+
+
+def unplayable_game():
+    """e cannot play y at state 1; o plays u everywhere."""
+    return ParityGame(
+        [1, 2], 1,
+        [(1, {"e": "x", "o": "u"}, 2), (2, {"e": "x", "o": "u"}, 2), (2, {"e": "y", "o": "u"}, 2)],
+        ["s"], {}, {"e": set(), "o": set()}, {"e": ["x", "y"], "o": ["u"]},
+        priority={1: 2, 2: 1}, players=("e", "o"),
+    )
+
+
+UNPLAYABLE = "^state 1: no transition lets agent 'e' play 'y'$"
 
 
 class TestParityEncoding:
@@ -388,6 +419,15 @@ class TestParityEncoding:
     def test_zero_priority_rejected(self):
         with pytest.raises(SystemFormatError):
             parity_encoding(loop_parity(0), 0)
+
+    def test_unplayable_action_rejected(self):
+        # [e=y] Z would hold vacuously at state 1, where e loses
+        g = unplayable_game()
+        assert 1 not in parity_oracle(g, 0)
+        with pytest.raises(SystemFormatError, match=UNPLAYABLE):
+            parity_encoding(g, 0)
+        # o plays u everywhere, so o's encoding is defined and agrees
+        assert self.check_game(g, 1) == (1 in parity_oracle(g, 1))
 
 
 def three_agent_game(rng):
