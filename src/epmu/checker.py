@@ -3,10 +3,12 @@
 Two evaluators share the work:
 
 - ``evaluate`` walks the closed nodes along a ``RefinementChain``, on
-  frozensets of states.  Each closed K/P extends the chain by a subset
-  construction for its agent, and earlier sets are pulled back along its
-  ``distinction.insplitting``, so one chain is threaded left-to-right
-  through the tree.  A closed binder gets a region: its nearest closed
+  frozensets of states, so one chain is threaded left-to-right through
+  the tree.  The chain keeps its systems and no maps: each closed K/P
+  appends a subset construction for its agent, and a set evaluated on an
+  earlier system crosses to the final one by ``RefinementChain.lift``,
+  which reads the ``distinction.insplitting`` off the final system's chain
+  of bases only then.  A closed binder gets a region: its nearest closed
   descendants that are not leaves (the frontier) are evaluated on the
   chain, which is then refined once for all agents whose epistemic
   operators are non-closed in the body, and their Γ is taken there.
@@ -65,14 +67,15 @@ from .system import DEFAULT_CAP
 
 
 class RefinementChain:
-    """Systems connected by in-splitting steps; systems[0] is the input,
-    the last entry is the current finest system.  It evaluates closed nodes
-    and extends itself at K/P and at binders.  Each step and the composite
-    are `insplitting`s, read off the chain of bases of the finer system."""
+    """The systems of one check: systems[0] is the input and each later one
+    refines the one before it by subset constructions, so `final`, the
+    last, reaches every earlier one through its chain of bases.  The chain
+    keeps no maps: `lift` reads the in-splitting onto an earlier system
+    when a set crosses to `final`.  It evaluates closed nodes and grows at
+    K/P and at binders."""
 
     def __init__(self, base, cap=DEFAULT_CAP):
         self.systems = [base]
-        self.steps = []  # steps[i]: systems[i+1] -> systems[i]
         self.cap = cap
         self.iteration_counts = []
 
@@ -80,33 +83,20 @@ class RefinementChain:
     def final(self):
         return self.systems[-1]
 
-    def mark(self):
-        """Position token for pull_forward."""
-        return len(self.systems)
-
-    def extend(self, system):
-        """Append a refinement of the final system; returns the step onto
-        it (SystemFormatError if the system does not refine it)."""
-        step = insplitting(system, self.final)
-        self.steps.append(step)
-        self.systems.append(system)
-        return step
-
-    def pull_forward(self, S, mark):
-        """Transport a set over systems[mark-1] to the final system."""
-        for i in range(mark - 1, len(self.systems) - 1):
-            S = self.steps[i].pullback(S)
-        return frozenset(S)
-
-    def composite(self):
-        """The in-splitting final -> base."""
-        return insplitting(self.final, self.systems[0])
+    def lift(self, S, coarse):
+        """A set over coarse, an earlier system of the chain, as the set
+        over final that maps into it; S itself when coarse is final."""
+        if coarse is self.final:
+            return S
+        return insplitting(self.final, coarse).pullback(S)
 
     def knowledge(self, f, S):
         """A closed K/P: one subset construction for its agent, which
         carries the agent's Γ blocks."""
-        d = distinction(self.final, f.agent, cap=self.cap)
-        S = self.extend(d).pullback(S)
+        coarse = self.final
+        d = distinction(coarse, f.agent, cap=self.cap)
+        self.systems.append(d)
+        S = self.lift(S, coarse)
         blocks = d.partitions[f.agent]
         # singleton blocks: K and P are the identity
         return S if len(blocks) == len(d) else _KNOWLEDGE[type(f)](blocks, S)
@@ -115,20 +105,17 @@ class RefinementChain:
         """The set of a closed binder: evaluate its nearest closed
         descendants, refine once for all non-closed agents of the body, and
         run the binder's kernel on the refined system with their Γ blocks."""
-        marked = []
-        for fn in frontier_nodes(node):
-            S = evaluate(fn, self)
-            marked.append((fn, S, self.mark()))
+        evaluated = [(fn, evaluate(fn, self), self.final) for fn in frontier_nodes(node)]
         agents = node.children[0].agncl
         partitions = {}
         if agents:
             d = refine_for_agents(self.final, agents, cap=self.cap)
-            self.extend(d)
+            self.systems.append(d)
             missing = sorted(agents - d.partitions.keys())
             if missing:
                 raise EpmuError(f"refined region carries no Γ blocks for {', '.join(missing)}")
             partitions = {a: d.partitions[a] for a in agents}
-        frontier = {fn: self.pull_forward(S, mark) for fn, S, mark in marked}
+        frontier = {fn: self.lift(S, m) for fn, S, m in evaluated}
         return Region(self.final, partitions, frontier, self.iteration_counts).run(node)
 
 
@@ -307,17 +294,17 @@ def kleene(op, seed, bound, mode="lfp"):
 
 def evaluate(node, chain):
     """State set of a closed syntactic-tree node over chain.final.  A
-    closed K/P below extends the chain, so chain.final is read only after
-    the children are evaluated, and a left operand is pulled forward past
-    the steps its right operand added."""
+    closed K/P below refines the chain, so chain.final is read only after
+    the children are evaluated, and a left operand is lifted past the
+    systems its right operand added."""
     f = node.form
     t = type(f)
     if t is fm.And or t is fm.Or:
         left, right = node.children
         S1 = evaluate(left, chain)
-        mark = chain.mark()
+        m = chain.final
         S2 = evaluate(right, chain)
-        S1 = chain.pull_forward(S1, mark)
+        S1 = chain.lift(S1, m)
         return S1 & S2 if t is fm.And else S1 | S2
     if t is fm.Mu or t is fm.Nu:
         return chain.region(node)
@@ -561,7 +548,7 @@ def node_set_on_prefix(chain, S, depth):
     """Transport the final state set to tree nodes of the base system: the
     depth-bounded prefixes of the fine and base unfoldings are isomorphic, so
     each fine run projects to exactly one base run."""
-    chi = chain.composite().chi
+    chi = insplitting(chain.final, chain.systems[0]).chi
     fine = chain.final
     out = set()
     seen = set()

@@ -23,27 +23,22 @@ def random_system(rng, max_states=5, atoms=("p", "q", "r"), agents=("a", "b"), c
         succs = rng.sample(states, rng.randint(1, n))
         for r in succs:
             delta.add((q, r))
-    # keep everything reachable from 1: wire unreached states into the graph
-    reach = {1}
-    frontier = [1]
-    while frontier:
-        q = frontier.pop()
-        for q2, r in delta:
-            if q2 == q and r not in reach:
-                reach.add(r)
-                frontier.append(r)
+    # keep everything reachable from 1: close over what 1 reaches, then wire
+    # each state still unreached in from a reached one and close over it
+    reach = set()
     for q in states:
-        if q not in reach:
-            src = rng.choice(sorted(reach))
-            delta.add((src, q))
-            reach.add(q)
-            frontier = [q]
-            while frontier:
-                x = frontier.pop()
-                for q2, r in delta:
-                    if q2 == x and r not in reach:
-                        reach.add(r)
-                        frontier.append(r)
+        if q in reach:
+            continue
+        if reach:
+            delta.add((rng.choice(sorted(reach)), q))
+        reach.add(q)
+        frontier = [q]
+        while frontier:
+            x = frontier.pop()
+            for q2, r in delta:
+                if q2 == x and r not in reach:
+                    reach.add(r)
+                    frontier.append(r)
     labels = {q: frozenset(p for p in atoms if rng.random() < 0.4) for q in states}
     if chain_obs:
         obs = {}

@@ -160,10 +160,11 @@ def reachability_strategy_oracle(g, a0, p1, p2):
             if key in memo:
                 return memo[key]
             alpha = sigma[B]
-            ok = True
             succs = [
                 (acts, r) for acts, r in g.outgoing(q) if dict(acts)[a0] == alpha
             ]
+            # an action with no transition from q is not a move: a loss
+            ok = bool(succs)
             for _, r in succs:
                 obs = g.label(r) & g.obs[a0]
                 nb = moves[(B, alpha)][obs]

@@ -690,7 +690,7 @@ class TestImageTables:
             monkeypatch.setitem(checker._KNOWLEDGE, t, lambda *a, fn=fn: calls.append(a) or fn(*a))
         _, chain, S = check_with_sets(m, parse_formula("K a . EX b0 | P a . AX b1"))
         assert [len(s) for s in chain.systems] == [513, 513, 513] and calls == []
-        chi = chain.composite().chi
+        chi = checker.insplitting(chain.final, chain.systems[0]).chi
         want = ex_f(m, checker.atom_set(m, "b0")) | ax_f(m, checker.atom_set(m, "b1"))
         assert len(S) == len(want) == len({chi[q] for q in S}) and {chi[q] for q in S} == want
 

@@ -211,6 +211,18 @@ class TestStrategyOracle:
         assert not reachability_strategy_oracle(blind, "a0", "p1", "p2")
         assert reachability_strategy_oracle(sighted, "a0", "p1", "p2")
 
+    def test_action_without_transition_loses(self):
+        # y has no transition from 1, and x leads to a sink without p1/p2:
+        # choosing y is not a way to win
+        g = LabeledSystem(
+            [1, 2], 1,
+            [(1, {"a0": "x", "b": "u"}, 2), (2, {"a0": "x", "b": "u"}, 2),
+             (2, {"a0": "y", "b": "u"}, 2)],
+            ["p1", "p2"], {1: {"p1"}, 2: set()},
+            {"a0": set(), "b": set()}, {"a0": ["x", "y"], "b": ["u"]},
+        )
+        assert not reachability_strategy_oracle(g, "a0", "p1", "p2")
+
 
 def loop_game(priority):
     return ParityGame(
