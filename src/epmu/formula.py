@@ -227,6 +227,7 @@ FALSE = FalseF()
 
 BINDERS = (Mu, Nu)
 EPISTEMIC = (Know, Poss)
+LEAVES = frozenset([TrueF, FalseF, Atom, NegAtom, Var])  # the classes without children
 
 
 def free_vars(f):
@@ -427,17 +428,27 @@ def dual(f):
 # ---------------------------------------------------------------------------
 # Concrete syntax
 
-# A "key" token is its own kind; "bad" is any character no other group takes.
+# One match per token, after the whitespace before it; group i holds a token
+# of kind _KINDS[i], where a "key" token is its own kind and "bad" is any
+# character no other group takes.  After the greedy \s* either a character
+# (which "." takes) or the end of the text follows, so the last alternative,
+# an empty match at the end, is the only one that can be left to match:
+# a failing alternation would backtrack into \s* and make a run of trailing
+# whitespace quadratic.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<key>->|[~&|().,<>\[\]{}=]|(?:true|false|mu|nu|AX|EX|K|P|E|C)(?![A-Za-z0-9_]))
-  | (?P<VAR>[A-Z][A-Za-z0-9_]*)
-  | (?P<ident>[a-z][A-Za-z0-9_]*)
-  | (?P<bad>.)
+    \s*
+    (?:
+      (->|[~&|().,<>\[\]{}=]|(?:true|false|mu|nu|AX|EX|K|P|E|C)(?![A-Za-z0-9_]))
+    | ([A-Z][A-Za-z0-9_]*)
+    | ([a-z][A-Za-z0-9_]*)
+    | (.)
+    | $
+    )
     """,
     re.VERBOSE,
 )
+_KINDS = (None, "key", "VAR", "ident", "bad")
 
 # Binary connectives: precedence (higher binds tighter) and constructor;
 # "->" groups to the right, the others to the left.
@@ -454,13 +465,13 @@ def _tokenize(text):
     """(kind, text, offset) tuples, ending with an "eof" token."""
     tokens = []
     for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws":
+        i = m.lastindex
+        if i is None:  # the end of the text
             continue
-        chunk = m.group()
-        if kind == "bad":
-            raise _syntax_error(text, m.start(), f"unexpected character {chunk!r}")
-        tokens.append((chunk if kind == "key" else kind, chunk, m.start()))
+        chunk = m.group(i)
+        if i == 4:
+            raise _syntax_error(text, m.start(i), f"unexpected character {chunk!r}")
+        tokens.append((chunk if i == 1 else _KINDS[i], chunk, m.start(i)))
     tokens.append(("eof", "", len(text)))
     return tokens
 
@@ -628,42 +639,43 @@ def _acts_str(acts):
 def pretty(f):
     """Render in the concrete syntax; parse_formula(pretty(f)) == f for ASTs
     free of expanded sugar."""
-    if isinstance(f, TrueF):
-        return "true"
-    if isinstance(f, FalseF):
-        return "false"
-    if isinstance(f, Atom):
+    t = type(f)
+    if t is Atom or t is Var:
         return f.name
-    if isinstance(f, NegAtom):
-        return f"~{f.name}"
-    if isinstance(f, Var):
-        return f.name
-    if isinstance(f, Not):
-        return f"~{_paren(f.child)}"
-    if isinstance(f, And):
+    if t is And:
         return f"{_paren(f.left)} & {_paren(f.right)}"
-    if isinstance(f, Or):
+    if t is Or:
         return f"{_paren(f.left)} | {_paren(f.right)}"
-    if isinstance(f, AX):
-        return f"AX {_paren(f.child)}"
-    if isinstance(f, EX):
+    if t is NegAtom:
+        return f"~{f.name}"
+    if t is EX:
         return f"EX {_paren(f.child)}"
-    if isinstance(f, Know):
+    if t is AX:
+        return f"AX {_paren(f.child)}"
+    if t is Know:
         return f"K {f.agent} . {_paren(f.child)}"
-    if isinstance(f, Poss):
+    if t is Poss:
         return f"P {f.agent} . {_paren(f.child)}"
-    if isinstance(f, Mu):
+    if t is Mu:
         return f"mu {f.var} . {pretty(f.body)}"
-    if isinstance(f, Nu):
+    if t is Nu:
         return f"nu {f.var} . {pretty(f.body)}"
-    if isinstance(f, DiamondAct):
+    if t is TrueF:
+        return "true"
+    if t is FalseF:
+        return "false"
+    if t is Not:
+        return f"~{_paren(f.child)}"
+    if t is DiamondAct:
         return f"<{_acts_str(f.acts)}> {_paren(f.child)}"
-    if isinstance(f, BoxAct):
+    if t is BoxAct:
         return f"[{_acts_str(f.acts)}] {_paren(f.child)}"
     raise TypeError(f"unexpected node {f!r}")
 
 
 def _paren(f):
-    if f.children() and not isinstance(f, (Not, NegAtom)):
-        return f"({pretty(f)})"
-    return pretty(f)
+    """pretty(f), in parentheses unless f is a leaf or a negation."""
+    t = type(f)
+    if t in LEAVES or t is Not:
+        return pretty(f)
+    return f"({pretty(f)})"

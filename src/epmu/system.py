@@ -103,15 +103,21 @@ def _check_shape(states, q0, succ, atoms, labels, obs, edges=None):
     first bad one."""
     if _bad_id(q0) or q0 not in states:
         raise SystemFormatError(f"initial state {q0} is not a state")
-    sets = (*labels.values(), *obs.values())
-    for lab in dict(zip(map(id, sets), sets)).values():
-        if not atoms.issuperset(lab):
-            raise UnknownAtom(next(p for p in lab if p not in atoms))
+    _check_atoms(atoms, labels, obs)
     if states.issuperset(succ) and states.issuperset(chain.from_iterable(succ.values())):
         return
     for q, r in edges or ((q, r) for q, rs in succ.items() for r in rs):
         if q not in states or r not in states:
             raise SystemFormatError(f"transition ({q},{r}) uses unknown state")
+
+
+def _check_atoms(atoms, labels, obs):
+    """Reject an atom outside `atoms` in a label or an observable set; each
+    distinct set object goes through one subset test."""
+    sets = (*labels.values(), *obs.values())
+    for lab in dict(zip(map(id, sets), sets)).values():
+        if not atoms.issuperset(lab):
+            raise UnknownAtom(next(p for p in lab if p not in atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +243,8 @@ def system_to_dict(m):
             for q in m.states
         ],
         "initial": m.q0,
-        "transitions": sorted([q, r] for q, r in m.delta),
+        # states and successor rows are sorted: this is sorted(m.delta)
+        "transitions": [[q, r] for q in m.states for r in m._succ[q]],
         "atoms": sorted(m.atoms),
         "agents": {a: {"obs": sorted(m.obs[a])} for a in m.agents},
     }

@@ -19,6 +19,7 @@ from .system import (
     DEFAULT_CAP,
     MultiAgentSystem,
     _agent_obs,
+    _check_atoms,
     _check_ends,
     _entry_list,
     _load_json,
@@ -88,6 +89,22 @@ class LabeledSystem(MultiAgentSystem):
 
     def outgoing(self, q):
         return list(self._out.get(q, ()))
+
+
+def _relabeled(g, atoms, labels):
+    """g as a LabeledSystem over new atoms and labels (one frozenset per
+    state).  Systems are immutable, so the states, transitions, alphabets,
+    agents, observable sets and names are g's, checked when g was built;
+    only the new labels and the observable sets against the new atoms are
+    checked here."""
+    atoms = frozenset(atoms)
+    _check_atoms(atoms, labels, g.obs)
+    m = LabeledSystem.__new__(LabeledSystem)
+    m.dropped_states = ()
+    m.states, m.q0, m.atoms, m.labels = g.states, g.q0, atoms, labels
+    m.agents, m.obs, m.names, m._succ = g.agents, g.obs, g.names, g._succ
+    m.alphabets, m.trans, m._out = g.alphabets, g.trans, g._out
+    return m
 
 
 def parse_labeled_system(text):
@@ -192,7 +209,7 @@ def compile_modal(g, cap=DEFAULT_CAP):
     while queue:
         q, _ = src = queue.popleft()
         sid = id_of[src]
-        for acts, r in sorted(g.outgoing(q)):
+        for acts, r in g._out.get(q, ()):  # in (acts, r) order
             tgt = (r, acts)
             if tgt not in id_of:
                 if len(pair_list) + 1 > cap:
@@ -227,17 +244,27 @@ def compile_modal(g, cap=DEFAULT_CAP):
 
 
 def compile_modal_formula(f, act_atom):
-    """<acts>phi -> EX(action atoms & phi); [acts]phi -> AX(~atoms | phi)."""
-    if isinstance(f, fm.DiamondAct):
+    """<acts>phi -> EX(action atoms & phi); [acts]phi -> AX(~atoms | phi);
+    every other node is kept, over its compiled children.  A node of no
+    formula class raises TypeError."""
+    t = type(f)
+    if t in fm.LEAVES:
+        return f
+    if t is fm.And or t is fm.Or:
+        return t(compile_modal_formula(f.left, act_atom), compile_modal_formula(f.right, act_atom))
+    if t is fm.DiamondAct:
         guard = reduce(fm.And, [fm.Atom(act_atom[pair]) for pair in f.acts])
         return fm.EX(fm.And(guard, compile_modal_formula(f.child, act_atom)))
-    if isinstance(f, fm.BoxAct):
+    if t is fm.BoxAct:
         guard = reduce(fm.Or, [fm.NegAtom(act_atom[pair]) for pair in f.acts])
         return fm.AX(fm.Or(guard, compile_modal_formula(f.child, act_atom)))
-    kids = f.children()
-    if not kids:
-        return f
-    return fm._rebuild(f, [compile_modal_formula(c, act_atom) for c in kids])
+    if t is fm.Know or t is fm.Poss:
+        return t(f.agent, compile_modal_formula(f.child, act_atom))
+    if t is fm.Mu or t is fm.Nu:
+        return t(f.var, compile_modal_formula(f.body, act_atom))
+    if t is fm.AX or t is fm.EX or t is fm.Not:
+        return t(compile_modal_formula(f.child, act_atom))
+    raise TypeError(f"unexpected node {f!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +367,16 @@ class ParityGame(LabeledSystem):
         super().__init__(*args, **kwargs)
         if len(self.agents) != 2:
             raise SystemFormatError("a parity game needs exactly two agents")
-        self.players = tuple(players) if players else self.agents
+        if players is None:
+            self.players = self.agents
+        else:
+            self.players = tuple(_string_list(players, "'players'"))
         if sorted(self.players) != sorted(self.agents):
             raise SystemFormatError("players must name the two agents")
+        priority = {} if priority is None else priority
+        for q in self.states:
+            if q not in priority:
+                raise SystemFormatError(f"no priority at state {q}")
         self.priority = {q: priority[q] for q in self.states}
         for q, k in self.priority.items():
             if type(k) is bool or not isinstance(k, int) or k < 0:
@@ -380,17 +414,7 @@ def parity_encoding(game, player_index):
         prio_atom[k] = name
         atoms.add(name)
     labels = {q: game.label(q) | {prio_atom[game.priority[q]]} for q in game.states}
-
-    extended = LabeledSystem(
-        states=game.states,
-        q0=game.q0,
-        trans=game.trans,
-        atoms=atoms,
-        labels=labels,
-        obs=game.obs,
-        alphabets=game.alphabets,
-        names=game.names,
-    )
+    extended = _relabeled(game, atoms, labels)
 
     zvar = {k: f"Zp{k}" for k in range(1, n + 1)}
 

@@ -534,6 +534,7 @@ class TestTranslate:
             ("parity", _null_ids, "state {'id': None, 'atoms': ['s1'], 'priority': 2}: its id is null"),
             ("atl-until", lambda d: d.__setitem__("initial", 1.0), "initial state 1.0 is not a state"),
             ("atl-until", _null_ids, "state {'id': None, 'atoms': ['s1'], 'priority': 2}: its id is null"),
+            ("parity", lambda d: d.__setitem__("players", 5), "'players' is not a list of strings: 5"),
         ],
         ids=[
             "game-actions-string", "game-agent-list", "labeled-actions-string", "labeled-agent-list",
@@ -542,6 +543,7 @@ class TestTranslate:
             "labeled-alphabet-ints", "game-boolean-priority", "game-boolean-label-end",
             "game-repeated-id", "labeled-repeated-id", "labeled-boolean-initial",
             "game-float-label-end", "game-null-ids", "labeled-float-initial", "labeled-null-ids",
+            "game-players-int",
         ],
     )
     def test_bad_actions_or_agent_exit_three(self, tmp_path, capsys, mode, edit, named):

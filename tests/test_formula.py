@@ -1,5 +1,7 @@
 import hashlib
 import random
+import re
+import time
 
 import pytest
 
@@ -105,6 +107,12 @@ class TestParse:
         ]:
             f = parse_formula(text)
             assert parse_formula(pretty(f)) == f
+
+    def test_pretty_rejects_unknown_nodes(self):
+        with pytest.raises(TypeError, match="unexpected node"):
+            pretty(And(Atom("p"), "q"))
+        with pytest.raises(TypeError, match="unexpected node"):
+            pretty(object())
 
     def test_implication_groups_right_and_binds_loosest(self):
         p, q, r = Atom("p"), Atom("q"), Atom("r")
@@ -548,3 +556,93 @@ class TestRenamingSkipped:
         g = to_positive_form(parse_formula("mu Z . (EX Z & mu Z . (EX Z | Z1))"))
         assert g == parse_formula("mu Z . (EX Z & mu Z2 . (EX Z2 | Z1))")
         assert fm.free_vars(g) == {"Z1"} and len(calls) == 1
+
+
+# The tokenizer as it was before it took each token in one match, kept as
+# the reference the one-match tokenizer is held to.
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<key>->|[~&|().,<>\[\]{}=]|(?:true|false|mu|nu|AX|EX|K|P|E|C)(?![A-Za-z0-9_]))
+  | (?P<VAR>[A-Z][A-Za-z0-9_]*)
+  | (?P<ident>[a-z][A-Za-z0-9_]*)
+  | (?P<bad>.)
+    """,
+    re.VERBOSE,
+)
+
+
+def _reference_tokenize(text):
+    tokens = []
+    for m in _REFERENCE_TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        chunk = m.group()
+        if kind == "bad":
+            raise fm._syntax_error(text, m.start(), f"unexpected character {chunk!r}")
+        tokens.append((chunk if kind == "key" else kind, chunk, m.start()))
+    tokens.append(("eof", "", len(text)))
+    return tokens
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except FormulaSyntaxError as e:
+        return type(e).__name__, str(e), e.line, e.column
+
+
+_WHITESPACE = [" ", "  ", "\n", "\t", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", " ", "\xa0", " \n "]
+
+
+def _spaced(rng, text):
+    """text with runs of whitespace, line breaks among them, before it,
+    after it, or both."""
+    def run():
+        return "".join(rng.choice(_WHITESPACE) for _ in range(rng.randint(1, 6)))
+
+    where = rng.choice(["after", "after", "before", "both", "none"])
+    if where in ("before", "both"):
+        text = run() + text
+    if where in ("after", "both"):
+        text = text + run()
+    return text
+
+
+class TestTokenizer:
+    """The one-match tokenizer gives the tokens (kind, text, offset) of the
+    reference, or the same error at the same line and column."""
+
+    def test_same_tokens_on_the_translator_corpus(self):
+        from test_translate import translator_corpus
+
+        from epmu.translate import compile_modal
+
+        texts = set()
+        for g, _, phi in translator_corpus():
+            texts.add(pretty(phi))
+            if g is not None:
+                texts.add(pretty(compile_modal(g).compile_formula(phi)))
+        assert len(texts) >= 40  # the corpus repeats its formula shapes
+        for text in sorted(texts):
+            assert fm._tokenize(text) == _reference_tokenize(text)
+
+    def test_same_tokens_or_errors_on_fuzzed_texts(self):
+        rng = random.Random(20)
+        texts = _front_end_corpus(19, 3000)
+        texts += ["", " ", "\n", "p\n", "\n\n p \n", "p ?", "? ", "p\t\x0b\x0c", "@\n", "p   q"]
+        errors = 0
+        for text in texts:
+            text = _spaced(rng, text)
+            want = _tokens_or_error(_reference_tokenize, text)
+            assert _tokens_or_error(fm._tokenize, text) == want, repr(text)
+            errors += isinstance(want[0], str)
+        assert errors > 100
+
+    def test_trailing_whitespace_is_linear(self):
+        text = "p" + " " * 50_000
+        start = time.perf_counter()
+        tokens = fm._tokenize(text)
+        assert time.perf_counter() - start < 1.0
+        assert tokens == [("ident", "p", 0), ("eof", "", len(text))]

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -10,11 +11,14 @@ from epmu.system import (
     MultiAgentSystem,
     bounded_unfold,
     parse_system,
+    system_to_dict,
     system_to_json,
     to_dot,
     verify_in_splitting,
 )
-from epmu.distinction import distinction, insplitting
+from epmu.distinction import distinction, insplitting, refine_for_agents
+from epmu.gen import random_system, small_game_family
+from epmu.translate import compile_modal
 
 SYS1_JSON = json.dumps(
     {
@@ -213,3 +217,46 @@ class TestTreePrefix:
 
         with pytest.raises(CapacityExceeded):
             bounded_unfold(sys2, 6, cap=10)
+
+
+def _string_ids(m):
+    """m with state q renamed "q<q>", so that ids sort as strings: "q10"
+    before "q2"."""
+    rename = {q: f"q{q}" for q in m.states}
+    return MultiAgentSystem(
+        [rename[q] for q in m.states], rename[m.q0],
+        [(rename[q], rename[r]) for q, r in m.delta],
+        m.atoms, {rename[q]: m.labels[q] for q in m.states}, m.obs,
+        {rename[q]: name for q, name in m.names.items()},
+    )
+
+
+class TestWriter:
+    """system_to_dict writes the transitions row by row from the successor
+    lists, which is sorted(delta) on every kind of system."""
+
+    @staticmethod
+    def systems():
+        rng = random.Random(2024)
+        for _ in range(60):
+            m = random_system(rng, max_states=12, chain_obs=True)
+            yield m
+            yield _string_ids(m)
+            yield distinction(m, "a")
+            yield refine_for_agents(m, ("a", "b"))
+        for g in small_game_family(40, rng, max_states=4):
+            yield compile_modal(g).system
+
+    def test_transitions_are_the_sorted_pairs(self):
+        kinds = set()
+        for m in self.systems():
+            assert system_to_dict(m)["transitions"] == sorted([q, r] for q, r in m.delta)
+            kinds.add((type(m).__name__, type(m.q0).__name__))
+        assert kinds == {
+            ("MultiAgentSystem", "int"), ("MultiAgentSystem", "str"), ("DistinctionSystem", "int"),
+        }
+
+    def test_string_ids_sort_as_strings(self):
+        m = _string_ids(MultiAgentSystem(range(1, 12), 1, [(q, q % 11 + 1) for q in range(1, 12)], [], {}, {}))
+        rows = system_to_dict(m)["transitions"]
+        assert rows[:3] == [["q1", "q2"], ["q10", "q11"], ["q11", "q1"]]

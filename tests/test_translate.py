@@ -8,7 +8,7 @@ import pytest
 
 from epmu import formula as fm
 from epmu.checker import check, check_with_sets
-from epmu.errors import SystemFormatError, UnknownAgent, UnsupportedCoalition
+from epmu.errors import SystemFormatError, UnknownAgent, UnknownAtom, UnsupportedCoalition
 from epmu.formula import (
     Atom,
     BoxAct,
@@ -25,9 +25,11 @@ from epmu.system import MultiAgentSystem, bounded_unfold, system_to_dict
 from epmu.translate import (
     LabeledSystem,
     ParityGame,
+    _relabeled,
     atl_until_instance,
     coalition_next,
     compile_modal,
+    compile_modal_formula,
     labeled_system_from_dict,
     labeled_system_to_dict,
     parity_encoding,
@@ -123,6 +125,8 @@ MALFORMED_LABELED = {
 MALFORMED_GAME = {
     **MALFORMED_LABELED,
     "no-priority": (_drop(("states", 0, "priority")), "'priority'"),
+    "players-string": (lambda d: d.__setitem__("players", "eo"), "'players' is not a list of strings: 'eo'"),
+    "players-int": (lambda d: d.__setitem__("players", 5), "'players' is not a list of strings: 5"),
 }
 
 
@@ -200,6 +204,13 @@ class TestCompileModal:
         assert "act_b_u" in c.system.obs["b"]
         root = c.system.q0
         assert not any(p.startswith("act_") for p in c.system.label(root))
+
+    def test_unknown_node_rejected(self):
+        c = compile_modal(tiny_labeled())
+        with pytest.raises(TypeError, match="unexpected node"):
+            c.compile_formula(fm.And(Atom("p"), "q"))
+        with pytest.raises(TypeError, match="unexpected node"):
+            compile_modal_formula(object(), c.act_atom)
 
     def test_formula_compilation_shapes(self):
         g = tiny_labeled()
@@ -372,6 +383,33 @@ def unplayable_game():
 
 
 UNPLAYABLE = "^state 1: no transition lets agent 'e' play 'y'$"
+
+
+class TestPriorities:
+    @staticmethod
+    def two_state_game(priority):
+        return ParityGame(
+            [1, 2], 1, [(1, {"e": "x", "o": "u"}, 2), (2, {"e": "x", "o": "u"}, 1)],
+            [], {}, {"e": set(), "o": set()}, {"e": ["x"], "o": ["u"]},
+            priority=priority, players=("e", "o"),
+        )
+
+    @pytest.mark.parametrize(
+        "priority,state",
+        [({1: 1}, 2), ({2: 1}, 1), ({}, 1), (None, 1), ({1: 1, 3: 2}, 2)],
+        ids=["second-missing", "first-missing", "empty", "none", "other-state"],
+    )
+    def test_missing_priority_names_the_first_state(self, priority, state):
+        with pytest.raises(SystemFormatError, match=f"^no priority at state {state}$"):
+            self.two_state_game(priority)
+
+    def test_unreachable_state_needs_none(self):
+        g = ParityGame(
+            [1, 2], 1, [(1, {"e": "x", "o": "u"}, 1)],
+            [], {}, {"e": set(), "o": set()}, {"e": ["x"], "o": ["u"]},
+            priority={1: 2}, players=("e", "o"),
+        )
+        assert g.priority == {1: 2} and g.dropped_states == (2,)
 
 
 class TestParityEncoding:
@@ -594,3 +632,74 @@ class TestOneActionModality:
                 if isinstance(f, (BoxAct, DiamondAct)):
                     assert len(f.acts) == 1, fm.pretty(f)
                 stack.extend(f.children())
+
+
+def parity_games_of(rng, count):
+    """Parity games over small_game_family games with random priorities
+    (1-5) and players in either order.  Each keeps the states the family
+    game dropped, now without transitions, so those are unreachable again;
+    about half name their states."""
+    for g in small_game_family(count, rng, max_states=5):
+        states = list(g.states) + list(g.dropped_states)
+        named = rng.random() < 0.5
+        yield ParityGame(
+            states, g.q0, g.trans, g.atoms, g.labels, g.obs, g.alphabets,
+            names={q: f"n{q}" for q in states} if named else None,
+            priority={q: rng.randint(1, 5) for q in states},
+            players=rng.choice([("a0", "opp"), ("opp", "a0")]),
+        )
+
+
+class TestParityRelabel:
+    """parity_encoding relabels the checked game instead of building its
+    system again; the result equals, field by field and as a file, the
+    LabeledSystem built from the game's states, transitions and new labels."""
+
+    FIELDS = (
+        "states", "q0", "atoms", "labels", "agents", "obs", "names",
+        "_succ", "trans", "_out", "alphabets", "dropped_states",
+    )
+
+    @staticmethod
+    def rebuilt(game):
+        n = max(game.priority.values())
+        n += n % 2
+        return LabeledSystem(
+            states=game.states,
+            q0=game.q0,
+            trans=game.trans,
+            atoms=game.atoms | {f"prio{k}" for k in range(1, n + 1)},
+            labels={q: game.label(q) | {f"prio{game.priority[q]}"} for q in game.states},
+            obs=game.obs,
+            alphabets=game.alphabets,
+            names=game.names,
+        )
+
+    def games(self):
+        import test_checker
+
+        rng = random.Random(4711)
+        games = list(parity_games_of(rng, 150))
+        games += [test_checker.TestParityDigest.game(rng, i) for i in range(60)]
+        return games
+
+    def test_same_system_as_rebuilt(self):
+        dropped = 0
+        for game in self.games():
+            want = self.rebuilt(game)
+            dropped += bool(game.dropped_states)
+            for player in (0, 1):
+                got = parity_encoding(game, player)[0]
+                assert type(got) is LabeledSystem
+                for name in self.FIELDS:
+                    assert getattr(got, name) == getattr(want, name), name
+                assert json.dumps(labeled_system_to_dict(got)) == json.dumps(labeled_system_to_dict(want))
+                assert got.delta == want.delta
+        assert dropped > 20
+
+    def test_new_atoms_and_labels_are_checked(self):
+        g = loop_parity(2)  # atom s1, at state 1 and seen by both agents
+        with pytest.raises(UnknownAtom, match="unknown atom: zz$"):
+            _relabeled(g, g.atoms, {1: frozenset({"s1", "zz"})})
+        with pytest.raises(UnknownAtom, match="unknown atom: s1$"):
+            _relabeled(g, {"p"}, {1: frozenset({"p"})})
