@@ -32,7 +32,6 @@ from .system import (
     GammaRelation,
     InSplitting,
     MultiAgentSystem,
-    _check_shape,
 )
 
 
@@ -40,30 +39,20 @@ class DistinctionSystem(MultiAgentSystem):
     """A system whose states are (base state, belief set) pairs over the
     system it refines (`base`); `insplitting` builds the map back to it.
 
-    Built straight from the breadth-first search of `distinction`: state i
-    is the i-th pair found and `succ[i]` lists the ids of its successors in
-    increasing order, so the states are 0..n-1, all reachable from 0, and
-    the sorting and reachability pass of MultiAgentSystem is not needed.
-    The shape check still runs, on the rows of `succ`.  The atoms, agents
-    and observable sets are the base's, shared with it.
+    Built straight from the breadth-first search of `distinction`, through
+    `_derive`: state i is the i-th pair found and `succ[i]` lists the ids
+    of its successors in increasing order.  The atoms and observable sets
+    are the base's, shared with it.
 
     The name of state (s, S) is "(s,{...})" over the base's names, built on
     its first read (`state_name`) and kept: a check never prints them, and
     nested ones grow long.  `names` builds them all."""
 
     def __init__(self, base, agent, pair_of, labels, succ, partitions):
-        _check_shape(set(range(len(pair_of))), 0, succ, base.atoms, labels, base.obs)
+        self._derive(len(pair_of), succ, base.atoms, labels, base.obs)
         self.base = base
         self.agent = agent
         self.pair_of = pair_of  # id -> (s, frozenset S)
-        self.dropped_states = ()
-        self.states = tuple(range(len(pair_of)))
-        self.q0 = 0
-        self.atoms = base.atoms
-        self.labels = labels
-        self.agents = base.agents
-        self.obs = base.obs
-        self._succ = succ
         self._names = {}
         self.partitions = partitions
 

@@ -231,10 +231,11 @@ def _zielonka(nodes, edges, owner, priority):
 
 
 def parity_oracle(game, player_index=0):
-    """Winning region of one player in a perfect-information concurrent
-    parity game, via the turn-based expansion: the player picks an action,
-    then the opponent picks a reply and resolves nondeterminism."""
-    me = game.players[player_index]
+    """Winning region of player 0 or 1 (`ParityGame.player`) in a
+    perfect-information concurrent parity game, via the turn-based
+    expansion: the player picks an action, then the opponent picks a reply
+    and resolves nondeterminism."""
+    me = game.player(player_index)
     nodes = set()
     edges = {}
     owner = {}

@@ -1,7 +1,9 @@
 """Multi-agent systems, in-splitting maps (those of a refinement chain are
 built by `epmu.distinction.insplitting`), and depth-bounded unfoldings.
-Systems keep no state-mask tables: each region of the checker builds its
-own (`epmu.checker.Region`)."""
+`MultiAgentSystem._fill` alone sets the fields every system has, for
+outside input (`MultiAgentSystem.__init__`) and derived systems (`_derive`)
+alike.  Systems keep no state-mask tables: each region of the checker
+builds its own (`epmu.checker.Region`)."""
 
 from __future__ import annotations
 
@@ -25,12 +27,17 @@ class MultiAgentSystem:
     read.  The state masks of the checker are not the system's: a region
     builds them for the system it runs on.
 
+    The constructor is for outside input: it runs `_check_shape`, moves the
+    states q0 does not reach to `dropped_states` and sorts states and rows.
+    A system the program derives is filled by `_derive` instead.
+
     `partitions` maps each agent the system is known to be distinguished for
     to its Γ blocks; a system built here is known for none (a
     DistinctionSystem fills it in).
     """
 
     partitions = {}
+    dropped_states = ()
 
     def __init__(self, states, q0, delta, atoms, labels, obs, names=None):
         states = sorted(set(states))
@@ -53,14 +60,26 @@ class MultiAgentSystem:
         self.dropped_states = tuple(sorted(set(states) - reachable))
         states = sorted(reachable)
 
-        self.states = tuple(states)
-        self.q0 = q0
-        self.atoms = atoms
-        self.labels = {q: frozenset(labels.get(q, ())) for q in states}
-        self.agents = tuple(sorted(obs))
-        self.obs = {a: frozenset(pa) for a, pa in obs.items()}
+        labels = {q: frozenset(labels.get(q, ())) for q in states}
+        obs = {a: frozenset(pa) for a, pa in obs.items()}
+        rows = {q: tuple(sorted(succ[q])) for q in states}
+        self._fill(tuple(states), q0, rows, atoms, labels, obs)
         self.names = {q: names[q] for q in states if names and q in names}
-        self._succ = {q: tuple(sorted(succ[q])) for q in states}
+
+    def _fill(self, states, q0, succ, atoms, labels, obs):
+        """Set the fields every system has, as given: sorted successor
+        tuples, frozenset labels and observable sets."""
+        self.states, self.q0, self._succ = states, q0, succ
+        self.atoms, self.labels, self.obs = atoms, labels, obs
+        self.agents = tuple(sorted(obs))
+
+    def _derive(self, n, succ, atoms, labels, obs):
+        """Fill a derived system, whose states 0..n-1 are all reachable from
+        0 and whose rows are sorted, with no sorting or reachability pass;
+        `_check_shape` still runs on the rows."""
+        states = tuple(range(n))
+        _check_shape(set(states), 0, succ, atoms, labels, obs)
+        self._fill(states, 0, succ, atoms, labels, obs)
 
     def successors(self, q):
         return self._succ[q]
@@ -262,8 +281,8 @@ def to_dot(m):
         label = f"{m.state_name(q)} | {{{atoms}}}"
         shape = ' shape="doublecircle"' if q == m.q0 else ""
         lines.append(f'  n{q} [label="{label}"{shape}];')
-    for q, r in sorted(m.delta):
-        lines.append(f"  n{q} -> n{r};")
+    for q in m.states:
+        lines.extend([f"  n{q} -> n{r};" for r in m._succ[q]])
     lines.append("}")
     return "\n".join(lines) + "\n"
 

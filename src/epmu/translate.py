@@ -5,11 +5,12 @@ bookkeeping bit, the coalition-next operator, and the parity-game encoding."""
 from __future__ import annotations
 
 from collections import deque
-from functools import reduce
+from functools import cached_property, reduce
 
 from . import formula as fm
 from .errors import (
     CapacityExceeded,
+    EpmuError,
     SystemFormatError,
     UnknownAgent,
     UnknownAtom,
@@ -50,7 +51,7 @@ def _check_playable(g, agent):
     every state; SystemFormatError names the first state, in state order,
     and the action that is not."""
     slot = g.agents.index(agent)  # the agent's place in a sorted action tuple
-    played = {(q, acts[slot][1]) for q, acts, _ in g.trans}
+    played = {(q, acts[slot][1]) for q, out in g._out.items() for acts, _ in out}
     for q in g.states:
         for alpha in g.alphabets[agent]:
             if (q, alpha) not in played:
@@ -60,8 +61,9 @@ def _check_playable(g, agent):
 class LabeledSystem(MultiAgentSystem):
     """Multi-agent system with per-transition joint-action labels: the plain
     system of its (from, to) pairs, plus `alphabets` (agent -> sorted
-    actions) and `trans`, the reachable (from, action tuple, to) triples in
-    sorted order."""
+    actions) and `_out`, the labeled transitions stored once (state -> its
+    (action tuple, to) pairs in sorted order).  `trans`, the reachable (from,
+    action tuple, to) triples in sorted order, is built from it on read."""
 
     def __init__(self, states, q0, trans, atoms, labels, obs, alphabets, names=None):
         self.alphabets = {a: tuple(sorted(set(acts))) for a, acts in alphabets.items()}
@@ -81,11 +83,14 @@ class LabeledSystem(MultiAgentSystem):
                     raise SystemFormatError(f"undeclared action {act!r} of agent {a}")
             canon.add((q, acts, r))
         super().__init__(states, q0, [(q, r) for q, _, r in canon], atoms, labels, obs, names)
-        keep = set(self.states)
-        self.trans = tuple(sorted(t for t in canon if t[0] in keep and t[2] in keep))
-        self._out = {}  # state -> [(acts, r), ...] in the order of self.trans
-        for q, acts, r in self.trans:
-            self._out.setdefault(q, []).append((acts, r))
+        self._out = {}
+        for q, acts, r in sorted(canon):
+            if q in self._succ:  # q is reachable, and so is r
+                self._out.setdefault(q, []).append((acts, r))
+
+    @cached_property
+    def trans(self):
+        return tuple([(q, acts, r) for q in self.states for acts, r in self._out.get(q, ())])
 
     def outgoing(self, q):
         return list(self._out.get(q, ()))
@@ -94,16 +99,14 @@ class LabeledSystem(MultiAgentSystem):
 def _relabeled(g, atoms, labels):
     """g as a LabeledSystem over new atoms and labels (one frozenset per
     state).  Systems are immutable, so the states, transitions, alphabets,
-    agents, observable sets and names are g's, checked when g was built;
-    only the new labels and the observable sets against the new atoms are
-    checked here."""
+    observable sets and names are g's, checked when g was built; only the
+    new labels and the observable sets against the new atoms are checked
+    here."""
     atoms = frozenset(atoms)
     _check_atoms(atoms, labels, g.obs)
     m = LabeledSystem.__new__(LabeledSystem)
-    m.dropped_states = ()
-    m.states, m.q0, m.atoms, m.labels = g.states, g.q0, atoms, labels
-    m.agents, m.obs, m.names, m._succ = g.agents, g.obs, g.names, g._succ
-    m.alphabets, m.trans, m._out = g.alphabets, g.trans, g._out
+    m._fill(g.states, g.q0, g._succ, atoms, labels, g.obs)
+    m.names, m.alphabets, m._out = g.names, g.alphabets, g._out
     return m
 
 
@@ -158,12 +161,7 @@ def labeled_system_to_dict(g):
     return system_to_dict(g) | {
         "actions": {
             "alphabets": {a: list(g.alphabets[a]) for a in g.agents},
-            "labels": [
-                [q, dict(acts), r]
-                for q, acts, r in sorted(
-                    g.trans, key=lambda t: (t[0], sorted(dict(t[1]).items()), t[2])
-                )
-            ],
+            "labels": [[q, dict(acts), r] for q, acts, r in g.trans],
         },
     }
 
@@ -205,10 +203,10 @@ def compile_modal(g, cap=DEFAULT_CAP):
     id_of = {start: 0}
     pair_list = [start]
     queue = deque([start])
-    delta = []
+    succ = {}
     while queue:
         q, _ = src = queue.popleft()
-        sid = id_of[src]
+        row = []
         for acts, r in g._out.get(q, ()):  # in (acts, r) order
             tgt = (r, acts)
             if tgt not in id_of:
@@ -217,29 +215,22 @@ def compile_modal(g, cap=DEFAULT_CAP):
                 id_of[tgt] = len(pair_list)
                 pair_list.append(tgt)
                 queue.append(tgt)
-            delta.append((sid, id_of[tgt]))
+            row.append(id_of[tgt])
+        succ[id_of[src]] = tuple(sorted(row))
 
-    labels, names, obs = {}, {}, {}
+    labels, names = {}, {}
     for i, (q, acts) in enumerate(pair_list):
-        lab = set(g.label(q))
+        lab = g.label(q)
         if acts is not None:
-            lab |= {act_atom[pair] for pair in acts}
+            lab = lab | {act_atom[pair] for pair in acts}
         labels[i] = lab
         tag = "i" if acts is None else ",".join(act for _, act in acts)
         names[i] = f"({g.state_name(q)};{tag})"
-    for a in g.agents:
-        own = {act_atom[(a, act)] for act in g.alphabets[a]}
-        obs[a] = set(g.obs[a]) | own
+    obs = {a: g.obs[a] | {act_atom[(a, act)] for act in g.alphabets[a]} for a in g.agents}
 
-    system = MultiAgentSystem(
-        states=list(range(len(pair_list))),
-        q0=0,
-        delta=delta,
-        atoms=atoms,
-        labels=labels,
-        obs=obs,
-        names=names,
-    )
+    system = MultiAgentSystem.__new__(MultiAgentSystem)
+    system._derive(len(pair_list), succ, frozenset(atoms), labels, obs)
+    system.names = names
     return CompiledModal(system, act_atom)
 
 
@@ -382,6 +373,13 @@ class ParityGame(LabeledSystem):
             if type(k) is bool or not isinstance(k, int) or k < 0:
                 raise SystemFormatError(f"bad priority {k!r} at state {q}")
 
+    def player(self, index):
+        """The agent of `players` at index 0 or 1; EpmuError for any other
+        index, including -1 and True."""
+        if type(index) is not int or index not in (0, 1):
+            raise EpmuError(f"player index {index!r} is not 0 or 1")
+        return self.players[index]
+
 
 def parse_parity_game(text):
     data = _load_json(text)
@@ -391,15 +389,16 @@ def parse_parity_game(text):
 
 
 def parity_encoding(game, player_index):
-    """Encode player i's winning condition as an alternating fixpoint over
-    priority atoms: nu on even indices, mu on odd, outermost index even.
+    """Encode the winning condition of player 0 or 1 (`ParityGame.player`)
+    as an alternating fixpoint over priority atoms: nu on even indices, mu
+    on odd, outermost index even.
     Every action of the player must be playable at every state
     (`_check_playable`).
 
     Returns (labeled system extended with priority atoms, modal formula with
     a single epistemic agent, hence non-mixing by construction).
     """
-    me = game.players[player_index]
+    me = game.player(player_index)
     n = max(game.priority.values())
     if min(game.priority.values()) < 1:
         raise SystemFormatError("priorities must be >= 1")

@@ -1,5 +1,6 @@
 import ast
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -259,9 +260,10 @@ class TestParityOracle:
         )
         assert parity_oracle(g) == {1, 2}
 
-    def test_opponent_controls(self):
-        # opponent chooses whether to stay in the odd state: even player loses
-        g = ParityGame(
+    @staticmethod
+    def opponent_controls(players=("e", "o")):
+        # o chooses whether to stay in the odd state
+        return ParityGame(
             [1, 2], 1,
             [
                 (1, {"e": "x", "o": "u"}, 2),
@@ -272,9 +274,21 @@ class TestParityOracle:
             ["s1", "s2"], {1: {"s1"}, 2: {"s2"}},
             {"e": {"s1", "s2"}, "o": {"s1", "s2"}},
             {"e": ["x"], "o": ["u", "v"]},
-            priority={1: 1, 2: 2}, players=("e", "o"),
+            priority={1: 1, 2: 2}, players=players,
         )
-        assert parity_oracle(g) == frozenset()
+
+    def test_opponent_controls(self):
+        # the even player loses
+        assert parity_oracle(self.opponent_controls()) == frozenset()
+
+    @pytest.mark.parametrize("index", [-1, 2, True, False, 1.0, "0", None])
+    def test_player_index_is_0_or_1(self, index):
+        with pytest.raises(EpmuError, match=f"^player index {re.escape(repr(index))} is not 0 or 1$"):
+            parity_oracle(loop_game(2), index)
+
+    def test_index_1_is_the_second_player(self):
+        assert parity_oracle(self.opponent_controls(), 1) == {1, 2}
+        assert parity_oracle(self.opponent_controls(("o", "e")), 0) == {1, 2}
 
 
 class TestUndeclaredNames:

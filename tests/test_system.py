@@ -1,14 +1,18 @@
+import ast
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 from epmu.checker import check
 from epmu.errors import SystemFormatError, UnknownAtom
 from epmu.formula import parse_formula
+import epmu.system
 from epmu.system import (
     InSplitting,
     MultiAgentSystem,
+    _check_shape,
     bounded_unfold,
     parse_system,
     system_to_dict,
@@ -18,7 +22,7 @@ from epmu.system import (
 )
 from epmu.distinction import distinction, insplitting, refine_for_agents
 from epmu.gen import random_system, small_game_family
-from epmu.translate import compile_modal
+from epmu.translate import atl_until_instance, compile_modal, parity_encoding
 
 SYS1_JSON = json.dumps(
     {
@@ -260,3 +264,132 @@ class TestWriter:
         m = _string_ids(MultiAgentSystem(range(1, 12), 1, [(q, q % 11 + 1) for q in range(1, 12)], [], {}, {}))
         rows = system_to_dict(m)["transitions"]
         assert rows[:3] == [["q1", "q2"], ["q10", "q11"], ["q11", "q1"]]
+
+
+class TestDerivedSystems:
+    """A system the program derives (subset constructions, searched and
+    copied, relabeled games and compiled action systems) skips the sorting
+    and reachability pass of the constructor, so each one must equal, field
+    by field and in the types of its fields, the system the constructor
+    builds from its states, rows, labels, observable sets and names."""
+
+    FIELDS = ("states", "q0", "_succ", "atoms", "labels", "obs", "agents", "names", "dropped_states")
+
+    @staticmethod
+    def rebuilt(m):
+        delta = [(q, r) for q in m.states for r in m._succ[q]]
+        return MultiAgentSystem(m.states, m.q0, delta, m.atoms, m.labels, m.obs, m.names)
+
+    def assert_as_rebuilt(self, m):
+        want = self.rebuilt(m)
+        for name in self.FIELDS:
+            assert getattr(m, name) == getattr(want, name), name
+        assert m.delta == want.delta
+        assert type(m.states) is tuple and type(m.agents) is tuple
+        assert type(m.atoms) is frozenset and m.dropped_states == ()
+        assert list(m._succ) == list(m.states) and list(m.labels) == list(m.states)
+        assert all(type(row) is tuple for row in m._succ.values())
+        assert all(type(lab) is frozenset for lab in m.labels.values())
+        assert all(type(pa) is frozenset for pa in m.obs.values())
+
+    def test_subset_constructions(self):
+        copies = 0
+        for seed in range(150):
+            m = random_system(random.Random(seed), max_states=6, chain_obs=True)
+            for agent in ("a", "b", "a", "b"):
+                copies += agent in m.partitions
+                m = distinction(m, agent)
+                self.assert_as_rebuilt(m)
+        assert copies > 100
+
+    def test_compiled_and_relabeled_games(self):
+        import test_checker
+
+        rng = random.Random(31)
+        derived = []
+        for i in range(100):
+            ext, _ = parity_encoding(test_checker.TestParityDigest.game(rng, i), i % 2)
+            derived += [ext, compile_modal(ext).system]
+        for g in small_game_family(60, rng, max_states=4):
+            until = atl_until_instance(g, "a0", "p1", "p2")[0]
+            derived += [compile_modal(g).system, compile_modal(until).system]
+        for m in derived:
+            self.assert_as_rebuilt(m)
+
+    def test_derive_raises_what_the_shape_check_raises(self):
+        def outcome(check, *args):
+            try:
+                check(*args)
+            except (SystemFormatError, UnknownAtom) as e:
+                return type(e), str(e)
+
+        rng = random.Random(29)
+        atoms = frozenset("pq")
+        raised = 0
+        for _ in range(400):
+            n = rng.randint(0, 4)
+            succ = {
+                q: tuple(sorted(rng.sample(range(6), rng.randint(0, 3))))
+                for q in rng.sample(range(6), rng.randint(0, 5))
+            }
+            labels = {q: frozenset(rng.sample("pqrs", rng.randint(0, 2))) for q in range(n)}
+            obs = {"a": frozenset(rng.sample("pqrs", rng.randint(0, 2)))}
+            want = outcome(_check_shape, set(range(n)), 0, succ, atoms, labels, obs)
+            m = MultiAgentSystem.__new__(MultiAgentSystem)
+            assert outcome(m._derive, n, succ, atoms, labels, obs) == want
+            raised += want is not None
+        assert 100 < raised < 400
+
+
+SYSTEM_FIELDS = {"states", "q0", "_succ", "atoms", "labels", "obs", "agents"}
+
+
+def _assigned_attributes(node):
+    """The attribute targets an assignment node writes, tuples unpacked."""
+    if isinstance(node, ast.Assign):
+        stack = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        stack = [node.target]
+    else:
+        return
+    while stack:
+        t = stack.pop()
+        if isinstance(t, (ast.Tuple, ast.List)):
+            stack.extend(t.elts)
+        elif isinstance(t, ast.Starred):
+            stack.append(t.value)
+        elif isinstance(t, ast.Attribute):
+            yield t
+
+
+def test_only_the_system_module_fills_system_fields():
+    """No module of the package but system.py assigns a field every system
+    has on an object.  `self.<field>` in a class that is no system (a
+    parser's `atoms`, an error's `agents`) is another field of that name."""
+    trees = {
+        path.name: ast.parse(path.read_text())
+        for path in sorted(Path(epmu.system.__file__).parent.glob("*.py"))
+    }
+    classes = [c for tree in trees.values() for c in ast.walk(tree) if isinstance(c, ast.ClassDef)]
+    systems, grew = {"MultiAgentSystem"}, True
+    while grew:
+        more = {
+            c.name for c in classes
+            if any(getattr(b, "id", getattr(b, "attr", None)) in systems for b in c.bases)
+        }
+        grew, systems = not more <= systems, systems | more
+    found = []
+    for name, tree in trees.items():
+        if name == "system.py":
+            continue
+        other = {
+            id(a)
+            for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name not in systems
+            for a in ast.walk(c)
+            if isinstance(a, ast.Attribute) and isinstance(a.value, ast.Name) and a.value.id == "self"
+        }
+        for node in ast.walk(tree):
+            for t in _assigned_attributes(node):
+                if t.attr in SYSTEM_FIELDS and id(t) not in other:
+                    found.append(f"{name}:{t.lineno} {ast.unparse(t)}")
+    assert found == []

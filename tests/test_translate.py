@@ -3,12 +3,19 @@ import hashlib
 import itertools
 import json
 import random
+import re
 
 import pytest
 
 from epmu import formula as fm
 from epmu.checker import check, check_with_sets
-from epmu.errors import SystemFormatError, UnknownAgent, UnknownAtom, UnsupportedCoalition
+from epmu.errors import (
+    EpmuError,
+    SystemFormatError,
+    UnknownAgent,
+    UnknownAtom,
+    UnsupportedCoalition,
+)
 from epmu.formula import (
     Atom,
     BoxAct,
@@ -82,6 +89,29 @@ class TestLabeledSystem:
         assert again.trans == g.trans
         assert again.alphabets == g.alphabets
         assert again.labels == g.labels
+
+    def test_trans_is_the_sorted_reachable_triples(self):
+        """`trans`, built from `_out`, is the former stored tuple: the
+        reachable triples, action tuples canonical, in sorted order."""
+        rng = random.Random(17)
+        games = small_game_family(40, rng, max_states=4)
+        games += [atl_until_instance(g, "a0", "p1", "p2")[0] for g in games]
+        for g in games:
+            extra = max(g.states) + 1  # unreachable, with edges into g
+            first = {a: g.alphabets[a][0] for a in g.agents}
+            trans = [(q, dict(acts), r) for q, acts, r in g.trans]
+            trans += [(extra, first, g.q0), (extra, first, extra)]
+            rng.shuffle(trans)
+            states = [*g.states, extra]
+            m = LabeledSystem(states, g.q0, trans, g.atoms, g.labels, g.obs, g.alphabets)
+            keep = set(m.states)
+            former = sorted(
+                (q, tuple(sorted(acts.items())), r)
+                for q, acts, r in trans
+                if q in keep and r in keep
+            )
+            assert type(m.trans) is tuple and list(m.trans) == former
+            assert m.dropped_states == (extra,)
 
     def test_outgoing_matches_scan(self):
         games = small_game_family(40, random.Random(13), max_states=4)
@@ -466,6 +496,11 @@ class TestParityEncoding:
             parity_encoding(g, 0)
         # o plays u everywhere, so o's encoding is defined and agrees
         assert self.check_game(g, 1) == (1 in parity_oracle(g, 1))
+
+    @pytest.mark.parametrize("index", [-1, 2, True, False, 1.0, "0", None])
+    def test_player_index_is_0_or_1(self, index):
+        with pytest.raises(EpmuError, match=f"^player index {re.escape(repr(index))} is not 0 or 1$"):
+            parity_encoding(loop_parity(2), index)
 
 
 def three_agent_game(rng):
