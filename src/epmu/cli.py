@@ -225,16 +225,17 @@ def cmd_translate(args):
     else:
         game = parse_parity_game(_read_file(args.game))
         mprime, phi = parity_encoding(game, args.player)
+    # everything that can fail runs before --out is created
+    compiled = compile_modal(mprime, cap=cap)
+    plain_phi = compiled.compile_formula(phi)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "system.mas").write_text(
         json.dumps(labeled_system_to_dict(mprime), indent=2) + "\n"
     )
-    compiled = compile_modal(mprime, cap=cap)
     (out / "compiled.mas").write_text(
         json.dumps(system_to_dict(compiled.system), indent=2) + "\n"
     )
-    plain_phi = compiled.compile_formula(phi)
     (out / "formula.mu").write_text(fm.pretty(plain_phi) + "\n")
     (out / "formula_modal.mu").write_text(fm.pretty(phi) + "\n")
     print(f"instance written to {args.out}")

@@ -22,7 +22,6 @@ never reads carried blocks.  The checker reads only the blocks."""
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from functools import cached_property
 
 from .errors import CapacityExceeded, NonChainAgents, SystemFormatError, UnknownAgent
@@ -168,61 +167,54 @@ def distinction(m, agent, cap=DEFAULT_CAP):
 
 
 def _search(m, agent, cap):
-    """The breadth-first search of `distinction`, whatever blocks m carries."""
+    """The breadth-first search of `distinction`, whatever blocks m carries:
+    it walks `pairs` while appending to it, so state i is pairs[i]."""
     if agent not in m.obs:
         raise UnknownAgent(agent)
     view = {q: m.obs_label(q, agent) for q in m.states}
     start = (m.q0, frozenset([m.q0]))
     id_of = {start: 0}
     pairs = [start]
-    groups = {start[1]: [0]}  # belief set -> ids of the states with it
-    out = []  # out[i]: successor ids of state i, in the order of m's successors
+    succ = {}
     post = {}  # belief set -> its successors grouped by observation
-    queue = deque([start])
-    while queue:
-        s, S = queue.popleft()
+    for i, (s, S) in enumerate(pairs):
         by_view = post.get(S)
         if by_view is None:
             by_view = post[S] = _post_by_view(m, S, view)
         targets = []
         for r in m.successors(s):
-            R = by_view[view[r]]
-            tgt = (r, R)
+            tgt = (r, by_view[view[r]])
             tid = id_of.get(tgt)
             if tid is None:
                 if len(pairs) + 1 > cap:
                     raise CapacityExceeded(len(pairs) + 1, cap, _context(agent))
                 tid = id_of[tgt] = len(pairs)
                 pairs.append(tgt)
-                queue.append(tgt)
-                ids = groups.get(R)
-                if ids is None:
-                    groups[R] = [tid]
-                else:
-                    ids.append(tid)
             targets.append(tid)
-        out.append(targets)
-    partitions = {agent: tuple([frozenset(ids) for ids in groups.values()])}
+        succ[i] = tuple(sorted(targets))
+    partitions = {agent: _blocks([S for _, S in pairs])}
     for b, b_blocks in m.partitions.items():
         if m.obs[agent] <= m.obs[b]:
-            partitions[b] = _pull_back(b_blocks, pairs)
+            block_of = {q: k for k, block in enumerate(b_blocks) for q in block}
+            partitions[b] = _blocks([(block_of[s], S) for s, S in pairs])
     return DistinctionSystem(
         m,
         agent,
         dict(enumerate(pairs)),
         {i: m.labels[s] for i, (s, _) in enumerate(pairs)},
-        {i: tuple(sorted(targets)) for i, targets in enumerate(out)},
+        succ,
         partitions,
     )
 
 
-def _pull_back(blocks, pairs):
-    """The blocks of the pairs (s, S) that are equal in S and whose s share
-    one of the given blocks of base states."""
-    block_of = {q: k for k, block in enumerate(blocks) for q in block}
+def _blocks(keys):
+    """Γ blocks of a construction whose i-th pair has key keys[i]: the ids
+    grouped by equal key, in the order of each group's first id.  An
+    agent's own blocks group by belief S; the blocks of an agent b the
+    input carries group by S and by the b-block of the base state s."""
     groups = {}
-    for i, (s, S) in enumerate(pairs):
-        groups.setdefault((block_of[s], S), []).append(i)
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
     return tuple([frozenset(ids) for ids in groups.values()])
 
 
@@ -317,14 +309,12 @@ def poss_op(gamma, S):
 # Distinguishedness
 
 
-def is_distinguished(m, agent, cap=DEFAULT_CAP, gamma=None):
+def is_distinguished(m, agent, cap=DEFAULT_CAP):
     """A Finding: ok iff Gamma is an equivalence relation closed under
     matching transitions (same observation on both successors); else the
     condition that fails (symmetry, transitivity or congruence) and the
     states that show it."""
-    if gamma is None:
-        gamma = compute_gamma(m, agent, cap=cap)
-    rel = gamma.pairs
+    rel = compute_gamma(m, agent, cap=cap).pairs
     for q, r in rel:
         if (r, q) not in rel:
             return Finding(False, "symmetry", (q, r))

@@ -166,7 +166,7 @@ def small_game_family(count, rng, max_states=3, actions=("x", "y")):
     return games
 
 
-def exhaustive_tiny_games(actions=("x",), opp_actions=("u", "v")):
+def exhaustive_tiny_games():
     """All 2-state deterministic games with one a0 action and two opponent
     replies, over all p1/p2 labelings of state 2 (state 1 always has p1)."""
     out = []
@@ -186,7 +186,7 @@ def exhaustive_tiny_games(actions=("x",), opp_actions=("u", "v")):
                 ["p1", "p2"],
                 {1: {"p1"}, 2: set(lab2)},
                 {"a0": set(), "opp": set()},
-                {"a0": list(actions), "opp": list(opp_actions)},
+                {"a0": ["x"], "opp": ["u", "v"]},
             )
             out.append(g)
     return out

@@ -109,14 +109,12 @@ def gamma_by_runs(m, agent, depth, cap=DEFAULT_CAP):
 
 
 def _belief_graph(g, a0):
-    """All beliefs reachable from {q0} under own actions + observations."""
-    start = frozenset([g.q0])
-    beliefs = {start}
-    queue = [start]
+    """All beliefs reachable from {q0} under own actions + observations, in
+    breadth-first order."""
+    beliefs = [frozenset([g.q0])]
+    seen = set(beliefs)
     moves = {}  # (belief, alpha) -> {obs -> successor belief}
-    others = [a for a in g.agents if a != a0]
-    while queue:
-        B = queue.pop(0)
+    for B in beliefs:
         for alpha in g.alphabets[a0]:
             byobs = {}
             for q in B:
@@ -127,9 +125,9 @@ def _belief_graph(g, a0):
                     byobs.setdefault(obs, set()).add(r)
             moves[(B, alpha)] = {o: frozenset(s) for o, s in byobs.items()}
             for nb in moves[(B, alpha)].values():
-                if nb not in beliefs:
-                    beliefs.add(nb)
-                    queue.append(nb)
+                if nb not in seen:
+                    seen.add(nb)
+                    beliefs.append(nb)
     return beliefs, moves
 
 

@@ -50,13 +50,12 @@ class MultiAgentSystem:
 
         # restrict to the part reachable from q0
         reachable = {q0}
-        stack = [q0]
-        while stack:
-            q = stack.pop()
+        found = [q0]
+        for q in found:
             for r in succ[q]:
                 if r not in reachable:
                     reachable.add(r)
-                    stack.append(r)
+                    found.append(r)
         self.dropped_states = tuple(sorted(set(states) - reachable))
         states = sorted(reachable)
 

@@ -4,7 +4,6 @@ bookkeeping bit, the coalition-next operator, and the parity-game encoding."""
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property, reduce
 
 from . import formula as fm
@@ -201,11 +200,9 @@ def compile_modal(g, cap=DEFAULT_CAP):
 
     start = (g.q0, None)
     id_of = {start: 0}
-    pair_list = [start]
-    queue = deque([start])
+    pair_list = [start]  # breadth-first: state i is pair_list[i]
     succ = {}
-    while queue:
-        q, _ = src = queue.popleft()
+    for i, (q, _) in enumerate(pair_list):
         row = []
         for acts, r in g._out.get(q, ()):  # in (acts, r) order
             tgt = (r, acts)
@@ -214,9 +211,8 @@ def compile_modal(g, cap=DEFAULT_CAP):
                     raise CapacityExceeded(len(pair_list) + 1, cap, "modal compilation")
                 id_of[tgt] = len(pair_list)
                 pair_list.append(tgt)
-                queue.append(tgt)
             row.append(id_of[tgt])
-        succ[id_of[src]] = tuple(sorted(row))
+        succ[i] = tuple(sorted(row))
 
     labels, names = {}, {}
     for i, (q, acts) in enumerate(pair_list):

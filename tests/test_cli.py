@@ -588,6 +588,28 @@ class TestTranslate:
         assert err == "error: state 1: no transition lets agent 'e' play 'y'\n"
         assert not out.exists()
 
+    def test_capacity_error_exits_three_and_writes_nothing(self, tmp_path, capsys):
+        g = ParityGame(
+            [1, 2], 1,
+            [(1, {"e": "x", "o": "u"}, 2), (2, {"e": "x", "o": "u"}, 1)],
+            [], {}, {"e": set(), "o": set()}, {"e": ["x"], "o": ["u"]},
+            priority={1: 2, 2: 1}, players=("e", "o"),
+        )
+        d = labeled_system_to_dict(g)
+        for entry in d["states"]:
+            entry["priority"] = g.priority[entry["id"]]
+        src = tmp_path / "g.pg"
+        src.write_text(json.dumps(d))
+        out = tmp_path / "inst"
+        args = ["translate", "parity", "--game", str(src), "--player", "0", "--out", str(out)]
+        assert main([*args, "--cap", "2"]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: state/node count 3 exceeds cap 2 during modal compilation\n"
+        assert not out.exists()
+        # the root and one state per game state: a cap of 3 holds them
+        assert main([*args, "--cap", "3"]) == 0
+        assert len(json.loads((out / "compiled.mas").read_text())["states"]) == 3
+
     def test_empty_alphabet_exits_three_and_writes_nothing(self, tmp_path, capsys):
         src = tmp_path / "g.mas"
         src.write_text(json.dumps({

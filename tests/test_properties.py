@@ -125,7 +125,7 @@ def test_partitions_are_gamma(seed):
             assert sum(map(len, blocks)) == len(d)
             g = compute_gamma(d, b)
             assert {(i, j) for block in blocks for i in block for j in block} == g.pairs
-            assert is_distinguished(d, b, gamma=g)
+            assert is_distinguished(d, b)
             S = frozenset(q for q in d.states if rng.random() < 0.5)
             assert know_blocks(blocks, S) == know_op(g, S)
             assert poss_blocks(blocks, S) == poss_op(g, S)

@@ -10,6 +10,7 @@ import pytest
 from epmu import formula as fm
 from epmu.checker import check, check_with_sets
 from epmu.errors import (
+    CapacityExceeded,
     EpmuError,
     SystemFormatError,
     UnknownAgent,
@@ -259,6 +260,15 @@ class TestCompileModal:
         assert eval_tree(t, to_positive_form(f)).root_holds
         f2 = c.compile_formula(parse_formula("<a=y,b=u> p"))
         assert not eval_tree(t, to_positive_form(f2)).root_holds
+
+    def test_cap_is_the_number_of_compiled_states(self):
+        # (1;i), (2;x,u) and (1;y,u): a cap of 3 holds them, a cap of 2
+        # fails on the third, naming the phase
+        g = tiny_labeled()
+        assert len(compile_modal(g, cap=3).system) == 3
+        with pytest.raises(CapacityExceeded, match="during modal compilation$") as e:
+            compile_modal(g, cap=2)
+        assert (e.value.count, e.value.cap) == (3, 2)
 
     def test_own_actions_are_distinguished(self):
         # agent a cannot see b's actions: nodes differing only in b's move
