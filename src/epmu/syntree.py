@@ -9,14 +9,15 @@ from __future__ import annotations
 
 from . import formula as fm
 from .distinction import chain_order
-from .errors import NonChainAgents, UnknownAgent, depth_guarded
+from .errors import NonChainAgents, UnknownAgent
 from .formula import FrozenRecord, Record, _set
 
 
 class SynNode(Record):
     """A node of the tree; `form` is its subformula, and `binds` says that
     a fixpoint binder is this node or below it.  Nodes hash and compare by
-    identity, and `_build` fills in `free` and `agncl` after construction."""
+    identity; `build_syntree` makes them without `__init__` and sets every
+    field itself."""
 
     __slots__ = _fields = ("path", "form", "closed", "agncl", "children", "free", "binds")
     __eq__, __hash__ = object.__eq__, object.__hash__
@@ -40,34 +41,69 @@ class SynNode(Record):
             stack.extend(reversed(node.children))
 
 
+# The shape of each node class, for build_syntree; `Not` has none.
+_LEAF, _VAR, _ONE, _EPISTEMIC, _BINDER, _TWO = range(6)
+_SHAPE = {
+    **dict.fromkeys(fm.LEAVES, _LEAF),
+    fm.Var: _VAR,
+    **dict.fromkeys((fm.AX, fm.EX, fm.DiamondAct, fm.BoxAct), _ONE),
+    **dict.fromkeys(fm.EPISTEMIC, _EPISTEMIC),
+    **dict.fromkeys(fm.BINDERS, _BINDER),
+    **dict.fromkeys((fm.And, fm.Or), _TWO),
+}
+
+
 def build_syntree(f):
-    """Build the annotated tree for a positive-form formula."""
-    return depth_guarded("syntax tree", _build, f, ())[0]
+    """Build the annotated tree for a positive-form formula, in one
+    post-order pass over an explicit stack, so any depth is fine: a node is
+    made when the pass reaches it and annotated from its (at most two)
+    children when they are done.  TypeError for `Not` or a non-formula.
 
-
-def _build(f, path):
-    """The node of f and the free variables of f, found bottom-up."""
-    if isinstance(f, fm.Not) or not isinstance(f, fm.Formula):
-        raise TypeError(f"cannot build a syntactic tree over {f!r}")
-    binds = False
-    free = {f.name} if isinstance(f, fm.Var) else set()
-    children = []
-    for i, c in enumerate(f.children(), start=1):
-        child, child_free = _build(c, path + (i,))
-        children.append(child)
-        free |= child_free
-        binds = binds or child.binds
-    if isinstance(f, fm.BINDERS):
-        free.discard(f.var)
-        binds = True
-    node = SynNode(path, f, closed=not free, children=children, binds=binds)
-    if free:
-        node.free = frozenset(free)
-        # AgNCl: agents of epistemic operators reachable through non-closed
-        # nodes; a closed child's set is empty
-        agents = {f.agent} if isinstance(f, fm.EPISTEMIC) else set()
-        node.agncl = frozenset(agents.union(*[c.agncl for c in children]))
-    return node, free
+    A node's free variables are its children's, plus a variable leaf's own
+    and less a binder's; its AgNCl (agents of epistemic operators reachable
+    through non-closed nodes) is its children's, plus an epistemic
+    operator's own agent, and empty where it is closed."""
+    new, empty = SynNode.__new__, frozenset()
+    top = []
+    stack = [(f, (), top)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        f, path, out = pop()
+        if out is None:  # f is a node whose children are done, path its shape
+            node, shape = f, path
+            if shape == _TWO:
+                left, right = node.children
+                free = left.free | right.free
+                node.binds = left.binds or right.binds
+                agncl = left.agncl | right.agncl
+            else:
+                (child,) = node.children
+                free, node.binds, agncl = child.free, child.binds, child.agncl
+                if shape == _BINDER:
+                    free = free - {node.form.var}
+                    node.binds = True
+                elif shape == _EPISTEMIC:
+                    agncl = agncl | {node.form.agent}
+            node.free, node.closed = free, not free
+            node.agncl = agncl if free else empty
+            continue
+        shape = _SHAPE.get(type(f))
+        if shape is None:
+            raise TypeError(f"cannot build a syntactic tree over {f!r}")
+        node = new(SynNode)
+        node.path, node.form, node.children = path, f, []
+        out.append(node)
+        if shape > _VAR:
+            push((node, shape, None))
+            if shape == _TWO:
+                push((f.right, path + (2,), node.children))
+                push((f.left, path + (1,), node.children))
+            else:
+                push((f.body if shape == _BINDER else f.child, path + (1,), node.children))
+            continue
+        node.free = frozenset((f.name,)) if shape == _VAR else empty
+        node.closed, node.agncl, node.binds = shape == _LEAF, empty, False
+    return top[0]
 
 
 def frontier_nodes(node):

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
+from operator import itemgetter
 
 from .errors import CapacityExceeded, SystemFormatError, UnknownAgent, UnknownAtom
 from .formula import FrozenRecord, _set
@@ -40,24 +41,28 @@ class MultiAgentSystem:
     dropped_states = ()
 
     def __init__(self, states, q0, delta, atoms, labels, obs, names=None):
-        states = sorted(set(states))
+        state_set = set(states)
         atoms = frozenset(atoms)
         delta = list(delta)
-        succ = {q: set() for q in states}
+        succ = {q: set() for q in state_set}
         for q, r in delta:
-            succ.setdefault(q, set()).add(r)
-        _check_shape(set(states), q0, succ, atoms, labels, obs, delta)
+            if q in succ:
+                succ[q].add(r)
+            else:
+                succ[q] = {r}
+        _check_shape(state_set, q0, succ, atoms, labels, obs, delta)
 
         # restrict to the part reachable from q0
         reachable = {q0}
         found = [q0]
         for q in found:
-            for r in succ[q]:
-                if r not in reachable:
-                    reachable.add(r)
-                    found.append(r)
-        self.dropped_states = tuple(sorted(set(states) - reachable))
-        states = sorted(reachable)
+            new = succ[q] - reachable
+            if new:
+                reachable |= new
+                found += new
+        if len(found) < len(state_set):
+            self.dropped_states = tuple(sorted(state_set - reachable))
+        states = sorted(found)
 
         labels = {q: frozenset(labels.get(q, ())) for q in states}
         obs = {a: frozenset(pa) for a, pa in obs.items()}
@@ -115,10 +120,10 @@ class MultiAgentSystem:
 def _check_shape(states, q0, succ, atoms, labels, obs, edges=None):
     """Reject an initial state outside the set `states`, an atom outside
     `atoms` in a label or an observable set, and a transition end outside
-    `states`.  `succ` maps states to their successors.  Each label
-    object goes through one subset test and all rows through one; only a
-    failure walks `edges` (by default the rows' edges in order) to name the
-    first bad one."""
+    `states`.  `succ` maps states to their successors.  All labels and
+    observable sets go through one subset test (`_check_atoms`) and all
+    rows through one; only a failure walks `edges` (by default the rows'
+    edges in order) to name the first bad one."""
     if _bad_id(q0) or q0 not in states:
         raise SystemFormatError(f"initial state {q0} is not a state")
     _check_atoms(atoms, labels, obs)
@@ -130,10 +135,13 @@ def _check_shape(states, q0, succ, atoms, labels, obs, edges=None):
 
 
 def _check_atoms(atoms, labels, obs):
-    """Reject an atom outside `atoms` in a label or an observable set; each
-    distinct set object goes through one subset test."""
+    """Reject an atom outside `atoms` in a label or an observable set: one
+    subset test of all of them, and only a failure walks the sets in order
+    to name the first such atom."""
     sets = (*labels.values(), *obs.values())
-    for lab in dict(zip(map(id, sets), sets)).values():
+    if atoms.issuperset(chain.from_iterable(sets)):
+        return
+    for lab in sets:
         if not atoms.issuperset(lab):
             raise UnknownAtom(next(p for p in lab if p not in atoms))
 
@@ -168,9 +176,11 @@ def _entry_list(value, field):
 def _string_list(value, field):
     """value, if it is a list of strings (atom names); SystemFormatError
     naming the field if not: a string would be read letter by letter."""
-    if not isinstance(value, (list, tuple)) or not all(isinstance(x, str) for x in value):
-        raise SystemFormatError(f"{field} is not a list of strings: {value!r}")
-    return value
+    if isinstance(value, (list, tuple)) and (
+        _kinds(value) <= _STR or all(isinstance(x, str) for x in value)
+    ):
+        return value
+    raise SystemFormatError(f"{field} is not a list of strings: {value!r}")
 
 
 def _agent_obs(agents):
@@ -189,6 +199,15 @@ def _agent_obs(agents):
 
 
 _ID_KINDS = {int: "", str: "", bool: "a boolean", float: "a float", type(None): "null"}
+# Bulk checks compare the set of an input list's item types (`_kinds`)
+# with one of these; only a failure walks the list item by item.
+_ID_TYPES, _STR = frozenset([int, str]), frozenset([str])
+_LIST, _DICT = frozenset([list]), frozenset([dict])
+_FIRST, _LAST = itemgetter(0), itemgetter(-1)
+
+
+def _kinds(values):
+    return set(map(type, values))
 
 
 def _bad_id(q):
@@ -203,10 +222,29 @@ def _state_entries(entries, keys=("id",)):
     game file.  A value that is not a list, an entry that is not an object
     with each of `keys`, an id that is no int or string (see _bad_id), that
     an earlier entry has or that is not of the first id's type (ints and
-    strings do not sort together), or atoms that are not a list of strings
-    raise SystemFormatError naming it."""
+    strings do not sort together), atoms that are not a list of strings or
+    a name that is not a string raise SystemFormatError naming it.  A list
+    of plain objects passes in bulk; any other walks the entries in order
+    to name the first bad one."""
+    entries = _entry_list(entries, "'states'")
+    if _kinds(entries) <= _DICT and all(
+        all(map(dict.__contains__, entries, repeat(key))) for key in keys
+    ):
+        try:
+            labels = {entry["id"]: entry.get("atoms", []) for entry in entries}
+        except TypeError:  # an unhashable id
+            labels = {}
+        kinds = _kinds(labels)
+        names = {entry["id"]: entry["name"] for entry in entries if "name" in entry}
+        if (
+            len(labels) == len(entries) and len(kinds) < 2 and kinds <= _ID_TYPES
+            and _kinds(labels.values()) <= _LIST
+            and _kinds(chain.from_iterable(labels.values())) <= _STR
+            and (not names or _kinds(names.values()) <= _STR)
+        ):
+            return list(labels), labels, names
     states, labels, names = [], {}, {}
-    for entry in _entry_list(entries, "'states'"):
+    for entry in entries:
         for key in keys:
             if not isinstance(entry, dict) or key not in entry:
                 raise SystemFormatError(f"state {entry!r} has no {key!r}")
@@ -222,6 +260,8 @@ def _state_entries(entries, keys=("id",)):
         labels[q] = _string_list(entry.get("atoms", []), f"state {q!r}: 'atoms'")
         if "name" in entry:
             names[q] = entry["name"]
+            if not isinstance(names[q], str):
+                raise SystemFormatError(f"state {q!r}: 'name' is not a string: {names[q]!r}")
     return states, labels, names
 
 
@@ -233,19 +273,31 @@ def _check_ends(kind, t):
         raise SystemFormatError(f"{kind} {t!r} uses {why} as a state")
 
 
+def _plain_edges(edges, width):
+    """Whether every item of edges is a list of `width` items whose first
+    and last are state ids: the bulk test of a transition or label list,
+    which walks its items to name a bad one only when this fails."""
+    if not (_kinds(edges) <= _LIST and set(map(len, edges)) <= {width}):
+        return False
+    ends = chain.from_iterable(edges) if width == 2 else chain(map(_FIRST, edges), map(_LAST, edges))
+    return _kinds(ends) <= _ID_TYPES
+
+
 def system_from_dict(data):
     for key in ("states", "initial", "transitions", "atoms", "agents"):
         if key not in data:
             raise SystemFormatError(f"missing key {key!r}")
     states, labels, names = _state_entries(data["states"])
-    for t in _entry_list(data["transitions"], "'transitions'"):
-        if not isinstance(t, (list, tuple)) or len(t) != 2:
-            raise SystemFormatError(f"transition {t!r} is not a pair [from, to]")
-        _check_ends("transition", t)
+    transitions = _entry_list(data["transitions"], "'transitions'")
+    if not _plain_edges(transitions, 2):
+        for t in transitions:
+            if not isinstance(t, (list, tuple)) or len(t) != 2:
+                raise SystemFormatError(f"transition {t!r} is not a pair [from, to]")
+            _check_ends("transition", t)
     return MultiAgentSystem(
         states=states,
         q0=data["initial"],
-        delta=[tuple(t) for t in data["transitions"]],
+        delta=list(map(tuple, transitions)),
         atoms=_string_list(data["atoms"], "'atoms'"),
         labels=labels,
         obs=_agent_obs(data["agents"]),

@@ -5,6 +5,7 @@ bookkeeping bit, the coalition-next operator, and the parity-game encoding."""
 from __future__ import annotations
 
 from functools import cached_property, reduce
+from operator import itemgetter
 
 from . import formula as fm
 from .errors import (
@@ -22,7 +23,9 @@ from .system import (
     _check_atoms,
     _check_ends,
     _entry_list,
+    _kinds,
     _load_json,
+    _plain_edges,
     _state_entries,
     _string_list,
     system_to_dict,
@@ -133,12 +136,14 @@ def _labeled_args(data, state_keys=("id",)):
         if not isinstance(actions, dict) or key not in actions:
             raise SystemFormatError(f"missing key 'actions.{key}'")
     states, labels, names = _state_entries(data["states"], state_keys)
-    for t in _entry_list(actions["labels"], "'actions.labels'"):
-        if not isinstance(t, (list, tuple)) or len(t) != 3:
-            raise SystemFormatError(f"label {t!r} is not a triple [from, actions, to]")
-        if not isinstance(t[1], dict):
-            raise SystemFormatError(f"label {t!r}: its actions are not an object")
-        _check_ends("label", t)
+    trans = _entry_list(actions["labels"], "'actions.labels'")
+    if not (_plain_edges(trans, 3) and _kinds(map(itemgetter(1), trans)) <= {dict}):
+        for t in trans:
+            if not isinstance(t, (list, tuple)) or len(t) != 3:
+                raise SystemFormatError(f"label {t!r} is not a triple [from, actions, to]")
+            if not isinstance(t[1], dict):
+                raise SystemFormatError(f"label {t!r}: its actions are not an object")
+            _check_ends("label", t)
     alphabets = actions["alphabets"]
     if not isinstance(alphabets, dict):
         raise SystemFormatError(f"'actions.alphabets' is not an object: {alphabets!r}")
@@ -147,7 +152,7 @@ def _labeled_args(data, state_keys=("id",)):
     return dict(
         states=states,
         q0=data["initial"],
-        trans=[tuple(t) for t in actions["labels"]],
+        trans=list(map(tuple, trans)),
         atoms=_string_list(data["atoms"], "'atoms'"),
         labels=labels,
         obs=_agent_obs(data["agents"]),

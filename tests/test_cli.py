@@ -23,6 +23,13 @@ def _null_ids(d):
         t[0] = t[-1] = None
 
 
+# a one-state system whose state has a name that is no string
+NAMED_BY_AN_INT = {
+    "states": [{"id": 1, "atoms": ["p"], "name": 5}], "initial": 1, "transitions": [[1, 1]],
+    "atoms": ["p"], "agents": {"a": {"obs": ["p"]}},
+}
+
+
 @pytest.fixture
 def sys2_file(tmp_path, sys2):
     p = tmp_path / "sys2.mas"
@@ -200,6 +207,16 @@ class TestCheck:
         assert main(["check", "--system", str(p), "--formula", "K a . p"]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: {named}") and "TypeError" not in err
+
+    def test_state_name_not_a_string_exit_three(self, tmp_path, capsys):
+        # the loader refuses it, so no check runs and no report is written
+        p = tmp_path / "named.mas"
+        p.write_text(json.dumps(NAMED_BY_AN_INT))
+        report = tmp_path / "r.json"
+        code = main(["check", "--system", str(p), "--formula", "K a . p", "--report", str(report)])
+        assert code == 3
+        assert capsys.readouterr() == ("", "error: state 1: 'name' is not a string: 5\n")
+        assert not report.exists()
 
     def test_generic_failure_one_line_exit_three(self, sys2_file, monkeypatch, capsys):
         # a failure that is no EpmuError still exits 3, on one line
@@ -412,6 +429,14 @@ class TestDistinguish:
 
     def test_unknown_agent(self, sys2_file):
         assert main(["distinguish", "--system", sys2_file, "--agent", "zz"]) == 3
+
+    def test_state_name_not_a_string_exit_three(self, tmp_path, capsys):
+        p = tmp_path / "named.mas"
+        p.write_text(json.dumps(NAMED_BY_AN_INT))
+        dot = tmp_path / "d.dot"
+        assert main(["distinguish", "--system", str(p), "--agent", "a", "--emit-dot", str(dot)]) == 3
+        assert capsys.readouterr() == ("", "error: state 1: 'name' is not a string: 5\n")
+        assert not dot.exists()
 
 
 class TestOracle:
@@ -657,6 +682,22 @@ class TestTranslate:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {named}") and "list or an object" in err
         assert "TypeError" not in err
+
+    def test_game_state_name_not_a_string_exit_three(self, tmp_path, capsys):
+        g = ParityGame(
+            [1], 1, [(1, {"e": "x", "o": "u"}, 1)],
+            ["s1"], {1: {"s1"}}, {"e": {"s1"}, "o": {"s1"}},
+            {"e": ["x"], "o": ["u"]},
+            priority={1: 2}, players=("e", "o"),
+        )
+        d = labeled_system_to_dict(g)
+        d["states"][0] |= {"priority": 2, "name": ["s"]}
+        src = tmp_path / "named.pg"
+        src.write_text(json.dumps(d))
+        out = tmp_path / "o"
+        assert main(["translate", "parity", "--game", str(src), "--out", str(out)]) == 3
+        assert capsys.readouterr() == ("", "error: state 1: 'name' is not a string: ['s']\n")
+        assert not out.exists()
 
     def test_game_state_without_priority_exit_three(self, tmp_path, capsys):
         g = ParityGame(

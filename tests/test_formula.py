@@ -258,6 +258,80 @@ class TestSynTree:
         assert [n.form for n in frontier_nodes(t)] == [parse_formula("p & EX q")]
 
 
+def _reference_tree(f, path=()):
+    """The syntax tree of f by plain recursion over the definitions, as
+    nested tuples (path, form, closed, free, binds, agncl, children)."""
+    kids = [_reference_tree(c, path + (i,)) for i, c in enumerate(f.children(), start=1)]
+    free = set().union(*[k[3] for k in kids])
+    if isinstance(f, Var):
+        free.add(f.name)
+    if isinstance(f, fm.BINDERS):
+        free.discard(f.var)
+    agncl = set()
+    if free:
+        agncl = agncl.union(*[k[5] for k in kids])
+        if isinstance(f, fm.EPISTEMIC):
+            agncl.add(f.agent)
+    binds = isinstance(f, fm.BINDERS) or any(k[4] for k in kids)
+    return (path, f, not free, frozenset(free), binds, frozenset(agncl), kids)
+
+
+def _as_tuples(node):
+    """A built tree in the shape of _reference_tree, checking field types."""
+    assert type(node.closed) is bool and type(node.binds) is bool and type(node.children) is list
+    assert type(node.free) is frozenset and type(node.agncl) is frozenset
+    kids = [_as_tuples(c) for c in node.children]
+    return (node.path, node.form, node.closed, node.free, node.binds, node.agncl, kids)
+
+
+class TestSynTreeBuild:
+    """build_syntree is one pass over an explicit stack; every field of
+    every node is what the recursive definition gives."""
+
+    def test_front_end_corpus(self):
+        built = 0
+        for text in _front_end_corpus(11, 4000):
+            try:
+                f = to_positive_form(parse_formula(text))
+            except (FormulaSyntaxError, NonMonotoneVariable):
+                continue
+            t = build_syntree(f)
+            assert _as_tuples(t) == _reference_tree(f), text
+            built += 1
+        assert built > 2000
+
+    def test_random_binders_and_knowledge(self):
+        kinds = set()
+        for text in _gate_corpus(23, 3000):
+            f = to_positive_form(parse_formula(text))
+            t = build_syntree(f)
+            assert _as_tuples(t) == _reference_tree(f), text
+            kinds |= {type(n.form) for n in t if not n.closed}
+        assert {Mu, Nu, Know, Poss, And, Or, AX, EX, Var} <= kinds
+
+    @pytest.mark.parametrize("shape", ["EX", "left-and", "mu"])
+    def test_deep_chains(self, shape):
+        # a binder chain over Z0: the innermost binds it, the others are vacuous
+        f = Var("Z0") if shape == "mu" else Atom("p")
+        for i in range(5000):
+            f = {"EX": EX, "left-and": lambda g: And(g, Atom("q")), "mu": lambda g: Mu(f"Z{i}", g)}[shape](f)
+        t = build_syntree(f)
+        assert t.closed and t.binds == (shape == "mu")
+        count = depth = 0
+        for n in t:
+            count += 1
+            depth = max(depth, len(n.path))
+            assert n.closed == (n.form != Var("Z0"))
+            assert n.binds == (shape == "mu" and n.form != Var("Z0"))
+        assert (count, depth) == ({"left-and": 10001}.get(shape, 5001), 5000)
+
+    def test_negation_inside_is_outside_the_grammar(self):
+        with pytest.raises(TypeError):
+            build_syntree(And(Atom("p"), EX(Not(Atom("q")))))
+        with pytest.raises(TypeError):
+            build_syntree(Or(Atom("p"), "q"))
+
+
 class TestNonMixing:
     def test_common_knowledge_incomparable_rejected(self):
         f = to_positive_form(parse_formula("nu Z . p & K a . Z & K b . Z"))

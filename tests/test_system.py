@@ -15,6 +15,7 @@ from epmu.system import (
     _check_shape,
     bounded_unfold,
     parse_system,
+    system_from_dict,
     system_to_dict,
     system_to_json,
     to_dot,
@@ -22,7 +23,13 @@ from epmu.system import (
 )
 from epmu.distinction import distinction, insplitting, refine_for_agents
 from epmu.gen import random_system, small_game_family
-from epmu.translate import atl_until_instance, compile_modal, parity_encoding
+from epmu.translate import (
+    atl_until_instance,
+    compile_modal,
+    labeled_system_from_dict,
+    parity_encoding,
+    parse_parity_game,
+)
 
 SYS1_JSON = json.dumps(
     {
@@ -86,6 +93,209 @@ class TestParse:
         dot = to_dot(sys1)
         assert dot.startswith("digraph")
         assert "n1 -> n2" in dot
+
+
+def _loader_system(n=5):
+    """A valid system file: states 1..n on a ring, named, with three agents."""
+    return {
+        "states": [
+            {"id": q, "atoms": ["p"] if q % 2 else ["q"], "name": f"s{q}"} for q in range(1, n + 1)
+        ],
+        "initial": 1,
+        "transitions": [[q, q % n + 1] for q in range(1, n + 1)],
+        "atoms": ["p", "q"],
+        "agents": {"a": {"obs": ["p"]}, "b": {"obs": ["p", "q"]}, "c": {"obs": []}},
+    }
+
+
+def _loader_game(n=5):
+    """A valid parity game file: states 1..n on a ring, one action each."""
+    return {
+        "states": [{"id": q, "atoms": [], "priority": q % 3 + 1} for q in range(1, n + 1)],
+        "initial": 1,
+        "atoms": [],
+        "agents": {"e": {"obs": []}, "o": {"obs": []}},
+        "actions": {
+            "alphabets": {"e": ["x"], "o": ["u"]},
+            "labels": [[q, {"e": "x", "o": "u"}, q % n + 1] for q in range(1, n + 1)],
+        },
+        "players": ["e", "o"],
+    }
+
+
+def _raised(load, data):
+    try:
+        load(data)
+    except (SystemFormatError, UnknownAtom) as e:
+        return type(e), str(e)
+    return None
+
+
+# the bad item goes first, in the middle or last of a list of five
+PLACES = {"first": 0, "middle": 3, "last": 5}
+
+# an entry inserted into the states, and the error it raises wherever it is;
+# the first entry sets the id kind, and the later of two equal ids is named
+BAD_STATES = {
+    "not-an-object": (5, "state 5 has no 'id'"),
+    "list": ([1], "state [1] has no 'id'"),
+    "no-id": ({"atoms": []}, "state {'atoms': []} has no 'id'"),
+    "boolean-id": ({"id": True}, "state {'id': True}: its id is a boolean"),
+    "float-id": ({"id": 7.0}, "state {'id': 7.0}: its id is a float"),
+    "null-id": ({"id": None}, "state {'id': None}: its id is null"),
+    "list-id": ({"id": [7]}, "state {'id': [7]}: its id is a list or an object"),
+    "object-id": ({"id": {"q": 7}}, "state {'id': {'q': 7}}: its id is a list or an object"),
+    "repeated-id": (
+        {"id": 3, "atoms": []},
+        "state {'id': 3, 'atoms': []}: an earlier state has its id",
+        "state {'id': 3, 'atoms': ['p'], 'name': 's3'}: an earlier state has its id",
+    ),
+    "mixed-kinds": (
+        {"id": "7"},
+        "state {'id': '7'}: its id does not sort with 1",
+        "state {'id': 1, 'atoms': ['p'], 'name': 's1'}: its id does not sort with '7'",
+    ),
+    "atoms-string": ({"id": 7, "atoms": "p"}, "state 7: 'atoms' is not a list of strings: 'p'"),
+    "atoms-int": ({"id": 7, "atoms": ["p", 1]}, "state 7: 'atoms' is not a list of strings: ['p', 1]"),
+    "atoms-object": ({"id": 7, "atoms": {"p": 1}}, "state 7: 'atoms' is not a list of strings: {'p': 1}"),
+    "name-int": ({"id": 7, "name": 5}, "state 7: 'name' is not a string: 5"),
+    "name-list": ({"id": 7, "name": ["s"]}, "state 7: 'name' is not a string: ['s']"),
+    "name-null": ({"id": 7, "atoms": [], "name": None}, "state 7: 'name' is not a string: None"),
+}
+
+BAD_TRANSITIONS = {
+    "not-a-list": (5, "transition 5 is not a pair [from, to]"),
+    "string": ("12", "transition '12' is not a pair [from, to]"),
+    "one-end": ([1], "transition [1] is not a pair [from, to]"),
+    "three-ends": ([1, 2, 3], "transition [1, 2, 3] is not a pair [from, to]"),
+    "boolean-end": ([1, True], "transition [1, True] uses a boolean as a state"),
+    "null-end": ([None, 1], "transition [None, 1] uses null as a state"),
+    "float-end": ([1, 2.0], "transition [1, 2.0] uses a float as a state"),
+    "list-end": ([1, [2]], "transition [1, [2]] uses a list or an object as a state"),
+    "unknown-to": ([1, 9], "transition (1,9) uses unknown state"),
+    "unknown-from": ([9, 1], "transition (9,1) uses unknown state"),
+    "string-end": ([1, "2"], "transition (1,2) uses unknown state"),
+}
+
+BAD_LABELS = {
+    "not-a-list": (5, "label 5 is not a triple [from, actions, to]"),
+    "pair": ([1, 1], "label [1, 1] is not a triple [from, actions, to]"),
+    "actions-string": ([1, "xu", 2], "label [1, 'xu', 2]: its actions are not an object"),
+    "actions-list": ([1, ["x", "u"], 2], "label [1, ['x', 'u'], 2]: its actions are not an object"),
+    "boolean-end": (
+        [1, {"e": "x", "o": "u"}, False],
+        "label [1, {'e': 'x', 'o': 'u'}, False] uses a boolean as a state",
+    ),
+    "float-end": ([2.0, {"e": "x", "o": "u"}, 1], "label [2.0, {'e': 'x', 'o': 'u'}, 1] uses a float as a state"),
+    "list-end": ([[2], {"e": "x", "o": "u"}, 1], "label [[2], {'e': 'x', 'o': 'u'}, 1] uses a list or an object as a state"),
+}
+
+BAD_GAME_STATES = {
+    "no-priority": ({"id": 7, "atoms": []}, "state {'id': 7, 'atoms': []} has no 'priority'"),
+    "no-id": ({"priority": 1}, "state {'priority': 1} has no 'id'"),
+    "name-int": ({"id": 7, "priority": 1, "name": 3}, "state 7: 'name' is not a string: 3"),
+}
+
+
+def _expected(case, place):
+    """The error message of a bad item at a place: the last message of a
+    case whose first item another entry names."""
+    return case[2] if place == "first" and len(case) > 2 else case[1]
+
+
+class TestBulkChecks:
+    """A well-formed list is checked at once; any other is walked item by
+    item, so the first bad item is named wherever it is in the list."""
+
+    @pytest.mark.parametrize("place", sorted(PLACES))
+    @pytest.mark.parametrize("case", sorted(BAD_STATES))
+    def test_state_entries(self, case, place):
+        d = _loader_system()
+        d["states"].insert(PLACES[place], BAD_STATES[case][0])
+        want = (SystemFormatError, _expected(BAD_STATES[case], place))
+        assert _raised(parse_system, json.dumps(d)) == want
+
+    @pytest.mark.parametrize("place", sorted(PLACES))
+    @pytest.mark.parametrize("case", sorted(BAD_TRANSITIONS))
+    def test_transitions(self, case, place):
+        d = _loader_system()
+        d["transitions"].insert(PLACES[place], BAD_TRANSITIONS[case][0])
+        assert _raised(parse_system, json.dumps(d)) == (SystemFormatError, BAD_TRANSITIONS[case][1])
+
+    @pytest.mark.parametrize("place", sorted(PLACES))
+    def test_atom_lists(self, place):
+        at = min(PLACES[place], 4)
+        for bad in (3, None, ["p"]):
+            five = ["p", "q", "p", "q", "p"]
+            five.insert(PLACES[place], bad)
+            for where, field in (
+                (lambda d: d, "'atoms'"),
+                (lambda d: d["states"][at], f"state {at + 1}: 'atoms'"),
+                (lambda d: d["agents"]["b"], "agent 'b': 'obs'"),
+            ):
+                d = _loader_system()
+                where(d)["obs" if "obs" in field else "atoms"] = five
+                want = f"{field} is not a list of strings: {five!r}"
+                assert _raised(parse_system, json.dumps(d)) == (SystemFormatError, want)
+
+    @pytest.mark.parametrize("place", sorted(PLACES))
+    def test_label_and_obs_atoms(self, place):
+        at = min(PLACES[place], 4)
+        d = _loader_system()
+        d["states"][at]["atoms"].append("zz")
+        assert _raised(parse_system, json.dumps(d)) == (UnknownAtom, "unknown atom: zz")
+        d = _loader_system()
+        agent = "abc"[min(PLACES[place], 2)]
+        d["agents"][agent]["obs"].append("yy")
+        assert _raised(parse_system, json.dumps(d)) == (UnknownAtom, "unknown atom: yy")
+        # labels are read before observable sets
+        d["states"][at]["atoms"].append("zz")
+        assert _raised(parse_system, json.dumps(d)) == (UnknownAtom, "unknown atom: zz")
+
+    @pytest.mark.parametrize("place", sorted(PLACES))
+    @pytest.mark.parametrize("case", sorted(BAD_LABELS))
+    def test_game_labels(self, case, place):
+        d = _loader_game()
+        d["actions"]["labels"].insert(PLACES[place], BAD_LABELS[case][0])
+        assert _raised(parse_parity_game, json.dumps(d)) == (SystemFormatError, BAD_LABELS[case][1])
+
+    @pytest.mark.parametrize("place", sorted(PLACES))
+    @pytest.mark.parametrize("case", sorted(BAD_GAME_STATES))
+    def test_game_states(self, case, place):
+        d = _loader_game()
+        d["states"].insert(PLACES[place], BAD_GAME_STATES[case][0])
+        assert _raised(parse_parity_game, json.dumps(d)) == (SystemFormatError, BAD_GAME_STATES[case][1])
+
+    def test_valid_files_load(self):
+        m = parse_system(json.dumps(_loader_system()))
+        assert m.states == (1, 2, 3, 4, 5) and m.names[5] == "s5" and m.successors(5) == (1,)
+        g = parse_parity_game(json.dumps(_loader_game()))
+        assert g.priority == {q: q % 3 + 1 for q in range(1, 6)} and g.successors(5) == (1,)
+
+    def test_library_callers_pass_subclasses_and_tuples(self):
+        class Entry(dict):
+            pass
+
+        class Atoms(list):
+            pass
+
+        want = system_from_dict(_loader_system())
+        d = _loader_system()
+        d["states"] = [Entry(e, atoms=Atoms(e["atoms"])) for e in d["states"]]
+        d["transitions"] = [tuple(t) for t in d["transitions"]]
+        got = system_from_dict(d)
+        for name in ("states", "q0", "_succ", "atoms", "labels", "obs", "names"):
+            assert getattr(got, name) == getattr(want, name), name
+        d["transitions"] = tuple(d["transitions"])
+        d["states"][2]["name"] = 3
+        assert _raised(system_from_dict, d) == (SystemFormatError, "state 3: 'name' is not a string: 3")
+
+        want = labeled_system_from_dict(_loader_game())
+        d = _loader_game()
+        d["states"] = [Entry(e) for e in d["states"]]
+        d["actions"]["labels"] = [(q, Entry(acts), r) for q, acts, r in d["actions"]["labels"]]
+        got = labeled_system_from_dict(d)
+        assert (got.states, got._succ, got._out) == (want.states, want._succ, want._out)
 
 
 class TestSerial:
