@@ -176,11 +176,9 @@ def _entry_list(value, field):
 def _string_list(value, field):
     """value, if it is a list of strings (atom names); SystemFormatError
     naming the field if not: a string would be read letter by letter."""
-    if isinstance(value, (list, tuple)) and (
-        _kinds(value) <= _STR or all(isinstance(x, str) for x in value)
-    ):
-        return value
-    raise SystemFormatError(f"{field} is not a list of strings: {value!r}")
+    if not isinstance(value, (list, tuple)) or not all(isinstance(x, str) for x in value):
+        raise SystemFormatError(f"{field} is not a list of strings: {value!r}")
+    return value
 
 
 def _agent_obs(agents):
@@ -232,17 +230,17 @@ def _state_entries(entries, keys=("id",)):
     ):
         try:
             labels = {entry["id"]: entry.get("atoms", []) for entry in entries}
-        except TypeError:  # an unhashable id
+        except TypeError:  # an unhashable id: the walk names it
             labels = {}
         kinds = _kinds(labels)
-        names = {entry["id"]: entry["name"] for entry in entries if "name" in entry}
         if (
             len(labels) == len(entries) and len(kinds) < 2 and kinds <= _ID_TYPES
             and _kinds(labels.values()) <= _LIST
             and _kinds(chain.from_iterable(labels.values())) <= _STR
-            and (not names or _kinds(names.values()) <= _STR)
         ):
-            return list(labels), labels, names
+            names = {entry["id"]: entry["name"] for entry in entries if "name" in entry}
+            if _kinds(names.values()) <= _STR:
+                return list(labels), labels, names
     states, labels, names = [], {}, {}
     for entry in entries:
         for key in keys:

@@ -311,9 +311,10 @@ class TestSynTreeBuild:
 
     @pytest.mark.parametrize("shape", ["EX", "left-and", "mu"])
     def test_deep_chains(self, shape):
-        # a binder chain over Z0: the innermost binds it, the others are vacuous
+        # deeper than the recursive builder could go; a binder chain over Z0:
+        # the innermost binds it, the others are vacuous
         f = Var("Z0") if shape == "mu" else Atom("p")
-        for i in range(5000):
+        for i in range(1500):
             f = {"EX": EX, "left-and": lambda g: And(g, Atom("q")), "mu": lambda g: Mu(f"Z{i}", g)}[shape](f)
         t = build_syntree(f)
         assert t.closed and t.binds == (shape == "mu")
@@ -323,7 +324,7 @@ class TestSynTreeBuild:
             depth = max(depth, len(n.path))
             assert n.closed == (n.form != Var("Z0"))
             assert n.binds == (shape == "mu" and n.form != Var("Z0"))
-        assert (count, depth) == ({"left-and": 10001}.get(shape, 5001), 5000)
+        assert (count, depth) == ({"left-and": 3001}.get(shape, 1501), 1500)
 
     def test_negation_inside_is_outside_the_grammar(self):
         with pytest.raises(TypeError):

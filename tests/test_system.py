@@ -145,6 +145,11 @@ BAD_STATES = {
     "null-id": ({"id": None}, "state {'id': None}: its id is null"),
     "list-id": ({"id": [7]}, "state {'id': [7]}: its id is a list or an object"),
     "object-id": ({"id": {"q": 7}}, "state {'id': {'q': 7}}: its id is a list or an object"),
+    "list-id-named": ({"id": [7], "name": "s"}, "state {'id': [7], 'name': 's'}: its id is a list or an object"),
+    "object-id-named": (
+        {"id": {"q": 7}, "name": "s"},
+        "state {'id': {'q': 7}, 'name': 's'}: its id is a list or an object",
+    ),
     "repeated-id": (
         {"id": 3, "atoms": []},
         "state {'id': 3, 'atoms': []}: an earlier state has its id",
