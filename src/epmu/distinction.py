@@ -5,10 +5,12 @@ Every system carries `partitions`: agent -> Γ blocks (a tuple of disjoint
 frozensets of states covering them all), for the agents the system is known
 to be distinguished for; Γ is an equivalence there, and its classes are the
 groups of equal belief.  A MultiAgentSystem carries none.  `distinction`
-fills them in as it builds: its own agent's blocks, and the blocks of every
-agent the input carries whose observable set contains the agent's.  When the
-input already carries the agent's blocks, the construction changes nothing
-but the names, and it is an O(n) copy that carries all of them.
+fills them in as it builds: the agent's blocks, which its search keeps
+one per belief, are those of every agent with the same observable set (Γ
+depends only on what an agent sees), and they are split into the blocks
+of every agent the input carries that sees more.  When the input already
+carries the agent's blocks, the construction changes nothing but the
+names, and it is an O(n) copy that carries all of them.
 
 A construction stores its transitions once, as the successor lists its
 search found, and names its states only when a name is read;
@@ -128,15 +130,6 @@ def short_name(m, q):
     return f"<{length} characters, sha256 tree digest {digest}>"
 
 
-def _post_by_view(m, S, view):
-    """The successors of the states in S, grouped by what the agent sees."""
-    groups = {}
-    for s in S:
-        for r in m.successors(s):
-            groups.setdefault(view[r], set()).add(r)
-    return {o: frozenset(rs) for o, rs in groups.items()}
-
-
 def distinction(m, agent, cap=DEFAULT_CAP):
     """Reachable part of the subset construction for one agent.
 
@@ -151,14 +144,15 @@ def distinction(m, agent, cap=DEFAULT_CAP):
 
     States are numbered in breadth-first order; CapacityExceeded is raised
     as soon as a new state would take the count past cap.  The result's
-    `partitions` hold the agent's blocks, the groups of equal belief, and
-    for every agent b of m.partitions that sees at least what the agent
-    sees, m's b-blocks pulled back and met with the belief groups: runs
-    that look alike to b look alike to the agent, so lifting them ends at
-    the same belief.
+    `partitions` hold the agent's blocks, the groups of equal belief, for
+    the agent and every agent with the same observable set, and for every
+    agent b of m.partitions that sees more, m's b-blocks pulled back and met
+    with the belief groups: runs that look alike to b look alike to the
+    agent, so lifting them ends at the same belief.
 
     When m.partitions already holds the agent, the belief of every state is
-    its block and the construction is a copy of m; see `_copy`.
+    its block and the construction is a copy of m; see `_copy`.  So after
+    a construction for a, one for an agent that sees what a sees is a copy.
     """
     blocks = m.partitions.get(agent)
     if blocks is not None:
@@ -168,54 +162,74 @@ def distinction(m, agent, cap=DEFAULT_CAP):
 
 def _search(m, agent, cap):
     """The breadth-first search of `distinction`, whatever blocks m carries:
-    it walks `pairs` while appending to it, so state i is pairs[i]."""
+    it walks `pairs` while appending to it, so state i is pairs[i].  The
+    block of a belief R maps each r to the id of (r, R), so a successor is
+    found by its state in its belief's block, and `blocks`, in the order of
+    their first ids, are the agent's Γ blocks."""
     if agent not in m.obs:
         raise UnknownAgent(agent)
-    view = {q: m.obs_label(q, agent) for q in m.states}
-    start = (m.q0, frozenset([m.q0]))
-    id_of = {start: 0}
-    pairs = [start]
+    obs, labels, succ_of = m.obs[agent], m.labels, m._succ
+    view = {q: labels[q] & obs for q in m.states}
+    start = frozenset([m.q0])
+    pairs = [(m.q0, start)]
+    blocks = [{m.q0: 0}]
+    block_of = {start: blocks[0]}  # belief R -> {r: id of (r, R)}
+    post = {}  # belief S -> {view: (R, block of R)}, its successors by view
     succ = {}
-    post = {}  # belief set -> its successors grouped by observation
     for i, (s, S) in enumerate(pairs):
         by_view = post.get(S)
         if by_view is None:
-            by_view = post[S] = _post_by_view(m, S, view)
+            groups = {}
+            for q in S:
+                for r in succ_of[q]:
+                    groups.setdefault(view[r], set()).add(r)
+            by_view = post[S] = {}
+            for o, rs in groups.items():
+                R = frozenset(rs)
+                by_view[o] = R, block_of.setdefault(R, {})
         targets = []
-        for r in m.successors(s):
-            tgt = (r, by_view[view[r]])
-            tid = id_of.get(tgt)
+        for r in succ_of[s]:
+            R, block = by_view[view[r]]
+            tid = block.get(r)
             if tid is None:
-                if len(pairs) + 1 > cap:
-                    raise CapacityExceeded(len(pairs) + 1, cap, _context(agent))
-                tid = id_of[tgt] = len(pairs)
-                pairs.append(tgt)
+                tid = len(pairs)
+                if tid >= cap:
+                    raise CapacityExceeded(tid + 1, cap, _context(agent))
+                if not block:
+                    blocks.append(block)
+                block[r] = tid
+                pairs.append((r, R))
             targets.append(tid)
         succ[i] = tuple(sorted(targets))
-    partitions = {agent: _blocks([S for _, S in pairs])}
-    for b, b_blocks in m.partitions.items():
-        if m.obs[agent] <= m.obs[b]:
-            block_of = {q: k for k, block in enumerate(b_blocks) for q in block}
-            partitions[b] = _blocks([(block_of[s], S) for s, S in pairs])
+    own = tuple([frozenset(block.values()) for block in blocks])
+    partitions = {}
+    for b, seen in m.obs.items():
+        if seen == obs:
+            partitions[b] = own
+        elif obs <= seen and b in m.partitions:
+            partitions[b] = _split(blocks, m.partitions[b])
     return DistinctionSystem(
         m,
         agent,
         dict(enumerate(pairs)),
-        {i: m.labels[s] for i, (s, _) in enumerate(pairs)},
+        {i: labels[s] for i, (s, _) in enumerate(pairs)},
         succ,
         partitions,
     )
 
 
-def _blocks(keys):
-    """Γ blocks of a construction whose i-th pair has key keys[i]: the ids
-    grouped by equal key, in the order of each group's first id.  An
-    agent's own blocks group by belief S; the blocks of an agent b the
-    input carries group by S and by the b-block of the base state s."""
-    groups = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    return tuple([frozenset(ids) for ids in groups.values()])
+def _split(blocks, coarse):
+    """The blocks of a carried agent b: each of the agent's `blocks` split
+    by b's block in `coarse` of its base states, in first-id order."""
+    block_of = {q: k for k, block in enumerate(coarse) for q in block}
+    parts = []
+    for block in blocks:
+        groups = {}
+        for r, i in block.items():
+            groups.setdefault(block_of[r], []).append(i)
+        parts.extend(groups.values())
+    parts.sort()  # disjoint, so by first id
+    return tuple([frozenset(ids) for ids in parts])
 
 
 def _context(agent):
@@ -232,8 +246,9 @@ def _copy(m, agent, blocks, cap):
     transitions.  So state i becomes (i, block of i), its `insplitting`
     onto m is the identity, and states, successors, labels and any cached
     transition set are m's, and so are all of m's blocks: the copy has m's
-    runs.  The capacity check fires at the count the search would reach:
-    it never checks the initial state."""
+    runs; the blocks may come from a construction for an agent that sees
+    the same atoms.  The capacity check fires at the count the search
+    would reach: it never checks the initial state."""
     n = len(m.states)
     if n > max(cap, 1):
         raise CapacityExceeded(max(cap, 1) + 1, cap, _context(agent))
@@ -338,9 +353,13 @@ def is_distinguished(m, agent, cap=DEFAULT_CAP):
 
 
 def chain_order(obs, agents):
-    """Agents sorted by decreasing observable set; raises NonChainAgents if
-    two sets are incomparable."""
+    """Agents sorted by decreasing observable set; raises UnknownAgent for
+    the first undeclared agent in sorted order, and NonChainAgents if two
+    sets are incomparable."""
     agents = sorted(agents)
+    for a in agents:
+        if a not in obs:
+            raise UnknownAgent(a)
     for i, a in enumerate(agents):
         for b in agents[i + 1 :]:
             pa, pb = set(obs[a]), set(obs[b])

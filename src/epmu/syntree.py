@@ -14,12 +14,19 @@ from .formula import FrozenRecord, Record, _set
 
 
 class SynNode(Record):
-    """A node of the tree; `form` is its subformula, and `binds` says that
-    a fixpoint binder is this node or below it.  Nodes hash and compare by
+    """A node of the tree; `form` is its subformula, `path` the child
+    indices (1 or 2) from the root down to it, and `binds` says that a
+    fixpoint binder is this node or below it.  Nodes hash and compare by
     identity; `build_syntree` makes them without `__init__` and sets every
-    field itself."""
+    field itself.
 
-    __slots__ = _fields = ("path", "form", "closed", "agncl", "children", "free", "binds")
+    `path` is stored as `_link`: None for the empty path, else the pair
+    (`_link` of the path less its last index, that index).  A child's pair
+    extends its parent's, so a tree holds one pair per node, not one tuple
+    of its depth; the tuple is built on read."""
+
+    __slots__ = ("_link", "form", "closed", "agncl", "children", "free", "binds")
+    _fields = ("path", "form", "closed", "agncl", "children", "free", "binds")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, path, form, closed, agncl=frozenset(), children=None,
@@ -31,6 +38,21 @@ class SynNode(Record):
         self.children = [] if children is None else children
         self.free = free
         self.binds = binds
+
+    @property
+    def path(self):
+        ks, link = [], self._link
+        while link is not None:
+            link, k = link
+            ks.append(k)
+        return tuple(reversed(ks))
+
+    @path.setter
+    def path(self, path):
+        link = None
+        for k in path:
+            link = link, k
+        self._link = link
 
     def __iter__(self):
         """Pre-order, left to right; iterative, so deep trees are fine."""
@@ -65,12 +87,12 @@ def build_syntree(f):
     operator's own agent, and empty where it is closed."""
     new, empty = SynNode.__new__, frozenset()
     top = []
-    stack = [(f, (), top)]
+    stack = [(f, None, top)]
     pop, push = stack.pop, stack.append
     while stack:
-        f, path, out = pop()
-        if out is None:  # f is a node whose children are done, path its shape
-            node, shape = f, path
+        f, link, out = pop()
+        if out is None:  # f is a node whose children are done, link its shape
+            node, shape = f, link
             if shape == _TWO:
                 left, right = node.children
                 free = left.free | right.free
@@ -91,15 +113,15 @@ def build_syntree(f):
         if shape is None:
             raise TypeError(f"cannot build a syntactic tree over {f!r}")
         node = new(SynNode)
-        node.path, node.form, node.children = path, f, []
+        node._link, node.form, node.children = link, f, []
         out.append(node)
         if shape > _VAR:
             push((node, shape, None))
             if shape == _TWO:
-                push((f.right, path + (2,), node.children))
-                push((f.left, path + (1,), node.children))
+                push((f.right, (link, 2), node.children))
+                push((f.left, (link, 1), node.children))
             else:
-                push((f.body if shape == _BINDER else f.child, path + (1,), node.children))
+                push((f.body if shape == _BINDER else f.child, (link, 1), node.children))
             continue
         node.free = frozenset((f.name,)) if shape == _VAR else empty
         node.closed, node.agncl, node.binds = shape == _LEAF, empty, False

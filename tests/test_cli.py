@@ -2,7 +2,11 @@ import copy
 import importlib
 import io
 import json
+import os
 import random
+import re
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -343,6 +347,49 @@ class TestCheck:
         assert d1["verdict"] is True
         assert d1["statistics"]["refinement_sizes"][0] == 5
         assert d1["inputs"]["system"]["sha256"]
+
+    # string state ids, a construction that grows, and agents a and c that
+    # see the same atoms, so one of their constructions is a copy
+    STRING_IDS = {
+        "states": [
+            {"id": "s", "atoms": []}, {"id": "u", "atoms": ["p"]}, {"id": "v", "atoms": []},
+            {"id": "w", "atoms": ["q"]}, {"id": "x", "atoms": ["p", "q"]},
+        ],
+        "initial": "s",
+        "transitions": [
+            ["s", "u"], ["s", "v"], ["u", "w"], ["v", "w"], ["v", "x"], ["w", "w"], ["x", "s"],
+        ],
+        "atoms": ["p", "q"],
+        "agents": {"a": {"obs": []}, "b": {"obs": ["p"]}, "c": {"obs": []}},
+    }
+
+    def test_reports_do_not_depend_on_the_hash_seed(self, tmp_path):
+        """`check --report` and `distinguish --json` print the same bytes,
+        but for the wall time, under two string hash seeds."""
+        (tmp_path / "s.mas").write_text(json.dumps(self.STRING_IDS))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+            report = tmp_path / f"r{seed}.json"
+            runs = [
+                subprocess.run(
+                    [sys.executable, "-m", "epmu.cli", *argv], cwd=tmp_path, env=env,
+                    capture_output=True, text=True, timeout=60,
+                )
+                for argv in (
+                    ["check", "--system", "s.mas", "--report", str(report.name),
+                     "--formula", "K b . EX (mu Z . K a . p | EX (K c . Z))"],
+                    ["distinguish", "--system", "s.mas", "--agent", "a", "--json"],
+                )
+            ]
+            assert [r.returncode for r in runs] == [1, 0], [r.stderr for r in runs]
+            text, timed = re.subn(r'"wall_time": [0-9.e+-]+', '"wall_time": -', report.read_text())
+            assert timed == 1
+            outputs.append((text, *[r.stdout for r in runs]))
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][2])["state_count"] == 10
 
     def test_digest_changes_with_input(self, sys2_file, tmp_path):
         r1, r2 = tmp_path / "a.json", tmp_path / "b.json"

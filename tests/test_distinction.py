@@ -16,13 +16,22 @@ from epmu.distinction import (
     poss_op,
     refine_for_agents,
 )
-from epmu.errors import CapacityExceeded, NonChainAgents, SystemFormatError, UnknownAtom
+from epmu.checker import check
+from epmu.errors import (
+    CapacityExceeded,
+    NonChainAgents,
+    SystemFormatError,
+    UnknownAgent,
+    UnknownAtom,
+)
+from epmu.formula import parse_formula
 from epmu.gen import random_system
 from epmu.system import (
     GammaRelation,
     InSplitting,
     MultiAgentSystem,
     _check_shape,
+    system_from_dict,
     system_to_dict,
     to_dot,
     verify_in_splitting,
@@ -108,6 +117,31 @@ def _scan_distinction(m, agent, cap):
     return ref, pairs
 
 
+def assert_blocks(d):
+    """d's Γ blocks are the regrouping of its pairs, in first-id order: an
+    agent that sees what d's agent sees groups them by belief S, and a
+    carried agent b that sees more by (b-block of s in the base, S).  A
+    copy also hands on the base's blocks of agents that see less."""
+    seen, base = d.obs[d.agent], d.base.partitions
+
+    def grouped(key):
+        groups = {}
+        for i in d.states:
+            groups.setdefault(key(*d.pair_of[i]), []).append(i)
+        return tuple([frozenset(ids) for ids in groups.values()])
+
+    for b, blocks in d.partitions.items():
+        if d.obs[b] == seen:
+            assert blocks == grouped(lambda s, S: S)
+        elif seen <= d.obs[b]:
+            block_of = {q: k for k, block in enumerate(base[b]) for q in block}
+            assert blocks == grouped(lambda s, S: (block_of[s], S))
+        else:
+            assert d.agent in base and blocks == base[b]
+    assert {b for b in d.obs if d.obs[b] == seen} <= d.partitions.keys()
+    assert {b for b in base if seen <= d.obs[b]} <= d.partitions.keys()
+
+
 class TestDistinctionAgainstScan:
     """distinction() builds the same system as the plain scan, state ids and
     names included, up to three refinements deep; a refinement for an agent
@@ -121,6 +155,7 @@ class TestDistinctionAgainstScan:
         assert insplitting(d, d.base).chi == {i: s for i, (s, _) in pairs.items()}
         assert [d.state_name(i) for i in d.states] == [ref.state_name(i) for i in ref.states]
         assert system_to_dict(d) == system_to_dict(ref)
+        assert_blocks(d)
 
     def test_random_chains(self):
         rng = random.Random(7)
@@ -181,6 +216,83 @@ class TestDistinctionAgainstScan:
         assert raised > 15 and copies_raised > 15
         with pytest.raises(CapacityExceeded, match="during subset construction for agent a$"):
             distinction(d, "a", cap=1)
+
+
+def _equal_obs_system(seed):
+    """random_system(Random(seed), max_states=8, chain_obs=True) with b
+    seeing exactly what a sees, and a third agent c that sees every atom."""
+    data = system_to_dict(random_system(random.Random(seed), max_states=8, chain_obs=True))
+    data["agents"]["b"] = {"obs": list(data["agents"]["a"]["obs"])}
+    data["agents"]["c"] = {"obs": list(data["atoms"])}
+    return system_from_dict(data)
+
+
+class TestEqualObservation:
+    """Γ depends only on what an agent sees: a construction carries its
+    blocks for every agent with the same observable set, so a later
+    construction for one of them is a copy, the same system the search
+    would build."""
+
+    def test_equal_agents_share_the_blocks(self):
+        for seed in range(40):
+            m = _equal_obs_system(seed)
+            for agent, other in (("a", "b"), ("b", "a")):
+                d = distinction(m, agent)
+                assert d.partitions[other] == d.partitions[agent]
+                d = distinction(distinction(m, "c"), agent)
+                assert d.partitions[other] == d.partitions[agent]
+                assert_blocks(d)
+
+    def test_construction_for_an_equal_agent_is_a_copy(self):
+        for seed in range(40):
+            m = _equal_obs_system(seed)
+            for d in (distinction(m, "a"), distinction(distinction(m, "c"), "a")):
+                e = distinction(d, "b")
+                assert e._succ is d._succ and e.labels is d.labels
+                assert insplitting(e, d).chi == {i: i for i in d.states}
+                ref, pairs = _scan_distinction(d, "b", cap=10**6)
+                TestDistinctionAgainstScan().assert_same(e, ref, pairs)
+
+    def test_capacity_of_a_copy_fires_at_the_scan_count(self):
+        def outcome(build, m, cap):
+            try:
+                return len(build(m, "b", cap=cap))
+            except CapacityExceeded as e:
+                return str(e)
+
+        def scan(m, agent, cap):
+            return _scan_distinction(m, agent, cap)[0]
+
+        raised = 0
+        for seed in range(20):
+            d = distinction(_equal_obs_system(seed), "a")
+            for cap in range(len(d) + 1):
+                want = outcome(scan, d, cap)
+                assert outcome(distinction, d, cap) == want
+                raised += isinstance(want, str)
+        assert raised > 20
+
+    # computed before equal-observation agents shared their blocks
+    DIGEST = "5aab49b399b87691b1c249a7ff9ff1030211f421bd0602818fe440f95afa7a7e"
+
+    def test_chain_digest(self, monkeypatch):
+        """The knowledge_chain formula shapes on 150 such systems: the
+        copies change no verdict, refinement size, iteration count or
+        initial state name."""
+        from test_golden import CHAIN_FORMULAS
+
+        module = import_module("epmu.distinction")
+        copy, copies = module._copy, []
+        monkeypatch.setattr(module, "_copy", lambda *args: copies.append(args) or copy(*args))
+        h = hashlib.sha256()
+        for seed in range(150):
+            m = _equal_obs_system(seed)
+            for text in CHAIN_FORMULAS:
+                v = check(m, parse_formula(text))
+                shape = (v.holds, v.refinement_sizes, v.iteration_counts, v.initial_state)
+                h.update(repr(shape).encode())
+        assert len(copies) > 150
+        assert h.hexdigest() == self.DIGEST
 
 
 def _one_level(d):
@@ -476,3 +588,16 @@ class TestRefineForAgents:
     def test_incomparable_rejected(self):
         with pytest.raises(NonChainAgents):
             chain_order({"a": {"p"}, "b": {"q"}}, {"a", "b"})
+
+    def test_undeclared_agent(self, sys1_ab):
+        for agents in ({"z"}, {"a", "z"}):
+            with pytest.raises(UnknownAgent, match="^unknown agent: z$"):
+                refine_for_agents(sys1_ab, agents)
+
+    def test_chain_order_names_the_first_undeclared_agent(self):
+        """Before any comparison: a and b are incomparable here."""
+        obs = {"a": {"p"}, "b": {"q"}}
+        with pytest.raises(UnknownAgent, match="^unknown agent: y$"):
+            chain_order(obs, {"a", "b", "z", "y"})
+        with pytest.raises(UnknownAgent, match="^unknown agent: z$"):
+            chain_order(obs, {"z"})

@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import random
 import re
 import time
+import tracemalloc
 
 import pytest
 
@@ -325,6 +327,27 @@ class TestSynTreeBuild:
             assert n.closed == (n.form != Var("Z0"))
             assert n.binds == (shape == "mu" and n.form != Var("Z0"))
         assert (count, depth) == ({"left-and": 3001}.get(shape, 1501), 1500)
+
+    def test_memory_is_linear_in_depth(self):
+        """A tree keeps no path tuple per node: doubling the depth of an EX
+        chain less than triples the peak memory of building its tree.  A
+        full collection first empties the free lists, so every object the
+        build makes is counted."""
+
+        def peak(depth):
+            f = Atom("p")
+            for _ in range(depth):
+                f = EX(f)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                t = build_syntree(f)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                assert len(next(iter(reversed(list(t)))).path) == depth
+
+        assert peak(4000) < 3 * peak(2000)
 
     def test_negation_inside_is_outside_the_grammar(self):
         with pytest.raises(TypeError):
