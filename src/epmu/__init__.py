@@ -1,23 +1,13 @@
 """Model checking for the epistemic mu-calculus with synchronous perfect
 recall, restricted to the decidable non-mixing fragment.
 
-The package exports the checker side.  The brute-force oracles
+The package exports the checker side.  The reference definitions (Γ as
+pairs, in-splittings, tree prefixes), the brute-force oracles
 (`epmu.oracle`) and the instance translators (`epmu.translate`) are
-imported as modules of their own, so a check never loads them."""
+imported from their modules; a check never loads the last two."""
 
 from .checker import Verdict, check, check_with_sets, eval_state_naive
-from .distinction import (
-    DistinctionSystem,
-    GammaRelation,
-    closed_form_gamma,
-    compute_gamma,
-    distinction,
-    insplitting,
-    is_distinguished,
-    know_op,
-    poss_op,
-    refine_for_agents,
-)
+from .distinction import DistinctionSystem, distinction, insplitting, refine_for_agents
 from .errors import (
     CapacityExceeded,
     DepthInsufficient,
@@ -33,25 +23,15 @@ from .errors import (
     UnknownAtom,
     UnsupportedCoalition,
 )
-from .formula import (
-    dual,
-    parse_formula,
-    pretty,
-    to_positive_form,
-    unfold_fixpoint,
-)
-from .syntree import build_syntree, check_non_mixing, frontier_nodes
+from .formula import parse_formula, pretty, to_positive_form
+from .syntree import build_syntree, check_non_mixing
 from .system import (
     DEFAULT_CAP,
-    InSplitting,
     MultiAgentSystem,
-    TreePrefix,
-    bounded_unfold,
     parse_system,
     system_to_dict,
     system_to_json,
     to_dot,
-    verify_in_splitting,
 )
 
 __version__ = "0.1.0"

@@ -267,22 +267,22 @@ def _subset(a, b):
     return a <= b if type(a) is frozenset else a | b == b
 
 
-def kleene(op, seed, bound, mode="lfp"):
+def kleene(op, seed, bound):
     """Iterate a monotone operator on state sets (frozensets or masks) to
-    its least (from the empty set) or greatest (from the full set) fixpoint;
-    returns (fixpoint, iterations).
+    its least fixpoint from an empty seed, or its greatest from any other
+    (the full set); returns (fixpoint, iterations).
 
     A monotone operator stabilizes within bound steps; running longer means
     the operand was not monotone, which is an implementation bug.
     """
-    cur = seed
+    cur, least = seed, not seed
     for i in range(bound + 1):
         nxt = op(cur)
         if nxt == cur:
             return cur, i + 1
-        if mode == "lfp" and not _subset(cur, nxt):
+        if least and not _subset(cur, nxt):
             raise MonotonicityViolated(f"lfp iterate shrank at step {i}")
-        if mode == "gfp" and not _subset(nxt, cur):
+        if not least and not _subset(nxt, cur):
             raise MonotonicityViolated(f"gfp iterate grew at step {i}")
         cur = nxt
     raise MonotonicityViolated(f"no fixpoint within {bound + 1} iterations")
@@ -473,7 +473,6 @@ class Region:
         self.slot[f.var] = i
         body = self.compile(node.children[0], f.var, None)
         seed = self.empty if type(f) is fm.Mu else self.full
-        mode = "lfp" if type(f) is fm.Mu else "gfp"
         bound = len(self.final)
         counts = self.iteration_counts
 
@@ -482,7 +481,7 @@ class Region:
             return body()
 
         def fn():
-            S, iters = kleene(op, seed, bound, mode)
+            S, iters = kleene(op, seed, bound)
             counts.append(iters)
             return S
 

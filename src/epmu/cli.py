@@ -14,11 +14,11 @@ import sys
 from pathlib import Path
 
 from . import formula as fm
-from .checker import check
+from .checker import _closed_tree, check
 from .distinction import distinction
 from .errors import EpmuError, FragmentRejected
-from .syntree import build_syntree, check_non_mixing
-from .system import DEFAULT_CAP, bounded_unfold, parse_system, system_to_dict, to_dot
+from .syntree import check_non_mixing
+from .system import DEFAULT_CAP, bounded_unfold, parse_system, system_to_dict, system_to_json, to_dot
 
 EXIT_HOLDS = 0
 EXIT_NOT_HOLDS = 1
@@ -148,7 +148,7 @@ def cmd_check(args):
 
 def cmd_analyze(args):
     m, f, inputs = _load(args)
-    gate = check_non_mixing(build_syntree(fm.to_positive_form(f)), m.obs)
+    gate = check_non_mixing(_closed_tree(f), m.obs)
     report = {"command": "analyze", "inputs": inputs, "fragment": _fragment_dict(gate.witness)}
     _write_report(args, report)
     if not gate:
@@ -222,10 +222,19 @@ def cmd_translate(args):
     if args.mode == "atl-until":
         g = parse_labeled_system(_read_file(args.system))
         mprime, phi = atl_until_instance(g, args.agent, args.p1, args.p2, dual=args.dual)
+        names = [("atom", args.p1), ("atom", args.p2)]
     else:
         game = parse_parity_game(_read_file(args.game))
         mprime, phi = parity_encoding(game, args.player)
-    # everything that can fail runs before --out is created
+        names = []
+    # everything that can fail runs before --out is created, and so does the
+    # refusal of a name the formula files could not spell (the translation
+    # builds its own names from these)
+    for a in sorted(fm.agents_of(phi)):
+        names += [("agent", a), *[("action", act) for act in mprime.alphabets[a]]]
+    for kind, name in names:
+        if not fm.is_name(name):
+            raise EpmuError(f"{kind} {name!r} is not a name the formula syntax can spell")
     compiled = compile_modal(mprime, cap=cap)
     plain_phi = compiled.compile_formula(phi)
     out = Path(args.out)
@@ -233,9 +242,7 @@ def cmd_translate(args):
     (out / "system.mas").write_text(
         json.dumps(labeled_system_to_dict(mprime), indent=2) + "\n"
     )
-    (out / "compiled.mas").write_text(
-        json.dumps(system_to_dict(compiled.system), indent=2) + "\n"
-    )
+    (out / "compiled.mas").write_text(system_to_json(compiled.system) + "\n")
     (out / "formula.mu").write_text(fm.pretty(plain_phi) + "\n")
     (out / "formula_modal.mu").write_text(fm.pretty(phi) + "\n")
     print(f"instance written to {args.out}")

@@ -78,15 +78,6 @@ class Formula(FrozenRecord):
     def children(self):
         return ()
 
-    def __and__(self, other):
-        return And(self, other)
-
-    def __or__(self, other):
-        return Or(self, other)
-
-    def __invert__(self):
-        return Not(self)
-
     def __str__(self):
         return pretty(self)
 
@@ -239,15 +230,6 @@ def free_vars(f):
     out = set()
     for c in f.children():
         out |= free_vars(c)
-    return out
-
-
-def atoms_of(f):
-    if isinstance(f, (Atom, NegAtom)):
-        return {f.name}
-    out = set()
-    for c in f.children():
-        out |= atoms_of(c)
     return out
 
 
@@ -420,11 +402,6 @@ def unfold_fixpoint(f, k):
     return _rebuild(f, [unfold_fixpoint(c, k) for c in kids])
 
 
-def dual(f):
-    """Negation dual in positive form: dual(f) == positive form of ~f."""
-    return to_positive_form(Not(f))
-
-
 # ---------------------------------------------------------------------------
 # Concrete syntax
 
@@ -474,6 +451,13 @@ def _tokenize(text):
         tokens.append((chunk if i == 1 else _KINDS[i], chunk, m.start(i)))
     tokens.append(("eof", "", len(text)))
     return tokens
+
+
+def is_name(text):
+    """Whether text reads as one atom, agent or action name, not as a
+    keyword or a fixpoint variable."""
+    m = _TOKEN_RE.fullmatch(text)
+    return m is not None and m.lastindex == 3 and m.start(3) == 0
 
 
 class _Parser:

@@ -82,7 +82,7 @@ def eval_tree(prefix, f, require_root=True):
 
     result = ev(f)
     root = (prefix.system.q0,)
-    trimmed = frozenset(x for x in result if prefix.node_depth(x) <= valid)
+    trimmed = frozenset(x for x in result if len(x) - 1 <= valid)
     return NodeSet(prefix, trimmed, valid, root in result)
 
 

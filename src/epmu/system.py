@@ -327,7 +327,7 @@ def to_dot(m):
     lines = ["digraph mas {"]
     for q in m.states:
         atoms = ",".join(sorted(m.labels[q]))
-        label = f"{m.state_name(q)} | {{{atoms}}}"
+        label = f"{m.state_name(q)} | {{{atoms}}}".replace("\\", "\\\\").replace('"', '\\"')
         shape = ' shape="doublecircle"' if q == m.q0 else ""
         lines.append(f'  n{q} [label="{label}"{shape}];')
     for q in m.states:
@@ -417,35 +417,19 @@ class TreePrefix:
         self.system = system
         self.depth = depth
         by_depth = [[(system.q0,)]]
-        self._children = {}
         count = 1
         for _ in range(depth):
             level = []
             for run in by_depth[-1]:
-                kids = self._children[run] = []
                 for r in system.successors(run[-1]):
-                    kids.append(run + (r,))
+                    level.append(run + (r,))
                     count += 1
                     if count > cap:
                         raise CapacityExceeded(count, cap, "tree prefix expansion")
-                level += kids
             by_depth.append(level)
         self.by_depth = by_depth
         self.nodes = [run for level in by_depth for run in level]
-        self._node_set = set(self.nodes)
         self._class_cache = {}
-
-    def __contains__(self, run):
-        return run in self._node_set
-
-    def __len__(self):
-        return len(self.nodes)
-
-    def node_depth(self, run):
-        return len(run) - 1
-
-    def children(self, run):
-        return self._children.get(run, [])
 
     def signature(self, run, agent):
         m = self.system

@@ -326,6 +326,11 @@ class TestCheck:
         assert main(["check", "--system", loop_file, "--formula", "K a . p"]) == 3
         assert "holds" not in capsys.readouterr().out
 
+    def test_env_cap_not_a_count_exit_three(self, loop_file, monkeypatch, capsys):
+        monkeypatch.setenv("EPMU_CAP", "abc")
+        assert main(["check", "--system", loop_file, "--formula", "K a . p"]) == 3
+        assert capsys.readouterr() == ("", "error: EPMU_CAP: invalid int value: 'abc'\n")
+
     def test_env_cap(self, sys2_file, monkeypatch):
         monkeypatch.setenv("EPMU_CAP", "3")
         assert main(["check", "--system", sys2_file, "--formula", "EX K a . p"]) == 3
@@ -441,6 +446,14 @@ class TestAnalyze:
         assert main(["analyze", "--system", sys2_file, "--formula", "<a=x> p"]) == 0
         assert capsys.readouterr().out == "accepted: non-mixing\n"
 
+    @pytest.mark.parametrize("formula", ["Z", "K a . Z"])
+    def test_free_variable_exits_as_check_does(self, sys2_file, capsys, formula):
+        outcomes = []
+        for command in ("check", "analyze"):
+            code = main([command, "--system", sys2_file, "--formula", formula])
+            outcomes.append((code, capsys.readouterr().err))
+        assert outcomes == [(3, "error: free fixpoint variables: Z\n")] * 2
+
     def test_reject_names_agents(self, mixed_file, capsys):
         code = main([
             "analyze", "--system", mixed_file,
@@ -473,6 +486,29 @@ class TestDistinguish:
             "--emit-dot", str(dot),
         ])
         assert dot.read_text().startswith("digraph")
+
+    def test_dot_labels_escape_quotes_and_backslashes(self, tmp_path, capsys):
+        src = tmp_path / "named.mas"
+        src.write_text(json.dumps({
+            "states": [
+                {"id": 1, "atoms": [], "name": 'say "hi"'},
+                {"id": 2, "atoms": ["p"], "name": "back\\slash"},
+            ],
+            "initial": 1, "transitions": [[1, 2], [2, 2]], "atoms": ["p"],
+            "agents": {"a": {"obs": []}},
+        }))
+        dot = tmp_path / "d.dot"
+        assert main(["distinguish", "--system", str(src), "--agent", "a", "--emit-dot", str(dot)]) == 0
+        labels = [
+            re.fullmatch(r'  n\d+ \[label="((?:[^"\\]|\\.)*)"(?: shape="doublecircle")?\];', line)
+            for line in dot.read_text().splitlines()
+            if "label=" in line
+        ]
+        assert None not in labels
+        assert [re.sub(r"\\(.)", r"\1", m[1]) for m in labels] == [
+            '(say "hi",{say "hi"}) | {}',
+            "(back\\slash,{back\\slash}) | {p}",
+        ]
 
     def test_unknown_agent(self, sys2_file):
         assert main(["distinguish", "--system", sys2_file, "--agent", "zz"]) == 3
@@ -638,6 +674,44 @@ class TestTranslate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
         assert "ValueError" not in err and "AttributeError" not in err and "TypeError" not in err
+
+    @pytest.mark.parametrize(
+        "players,alphabet,named",
+        [(("e", "o"), ["go-left", "x y"], "action 'go-left'"), (("E", "o"), ["x"], "agent 'E'")],
+        ids=["action", "agent"],
+    )
+    def test_name_the_formula_syntax_cannot_spell_exits_three_and_writes_nothing(
+        self, tmp_path, capsys, players, alphabet, named
+    ):
+        me, other = players
+        g = ParityGame(
+            [1], 1, [(1, {me: act, other: "u"}, 1) for act in alphabet],
+            [], {}, {me: set(), other: set()}, {me: alphabet, other: ["u"]},
+            priority={1: 2}, players=players,
+        )
+        d = labeled_system_to_dict(g) | {"players": list(players)}
+        d["states"][0]["priority"] = 2
+        src = tmp_path / "g.pg"
+        src.write_text(json.dumps(d))
+        out = tmp_path / "inst"
+        code = main(["translate", "parity", "--game", str(src), "--player", "0", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {named} is not a name the formula syntax can spell\n"
+        assert not out.exists()
+
+    def test_atom_the_formula_syntax_cannot_spell_exits_three_and_writes_nothing(self, tmp_path, capsys):
+        g = LabeledSystem([1], 1, [(1, {"e": "x"}, 1)], ["Q"], {}, {"e": set()}, {"e": ["x"]})
+        src = tmp_path / "g.mas"
+        src.write_text(json.dumps(labeled_system_to_dict(g)))
+        out = tmp_path / "inst"
+        code = main([
+            "translate", "atl-until", "--system", str(src), "--agent", "e",
+            "--p1", "Q", "--p2", "Q", "--out", str(out),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == "error: atom 'Q' is not a name the formula syntax can spell\n"
+        assert not out.exists()
 
     def test_unplayable_action_exits_three_and_writes_nothing(self, tmp_path, capsys):
         # e cannot play y at state 1, so [e=y] Z would hold vacuously there

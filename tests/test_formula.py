@@ -32,7 +32,6 @@ from epmu.formula import (
     Poss,
     TRUE,
     Var,
-    dual,
     parse_formula,
     pretty,
     to_positive_form,
@@ -109,6 +108,15 @@ class TestParse:
         ]:
             f = parse_formula(text)
             assert parse_formula(pretty(f)) == f
+
+    @pytest.mark.parametrize(
+        "text,name",
+        [("p", True), ("a_1", True), ("trueish", True), ("go-left", False), ("x y", False),
+         ("E", False), ("Z", False), ("true", False), (" p", False), ("p ", False), ("", False)],
+    )
+    def test_is_name(self, text, name):
+        # the tokenizer reads text as one identifier, not a keyword or a variable
+        assert fm.is_name(text) is name
 
     def test_pretty_rejects_unknown_nodes(self):
         with pytest.raises(TypeError, match="unexpected node"):
@@ -190,7 +198,7 @@ class TestPositiveForm:
 
     def test_dual_involution(self):
         f = to_positive_form(parse_formula("mu Z . p | K a . EX Z"))
-        assert dual(dual(f)) == f
+        assert to_positive_form(fm.Not(to_positive_form(fm.Not(f)))) == f
 
 
 class TestUnfold:

@@ -9,7 +9,7 @@ import epmu.oracle
 
 from epmu import formula as fm
 from epmu.distinction import compute_gamma
-from epmu.errors import DepthInsufficient, EpmuError, UnknownAgent, UnknownAtom
+from epmu.errors import CapacityExceeded, DepthInsufficient, EpmuError, UnknownAgent, UnknownAtom
 from epmu.formula import parse_formula, to_positive_form
 from epmu.gen import random_system
 from epmu.oracle import (
@@ -23,6 +23,11 @@ from epmu.translate import LabeledSystem, ParityGame
 
 
 class TestEvalTree:
+    def test_free_variable_refused(self, sys2):
+        t = bounded_unfold(sys2, 2)
+        with pytest.raises(EpmuError, match="the tree oracle needs a closed formula"):
+            eval_tree(t, fm.And(fm.Atom("p"), fm.Var("Z")))
+
     def test_knowledge_of_next(self, sys2):
         t = bounded_unfold(sys2, 2)
         assert eval_tree(t, parse_formula("K a . EX p")).root_holds
@@ -115,8 +120,15 @@ def _scan_eval(prefix, g):
         return S1 & S2 if isinstance(g, fm.And) else S1 | S2
     S = _scan_eval(prefix, g.child)
     if isinstance(g, fm.AX):
-        return frozenset(x for x in nodes if all(y in S for y in prefix.children(x)))
-    return frozenset(x for x in nodes if any(y in S for y in prefix.children(x)))
+        return frozenset(x for x in nodes if all(y in S for y in _children(prefix, x)))
+    return frozenset(x for x in nodes if any(y in S for y in _children(prefix, x)))
+
+
+def _children(prefix, x):
+    """The runs that extend x by one step, if x is above the last level."""
+    if len(x) > prefix.depth:
+        return []
+    return [x + (r,) for r in prefix.system.successors(x[-1])]
 
 
 class TestEvalTreeModal:
@@ -212,6 +224,16 @@ class TestStrategyOracle:
         assert not reachability_strategy_oracle(blind, "a0", "p1", "p2")
         assert reachability_strategy_oracle(sighted, "a0", "p1", "p2")
 
+    def test_more_than_14_beliefs_exceed_the_cap(self):
+        # a blind walk down a chain of 16 states: one belief per state
+        g = LabeledSystem(
+            range(16), 0,
+            [(q, {"a0": "x", "b": "u"}, min(q + 1, 15)) for q in range(16)],
+            ["p1", "p2"], {}, {"a0": set(), "b": set()}, {"a0": ["x"], "b": ["u"]},
+        )
+        with pytest.raises(CapacityExceeded, match="count 16 exceeds cap 14 during strategy enumeration"):
+            reachability_strategy_oracle(g, "a0", "p1", "p2")
+
     def test_action_without_transition_loses(self):
         # y has no transition from 1, and x leads to a sink without p1/p2:
         # choosing y is not a way to win
@@ -276,6 +298,16 @@ class TestParityOracle:
             {"e": ["x"], "o": ["u", "v"]},
             priority={1: 1, 2: 2}, players=players,
         )
+
+    def test_state_without_a_playable_action_loses(self):
+        # state 2 has no transition, so a play that reaches it goes on in the
+        # odd sink: neither state wins for either player, though both are even
+        g = ParityGame(
+            [1, 2], 1, [(1, {"e": "x", "o": "u"}, 2)],
+            [], {}, {"e": set(), "o": set()}, {"e": ["x"], "o": ["u"]},
+            priority={1: 2, 2: 2}, players=("e", "o"),
+        )
+        assert parity_oracle(g, 0) == parity_oracle(g, 1) == frozenset()
 
     def test_opponent_controls(self):
         # the even player loses

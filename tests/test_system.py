@@ -53,6 +53,11 @@ class TestParse:
         assert m.label(2) == {"q"}
         assert m.obs["a"] == {"p"}
 
+    @pytest.mark.parametrize("text", ["[1]", "5", '"m"', "null"])
+    def test_top_level_not_an_object(self, text):
+        with pytest.raises(SystemFormatError, match="^top-level value must be an object$"):
+            parse_system(text)
+
     def test_unreachable_state_dropped(self):
         data = json.loads(SYS1_JSON)
         data["states"].append({"id": 9})
@@ -416,7 +421,7 @@ class TestTreePrefix:
     def test_sys1_depth_two(self, sys1):
         t = bounded_unfold(sys1, 2)
         assert set(t.nodes) == {(1,), (1, 2), (1, 3), (1, 2, 2), (1, 3, 3)}
-        assert len(t) == 5
+        assert len(t.nodes) == 5
 
     def test_sys2_sim_classes(self, sys2):
         t = bounded_unfold(sys2, 2)
@@ -426,10 +431,11 @@ class TestTreePrefix:
 
     def test_children_outdeg(self, sys2):
         t = bounded_unfold(sys2, 3)
-        for run in t.by_depth[1]:
-            assert len(t.children(run)) == sys2.outdeg(run[-1])
-        for run in t.by_depth[3]:
-            assert t.children(run) == []
+        for d in range(3):
+            below = t.by_depth[d + 1]
+            for run in t.by_depth[d]:
+                kids = [x for x in below if x[:-1] == run]
+                assert len(kids) == sys2.outdeg(run[-1])
 
     def test_capacity(self, sys2):
         from epmu.errors import CapacityExceeded

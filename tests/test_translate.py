@@ -74,6 +74,11 @@ class TestLabeledSystem:
                 {"a": set()}, {"a": ["x"]},
             )
 
+    def test_alphabets_must_cover_exactly_the_agents(self):
+        for alphabets in ({"a": ["x"]}, {"a": ["x"], "b": ["u"], "c": ["v"]}):
+            with pytest.raises(SystemFormatError, match="action alphabets must cover exactly the agents"):
+                LabeledSystem([1], 1, [], ["p"], {}, {"a": set(), "b": set()}, alphabets)
+
     def test_empty_alphabet_rejected(self):
         with pytest.raises(SystemFormatError, match="agent 'b' has an empty action alphabet"):
             LabeledSystem([1], 1, [], ["p"], {}, {"a": set(), "b": set()}, {"a": ["x"], "b": []})
@@ -214,6 +219,15 @@ class TestMalformedFiles:
 
 
 class TestCompileModal:
+    def test_action_atom_skips_taken_names(self):
+        g = LabeledSystem(
+            [1], 1, [(1, {"a": "x"}, 1)], ["act_a_x", "act_a_xx"], {},
+            {"a": set()}, {"a": ["x"]},
+        )
+        c = compile_modal(g)
+        assert c.act_atom == {("a", "x"): "act_a_xxx"}
+        assert c.system.labels[1] == {"act_a_xxx"}
+
     def test_selfloop_product(self):
         g = LabeledSystem(
             [1], 1, [(1, {"a": "x"}, 1)], ["p"], {}, {"a": set()}, {"a": ["x"]},
@@ -247,8 +261,8 @@ class TestCompileModal:
         g = tiny_labeled()
         c = compile_modal(g)
         f = c.compile_formula(DiamondAct((("a", "x"), ("b", "u")), Atom("p")))
-        assert isinstance(f, fm.EX)
-        assert fm.atoms_of(f) == {"act_a_x", "act_b_u", "p"}
+        guard = fm.And(Atom("act_a_x"), Atom("act_b_u"))
+        assert f == fm.EX(fm.And(guard, Atom("p")))
         f = c.compile_formula(BoxAct((("a", "x"), ("b", "u")), Atom("p")))
         assert isinstance(f, fm.AX)
 
@@ -288,6 +302,22 @@ class TestCompileModal:
 
 
 class TestAtlUntil:
+    def test_unknown_agent_or_atom(self):
+        g = tiny_labeled()
+        with pytest.raises(UnknownAgent, match="unknown agent: z"):
+            atl_until_instance(g, "z", "p", "p")
+        with pytest.raises(UnknownAtom, match="unknown atom: q"):
+            atl_until_instance(g, "a", "p", "q")
+
+    def test_bookkeeping_atom_skips_a_taken_name(self):
+        g = LabeledSystem(
+            [1], 1, [(1, {"a": "x"}, 1)], ["p", "past_p"], {1: {"past_p"}},
+            {"a": set()}, {"a": ["x"]},
+        )
+        mp, phi = atl_until_instance(g, "a", "p", "p")
+        assert mp.atoms == {"p", "past_p", "past_px"}
+        assert "past_px" in fm.pretty(phi)
+
     def test_structural_invariants(self):
         # game whose doubled system is fully reachable
         g = LabeledSystem(
@@ -450,6 +480,22 @@ class TestPriorities:
             priority={1: 2}, players=("e", "o"),
         )
         assert g.priority == {1: 2} and g.dropped_states == (2,)
+
+
+class TestParityGameShape:
+    def test_needs_exactly_two_agents(self):
+        for obs in ({"e": set()}, {"e": set(), "o": set(), "z": set()}):
+            alphabets = dict.fromkeys(obs, ["x"])
+            with pytest.raises(SystemFormatError, match="a parity game needs exactly two agents"):
+                ParityGame([1], 1, [], [], {}, obs, alphabets, priority={1: 2})
+
+    def test_players_must_name_the_two_agents(self):
+        for players in (("e", "z"), ("e", "e"), ("e",)):
+            with pytest.raises(SystemFormatError, match="players must name the two agents"):
+                ParityGame(
+                    [1], 1, [], [], {}, {"e": set(), "o": set()}, {"e": ["x"], "o": ["u"]},
+                    priority={1: 2}, players=players,
+                )
 
 
 class TestParityEncoding:
