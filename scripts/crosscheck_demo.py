@@ -64,7 +64,7 @@ def main():
         for _ in range(args.count):
             m = random_system(rng)
             g = compute_gamma(m, "a")
-            assert all((q, q) in g for q in m.states)
+            assert all((q, q) in g.pairs for q in m.states)
             n += 1
         return n
 

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
-from itertools import chain, repeat
-from operator import itemgetter
+from itertools import chain
 
 from .errors import CapacityExceeded, SystemFormatError, UnknownAgent, UnknownAtom
 from .formula import FrozenRecord, _set
@@ -197,15 +196,6 @@ def _agent_obs(agents):
 
 
 _ID_KINDS = {int: "", str: "", bool: "a boolean", float: "a float", type(None): "null"}
-# Bulk checks compare the set of an input list's item types (`_kinds`)
-# with one of these; only a failure walks the list item by item.
-_ID_TYPES, _STR = frozenset([int, str]), frozenset([str])
-_LIST, _DICT = frozenset([list]), frozenset([dict])
-_FIRST, _LAST = itemgetter(0), itemgetter(-1)
-
-
-def _kinds(values):
-    return set(map(type, values))
 
 
 def _bad_id(q):
@@ -221,26 +211,9 @@ def _state_entries(entries, keys=("id",)):
     with each of `keys`, an id that is no int or string (see _bad_id), that
     an earlier entry has or that is not of the first id's type (ints and
     strings do not sort together), atoms that are not a list of strings or
-    a name that is not a string raise SystemFormatError naming it.  A list
-    of plain objects passes in bulk; any other walks the entries in order
-    to name the first bad one."""
+    a name that is not a string raise SystemFormatError naming it.  The
+    entries are walked once, in order, so the first bad one is named."""
     entries = _entry_list(entries, "'states'")
-    if _kinds(entries) <= _DICT and all(
-        all(map(dict.__contains__, entries, repeat(key))) for key in keys
-    ):
-        try:
-            labels = {entry["id"]: entry.get("atoms", []) for entry in entries}
-        except TypeError:  # an unhashable id: the walk names it
-            labels = {}
-        kinds = _kinds(labels)
-        if (
-            len(labels) == len(entries) and len(kinds) < 2 and kinds <= _ID_TYPES
-            and _kinds(labels.values()) <= _LIST
-            and _kinds(chain.from_iterable(labels.values())) <= _STR
-        ):
-            names = {entry["id"]: entry["name"] for entry in entries if "name" in entry}
-            if _kinds(names.values()) <= _STR:
-                return list(labels), labels, names
     states, labels, names = [], {}, {}
     for entry in entries:
         for key in keys:
@@ -271,27 +244,16 @@ def _check_ends(kind, t):
         raise SystemFormatError(f"{kind} {t!r} uses {why} as a state")
 
 
-def _plain_edges(edges, width):
-    """Whether every item of edges is a list of `width` items whose first
-    and last are state ids: the bulk test of a transition or label list,
-    which walks its items to name a bad one only when this fails."""
-    if not (_kinds(edges) <= _LIST and set(map(len, edges)) <= {width}):
-        return False
-    ends = chain.from_iterable(edges) if width == 2 else chain(map(_FIRST, edges), map(_LAST, edges))
-    return _kinds(ends) <= _ID_TYPES
-
-
 def system_from_dict(data):
     for key in ("states", "initial", "transitions", "atoms", "agents"):
         if key not in data:
             raise SystemFormatError(f"missing key {key!r}")
     states, labels, names = _state_entries(data["states"])
     transitions = _entry_list(data["transitions"], "'transitions'")
-    if not _plain_edges(transitions, 2):
-        for t in transitions:
-            if not isinstance(t, (list, tuple)) or len(t) != 2:
-                raise SystemFormatError(f"transition {t!r} is not a pair [from, to]")
-            _check_ends("transition", t)
+    for t in transitions:
+        if not isinstance(t, (list, tuple)) or len(t) != 2:
+            raise SystemFormatError(f"transition {t!r} is not a pair [from, to]")
+        _check_ends("transition", t)
     return MultiAgentSystem(
         states=states,
         q0=data["initial"],
@@ -323,15 +285,23 @@ def system_to_json(m):
     return json.dumps(system_to_dict(m), indent=2, sort_keys=False)
 
 
+def _dot_string(text):
+    """text as a quoted DOT string, its backslashes and quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(m):
+    """The system in DOT.  A state with a natural-number id q is the node
+    n<q>; any other id is written as a quoted DOT ID."""
+    node = {q: f"n{q}" if type(q) is int and q >= 0 else _dot_string(str(q)) for q in m.states}
     lines = ["digraph mas {"]
     for q in m.states:
         atoms = ",".join(sorted(m.labels[q]))
-        label = f"{m.state_name(q)} | {{{atoms}}}".replace("\\", "\\\\").replace('"', '\\"')
+        label = _dot_string(f"{m.state_name(q)} | {{{atoms}}}")
         shape = ' shape="doublecircle"' if q == m.q0 else ""
-        lines.append(f'  n{q} [label="{label}"{shape}];')
+        lines.append(f"  {node[q]} [label={label}{shape}];")
     for q in m.states:
-        lines.extend([f"  n{q} -> n{r};" for r in m._succ[q]])
+        lines.extend([f"  {node[q]} -> {node[r]};" for r in m._succ[q]])
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -460,9 +430,6 @@ class GammaRelation(FrozenRecord):
         _set(self, "agent", agent)
         _set(self, "system", system)
         _set(self, "pairs", pairs)
-
-    def __contains__(self, pair):
-        return pair in self.pairs
 
 
 def bounded_unfold(m, depth, cap=DEFAULT_CAP):

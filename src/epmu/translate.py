@@ -5,7 +5,6 @@ bookkeeping bit, the coalition-next operator, and the parity-game encoding."""
 from __future__ import annotations
 
 from functools import cached_property, reduce
-from operator import itemgetter
 
 from . import formula as fm
 from .errors import (
@@ -23,9 +22,7 @@ from .system import (
     _check_atoms,
     _check_ends,
     _entry_list,
-    _kinds,
     _load_json,
-    _plain_edges,
     _state_entries,
     _string_list,
     system_to_dict,
@@ -73,7 +70,7 @@ class LabeledSystem(MultiAgentSystem):
         if set(self.alphabets) != set(agents):
             raise SystemFormatError("action alphabets must cover exactly the agents")
         _check_alphabets(self.alphabets)
-        canon = set()
+        canon = {}  # the triples in input order, so a bad one is named as given
         for q, acts, r in trans:
             acts = _canon_acts(acts)
             if tuple(a for a, _ in acts) != agents:
@@ -83,7 +80,7 @@ class LabeledSystem(MultiAgentSystem):
             for a, act in acts:
                 if act not in self.alphabets[a]:
                     raise SystemFormatError(f"undeclared action {act!r} of agent {a}")
-            canon.add((q, acts, r))
+            canon[q, acts, r] = None
         super().__init__(states, q0, [(q, r) for q, _, r in canon], atoms, labels, obs, names)
         self._out = {}
         for q, acts, r in sorted(canon):
@@ -137,13 +134,12 @@ def _labeled_args(data, state_keys=("id",)):
             raise SystemFormatError(f"missing key 'actions.{key}'")
     states, labels, names = _state_entries(data["states"], state_keys)
     trans = _entry_list(actions["labels"], "'actions.labels'")
-    if not (_plain_edges(trans, 3) and _kinds(map(itemgetter(1), trans)) <= {dict}):
-        for t in trans:
-            if not isinstance(t, (list, tuple)) or len(t) != 3:
-                raise SystemFormatError(f"label {t!r} is not a triple [from, actions, to]")
-            if not isinstance(t[1], dict):
-                raise SystemFormatError(f"label {t!r}: its actions are not an object")
-            _check_ends("label", t)
+    for t in trans:
+        if not isinstance(t, (list, tuple)) or len(t) != 3:
+            raise SystemFormatError(f"label {t!r} is not a triple [from, actions, to]")
+        if not isinstance(t[1], dict):
+            raise SystemFormatError(f"label {t!r}: its actions are not an object")
+        _check_ends("label", t)
     alphabets = actions["alphabets"]
     if not isinstance(alphabets, dict):
         raise SystemFormatError(f"'actions.alphabets' is not an object: {alphabets!r}")

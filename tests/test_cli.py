@@ -396,6 +396,30 @@ class TestCheck:
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0][2])["state_count"] == 10
 
+    def test_bad_label_named_whatever_the_hash_seed(self, tmp_path):
+        """A game whose state 2 has labels to the undeclared states 7, 8 and
+        9 names the first of them, (2,7), under every string hash seed."""
+        acts = {"e": "x", "o": "u"}
+        (tmp_path / "bad.pg").write_text(json.dumps({
+            "states": [{"id": q, "atoms": [], "priority": q} for q in (1, 2)],
+            "initial": 1, "atoms": [], "agents": {"e": {"obs": []}, "o": {"obs": []}},
+            "actions": {
+                "alphabets": {"e": ["x"], "o": ["u"]},
+                "labels": [[1, acts, 2], [2, acts, 7], [2, acts, 8], [2, acts, 9], [2, acts, 1]],
+            },
+            "players": ["e", "o"],
+        }))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        for seed in "0123":
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+            run = subprocess.run(
+                [sys.executable, "-m", "epmu.cli", "translate", "parity", "--game", "bad.pg", "--out", "x"],
+                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert (run.returncode, run.stderr) == (3, "error: transition (2,7) uses unknown state\n"), seed
+            assert not (tmp_path / "x").exists()
+
     def test_digest_changes_with_input(self, sys2_file, tmp_path):
         r1, r2 = tmp_path / "a.json", tmp_path / "b.json"
         main(["check", "--system", sys2_file, "--formula", "p", "--report", str(r1)])

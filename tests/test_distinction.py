@@ -464,7 +464,7 @@ class TestGamma:
 
     def test_sys2_asymmetry(self, sys2):
         g = compute_gamma(sys2, "a")
-        assert (5, 4) in g and (4, 5) not in g
+        assert (5, 4) in g.pairs and (4, 5) not in g.pairs
 
     def test_reflexive_on_random_systems(self):
         rng = random.Random(0)
@@ -472,7 +472,7 @@ class TestGamma:
             m = random_system(rng)
             g = compute_gamma(m, "a")
             for q in m.states:
-                assert (q, q) in g
+                assert (q, q) in g.pairs
 
     def test_closed_form_on_distinction(self, sys2):
         d = distinction(sys2, "a")

@@ -155,7 +155,7 @@ class TestGammaByRuns:
 
     def test_sys2_asymmetry(self, sys2):
         g = gamma_by_runs(sys2, "a", 5)
-        assert (5, 4) in g and (4, 5) not in g
+        assert (5, 4) in g.pairs and (4, 5) not in g.pairs
 
     def test_depth_zero_single_state(self):
         m = MultiAgentSystem([1], 1, [(1, 1)], ["p"], {}, {"a": {"p"}})

@@ -26,7 +26,7 @@ CALLERS = [
 # method, an operator say, needs a caller by name like any public method.
 IMPLICIT = frozenset([
     "__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__",
-    "__reduce__", "__len__", "__contains__", "__iter__", "__bool__", "__call__",
+    "__reduce__", "__len__", "__iter__", "__bool__", "__call__",
 ])
 
 # Kept without a caller, each for its reason.

@@ -1,6 +1,8 @@
 import ast
 import json
 import random
+import re
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -98,6 +100,29 @@ class TestParse:
         dot = to_dot(sys1)
         assert dot.startswith("digraph")
         assert "n1 -> n2" in dot
+
+    def test_dot_quotes_string_ids(self):
+        """An id that is no natural number is a quoted DOT ID, with
+        backslashes and quotes escaped, on every node and edge line."""
+        m = MultiAgentSystem(
+            ["x y", 'z"', "w\\"], "x y", [("x y", 'z"'), ('z"', 'z"'), ('z"', "w\\"), ("w\\", "x y")],
+            [], {}, {"a": set()},
+        )
+        dot_id = r'"((?:[^"\\]|\\.)*)"'
+        nodes, edges = [], []
+        for line in to_dot(m).splitlines()[1:-1]:
+            node = re.fullmatch(rf"  {dot_id} \[label={dot_id}(?: shape=\"doublecircle\")?\];", line)
+            edge = re.fullmatch(rf"  {dot_id} -> {dot_id};", line)
+            assert node or edge, line
+            if node:
+                nodes.append(node[1])
+            else:
+                edges.append(edge.group(1, 2))
+        unescape = partial(re.sub, r"\\(.)", r"\1")
+        assert sorted(map(unescape, nodes)) == sorted(m.states)
+        assert {(unescape(q), unescape(r)) for q, r in edges} == m.delta
+        negative = MultiAgentSystem([-1], -1, [(-1, -1)], [], {}, {"a": set()})
+        assert to_dot(negative).splitlines()[2] == '  "-1" -> "-1";'
 
 
 def _loader_system(n=5):
@@ -198,6 +223,8 @@ BAD_LABELS = {
     ),
     "float-end": ([2.0, {"e": "x", "o": "u"}, 1], "label [2.0, {'e': 'x', 'o': 'u'}, 1] uses a float as a state"),
     "list-end": ([[2], {"e": "x", "o": "u"}, 1], "label [[2], {'e': 'x', 'o': 'u'}, 1] uses a list or an object as a state"),
+    "unknown-to": ([1, {"e": "x", "o": "u"}, 9], "transition (1,9) uses unknown state"),
+    "unknown-from": ([9, {"e": "x", "o": "u"}, 1], "transition (9,1) uses unknown state"),
 }
 
 BAD_GAME_STATES = {
@@ -214,8 +241,8 @@ def _expected(case, place):
 
 
 class TestBulkChecks:
-    """A well-formed list is checked at once; any other is walked item by
-    item, so the first bad item is named wherever it is in the list."""
+    """Each list is walked item by item, so the first bad item is named
+    wherever it is in the list."""
 
     @pytest.mark.parametrize("place", sorted(PLACES))
     @pytest.mark.parametrize("case", sorted(BAD_STATES))
