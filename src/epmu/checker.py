@@ -127,7 +127,7 @@ class Verdict(fm.Record):
     construction and double in length with each, so past 1 024 characters
     (`distinction.NAME_LIMIT`) it reads as the summary "<N characters,
     sha256 tree digest D>" of `distinction.short_name`, which never builds
-    the name.  For it a verdict holds `final`, the chain's last system,
+    the name; only such a long name is hashed.  For it a verdict holds `final`, the chain's last system,
     which reaches every system of the chain through `base`, with their
     cached tables, so a verdict keeps the chain's systems alive until it is
     dropped; no system refers back to a finer one, so reference counting

@@ -7,7 +7,6 @@ non-mixing fragment, 3 = input or capacity error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -16,7 +15,7 @@ from pathlib import Path
 from . import formula as fm
 from .checker import _closed_tree, check
 from .distinction import distinction
-from .errors import EpmuError, FragmentRejected
+from .errors import EpmuError, FragmentRejected, depth_guarded
 from .syntree import check_non_mixing
 from .system import DEFAULT_CAP, bounded_unfold, parse_system, system_to_dict, system_to_json, to_dot
 
@@ -41,6 +40,8 @@ def _red(text):
 
 
 def _digest(data):
+    import hashlib  # only a report is hashed, so a check loads no OpenSSL
+
     return hashlib.sha256(data.encode()).hexdigest()
 
 
@@ -77,7 +78,8 @@ def _cap(args):
 
 def _load(args):
     """The system, the formula over its agents and atoms, and the `inputs`
-    block of a report: the path and sha256 of each."""
+    block of a report: the path and sha256 of each, or None when no report
+    is written (`oracle` writes none)."""
     sys_text = _read_file(args.system)
     m = parse_system(sys_text)
     if args.formula_file is None:
@@ -85,10 +87,12 @@ def _load(args):
     else:
         text, key, path = _read_file(args.formula_file), "formula-file", args.formula_file
     f = fm.parse_formula(text, agents=m.agents, atoms=m.atoms)
-    inputs = {
-        "system": {"path": args.system, "sha256": _digest(sys_text)},
-        key: {"path": path, "sha256": _digest(text)},
-    }
+    inputs = None
+    if getattr(args, "report", None):
+        inputs = {
+            "system": {"path": args.system, "sha256": _digest(sys_text)},
+            key: {"path": path, "sha256": _digest(text)},
+        }
     return m, f, inputs
 
 
@@ -225,26 +229,31 @@ def cmd_translate(args):
         names = [("atom", args.p1), ("atom", args.p2)]
     else:
         game = parse_parity_game(_read_file(args.game))
-        mprime, phi = parity_encoding(game, args.player)
+        mprime, phi = parity_encoding(game, args.player, cap=cap)
         names = []
-    # everything that can fail runs before --out is created, and so does the
-    # refusal of a name the formula files could not spell (the translation
-    # builds its own names from these)
-    for a in sorted(fm.agents_of(phi)):
+    # everything that can fail runs before --out is created, all four texts
+    # included, and so does the refusal of a name the formula files could
+    # not spell (the translation builds its own names from these)
+    for a in sorted(depth_guarded("translation", fm.agents_of, phi)):
         names += [("agent", a), *[("action", act) for act in mprime.alphabets[a]]]
     for kind, name in names:
         if not fm.is_name(name):
             raise EpmuError(f"{kind} {name!r} is not a name the formula syntax can spell")
     compiled = compile_modal(mprime, cap=cap)
-    plain_phi = compiled.compile_formula(phi)
+
+    def render():
+        return {
+            "system.mas": json.dumps(labeled_system_to_dict(mprime), indent=2),
+            "compiled.mas": system_to_json(compiled.system),
+            "formula.mu": fm.pretty(compiled.compile_formula(phi)),
+            "formula_modal.mu": fm.pretty(phi),
+        }
+
+    texts = depth_guarded("translation", render)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "system.mas").write_text(
-        json.dumps(labeled_system_to_dict(mprime), indent=2) + "\n"
-    )
-    (out / "compiled.mas").write_text(system_to_json(compiled.system) + "\n")
-    (out / "formula.mu").write_text(fm.pretty(plain_phi) + "\n")
-    (out / "formula_modal.mu").write_text(fm.pretty(phi) + "\n")
+    for name, text in texts.items():
+        (out / name).write_text(text + "\n")
     print(f"instance written to {args.out}")
     return EXIT_HOLDS
 

@@ -23,7 +23,6 @@ never reads carried blocks.  The checker reads only the blocks."""
 
 from __future__ import annotations
 
-import hashlib
 from functools import cached_property
 
 from .errors import CapacityExceeded, NonChainAgents, SystemFormatError, UnknownAgent
@@ -96,7 +95,34 @@ NAME_LIMIT = 1024  # the longest state name `short_name` spells out
 
 
 def _digest(text):
+    import hashlib  # only a long name is hashed, so a check loads no OpenSSL
+
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _name_fold(m, q, leaf, node):
+    """m.state_name(q) folded bottom-up over the chain of bases without
+    building it: leaf(name) at a base state, and node(v, vs) at a belief
+    state (s, S), from the value v of s and the values vs of S's members in
+    state order."""
+    levels = [(m, {q})]
+    while isinstance(levels[-1][0], DistinctionSystem):
+        d, need = levels[-1]
+        levels.append((d.base, {r for i in need for r in (d.pair_of[i][0], *d.pair_of[i][1])}))
+    base, need = levels.pop()
+    values = {i: leaf(base.state_name(i)) for i in need}
+    for d, need in reversed(levels):
+        below, values = values, {}
+        for i in need:
+            s, S = d.pair_of[i]
+            values[i] = node(below[s], [below[r] for r in sorted(S)])
+    return values[q]
+
+
+def _name_length(m, q):
+    """len(m.state_name(q)): "(s,{q1,...})" adds 4 characters and a comma
+    per member to its parts."""
+    return _name_fold(m, q, len, lambda n, ns: n + sum(ns) + len(ns) + 4)
 
 
 def _name_size(m, q):
@@ -104,30 +130,18 @@ def _name_size(m, q):
     base state's name, and for a belief state (s, S) the sha256 of
     "(H(s),{H(q1),...})" over its members in state order.  Both are found
     bottom-up over the chain of bases without building the name."""
-    levels = [(m, {q})]
-    while isinstance(levels[-1][0], DistinctionSystem):
-        d, need = levels[-1]
-        levels.append((d.base, {r for i in need for r in (d.pair_of[i][0], *d.pair_of[i][1])}))
-    base, need = levels.pop()
-    sizes = {i: (len(base.state_name(i)), _digest(base.state_name(i))) for i in need}
-    for d, need in reversed(levels):
-        below, sizes = sizes, {}
-        for i in need:
-            s, S = d.pair_of[i]
-            parts = [below[r] for r in (s, *sorted(S))]
-            text = "({},{{{}}})".format(parts[0][1], ",".join([h for _, h in parts[1:]]))
-            sizes[i] = sum([n for n, _ in parts]) + len(S) + 4, _digest(text)
-    return sizes[q]
+    digest = _name_fold(m, q, _digest, lambda h, hs: _digest(f"({h},{{{','.join(hs)}}})"))
+    return _name_length(m, q), digest
 
 
 def short_name(m, q):
     """m.state_name(q) when it has at most NAME_LIMIT characters, else
     "<N characters, sha256 tree digest D>" (see `_name_size`), built
-    without the name."""
-    length, digest = _name_size(m, q)
-    if length <= NAME_LIMIT:
+    without the name.  Only a long name is hashed: the length is found
+    first, with no digest."""
+    if _name_length(m, q) <= NAME_LIMIT:
         return m.state_name(q)
-    return f"<{length} characters, sha256 tree digest {digest}>"
+    return "<{} characters, sha256 tree digest {}>".format(*_name_size(m, q))
 
 
 def distinction(m, agent, cap=DEFAULT_CAP):

@@ -91,7 +91,7 @@ class FormulaTooDeep(EpmuError):
     """A formula nests deeper than a recursive phase can follow."""
 
     def __init__(self, phase):
-        self.phase = phase  # parse | positive form | evaluation
+        self.phase = phase  # parse | positive form | evaluation | translation
         super().__init__(f"formula is nested too deeply for the {phase} phase")
 
 

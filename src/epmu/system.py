@@ -172,11 +172,12 @@ def _entry_list(value, field):
     return value
 
 
-def _string_list(value, field):
+def _string_list(value, field, *args):
     """value, if it is a list of strings (atom names); SystemFormatError
-    naming the field if not: a string would be read letter by letter."""
+    naming the field, field.format(*args), if not: a string would be read
+    letter by letter.  The field's text is built only to raise."""
     if not isinstance(value, (list, tuple)) or not all(isinstance(x, str) for x in value):
-        raise SystemFormatError(f"{field} is not a list of strings: {value!r}")
+        raise SystemFormatError(f"{field.format(*args)} is not a list of strings: {value!r}")
     return value
 
 
@@ -190,7 +191,7 @@ def _agent_obs(agents):
         if not isinstance(spec, dict):
             raise SystemFormatError(f"agent {a!r} has a spec that is not an object: {spec!r}")
     return {
-        a: _string_list(spec.get("obs", []), f"agent {a!r}: 'obs'")
+        a: _string_list(spec.get("obs", []), "agent {!r}: 'obs'", a)
         for a, spec in agents.items()
     }
 
@@ -228,7 +229,7 @@ def _state_entries(entries, keys=("id",)):
         if states and type(q) is not type(states[0]):
             raise SystemFormatError(f"state {entry!r}: its id does not sort with {states[0]!r}")
         states.append(q)
-        labels[q] = _string_list(entry.get("atoms", []), f"state {q!r}: 'atoms'")
+        labels[q] = _string_list(entry.get("atoms", []), "state {!r}: 'atoms'", q)
         if "name" in entry:
             names[q] = entry["name"]
             if not isinstance(names[q], str):

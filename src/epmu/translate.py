@@ -144,7 +144,7 @@ def _labeled_args(data, state_keys=("id",)):
     if not isinstance(alphabets, dict):
         raise SystemFormatError(f"'actions.alphabets' is not an object: {alphabets!r}")
     for a, acts in alphabets.items():
-        _string_list(acts, f"agent {a!r}: 'actions.alphabets'")
+        _string_list(acts, "agent {!r}: 'actions.alphabets'", a)
     return dict(
         states=states,
         q0=data["initial"],
@@ -385,12 +385,14 @@ def parse_parity_game(text):
     return ParityGame(**args, priority=priority, players=data.get("players"))
 
 
-def parity_encoding(game, player_index):
+def parity_encoding(game, player_index, cap=DEFAULT_CAP):
     """Encode the winning condition of player 0 or 1 (`ParityGame.player`)
     as an alternating fixpoint over priority atoms: nu on even indices, mu
     on odd, outermost index even.
     Every action of the player must be playable at every state
-    (`_check_playable`).
+    (`_check_playable`).  The encoding has one binder and one atom per
+    level, so a level count (the top priority, padded to even) past `cap`
+    raises CapacityExceeded before anything is built.
 
     Returns (labeled system extended with priority atoms, modal formula with
     a single epistemic agent, hence non-mixing by construction).
@@ -401,6 +403,8 @@ def parity_encoding(game, player_index):
         raise SystemFormatError("priorities must be >= 1")
     if n % 2 == 1:
         n += 1  # pad with an unused even level
+    if n > cap:
+        raise CapacityExceeded(n, cap, "parity encoding")
     _check_playable(game, me)
 
     prio_atom = {}

@@ -51,6 +51,21 @@ def loop_file(tmp_path):
     return str(p)
 
 
+def _two_state_game_file(tmp_path, top):
+    """A .pg file of a two-state cycle with priorities top and 1."""
+    g = ParityGame(
+        [1, 2], 1, [(1, {"e": "x", "o": "u"}, 2), (2, {"e": "x", "o": "u"}, 1)],
+        [], {}, {"e": set(), "o": set()}, {"e": ["x"], "o": ["u"]},
+        priority={1: top, 2: 1}, players=("e", "o"),
+    )
+    d = labeled_system_to_dict(g)
+    for entry in d["states"]:
+        entry["priority"] = g.priority[entry["id"]]
+    p = tmp_path / f"top{top}.pg"
+    p.write_text(json.dumps(d))
+    return str(p)
+
+
 @pytest.fixture
 def mixed_file(tmp_path, sys1):
     from epmu.system import MultiAgentSystem
@@ -286,6 +301,25 @@ class TestCheck:
         name = reported(60)  # a name that could not be built
         assert time.perf_counter() - start < 5
         assert name.startswith(f"<{6 * 2 ** 60 - 5} characters, sha256 tree digest ")
+
+    def test_only_a_long_name_is_hashed(self, loop_file, monkeypatch):
+        from epmu import check, parse_formula
+
+        m = parse_system(Path(loop_file).read_text())
+        checks = [check(m, parse_formula("K a . " * n + "p")) for n in range(9)]
+
+        def no_digest(text):
+            raise AssertionError("a name of at most 1 024 characters was hashed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(importlib.import_module("epmu.distinction"), "_digest", no_digest)
+            for v in checks[:8]:
+                assert v.initial_state == v.final.state_name(v.final.q0)
+        # past 1 024 characters the name is summarised by its length and tree digest
+        assert checks[8].initial_state == (
+            "<1531 characters, sha256 tree digest "
+            "a03f98ad98b70c2f981b4891656eba198443e382b771f70279eeaeafab21410e>"
+        )
 
     def test_name_size_matches_the_name(self, loop_file, sys2):
         from epmu import check, parse_formula
@@ -757,6 +791,47 @@ class TestTranslate:
         err = capsys.readouterr().err
         assert err == "error: state 1: no transition lets agent 'e' play 'y'\n"
         assert not out.exists()
+
+    def test_unrenderable_formula_exits_three_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # all four texts are rendered before --out is made, so a formula too
+        # deep to print leaves no half instance behind
+        def deep(f):
+            raise RecursionError
+
+        monkeypatch.setattr(importlib.import_module("epmu.formula"), "pretty", deep)
+        src = _two_state_game_file(tmp_path, 2)
+        out = tmp_path / "inst"
+        code = main(["translate", "parity", "--game", src, "--player", "0", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "error: formula is nested too deeply for the translation phase\n"
+        assert not out.exists()
+
+    def test_top_priority_past_the_cap_exits_three_at_once(self, tmp_path, capsys):
+        # one binder and one atom per level: 10**30 levels would never finish
+        src = _two_state_game_file(tmp_path, 10**30)
+        out = tmp_path / "inst"
+        start = time.perf_counter()
+        code = main(["translate", "parity", "--game", src, "--player", "0", "--out", str(out)])
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == f"error: state/node count {10**30} exceeds cap 1000000 during parity encoding\n"
+        assert not out.exists()
+
+    def test_cap_bounds_the_padded_level_count(self, tmp_path, capsys):
+        def translate(top):
+            out = tmp_path / f"inst{top}"
+            game = _two_state_game_file(tmp_path, top)
+            code = main(["translate", "parity", "--game", game, "--out", str(out), "--cap", "4"])
+            return code, out
+
+        code, out = translate(4)
+        assert code == 0 and (out / "formula.mu").exists()
+        capsys.readouterr()
+        code, out = translate(5)  # padded to 6 levels
+        assert code == 3 and not out.exists()
+        assert capsys.readouterr().err == "error: state/node count 6 exceeds cap 4 during parity encoding\n"
 
     def test_capacity_error_exits_three_and_writes_nothing(self, tmp_path, capsys):
         g = ParityGame(

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is read somewhere in it."""
+"""Every name a module of the package imports is read somewhere in it, and
+no module imports hashlib when it is loaded."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "epmu"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.glob("*.py"))
 
 
 def unread_imports(source):
@@ -44,3 +46,47 @@ def test_an_unread_import_is_found():
         "x = deque(json.loads('[]'))\n"
     )
     assert unread_imports(source) == [(2, "os"), (3, "C")]
+
+
+def load_time_imports(source):
+    """The top-level names of the modules that `source` imports when it is
+    loaded: everywhere but in a function body, which imports only when the
+    function is called.  Relative imports are left out."""
+    found, todo = set(), list(ast.parse(source).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+        todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.name for p in ALL_MODULES])
+def test_hashlib_is_imported_only_where_a_digest_is_made(path):
+    # hashlib loads OpenSSL, 3.5 MB of resident memory, into every process
+    # that imports the package; only a report or a long name needs it
+    assert "hashlib" not in load_time_imports(path.read_text())
+
+
+def test_a_load_time_import_is_found():
+    source = (
+        "import os.path\n"
+        "from . import formula\n"
+        "try:\n"
+        "    from hashlib import sha256\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "class C:\n"
+        "    import json\n"
+        "    def f(self):\n"
+        "        import zlib\n"
+        "async def g():\n"
+        "    import gzip\n"
+        "def h():\n"
+        "    import random\n"
+    )
+    assert load_time_imports(source) == {"os", "hashlib", "json"}

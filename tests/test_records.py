@@ -3,13 +3,17 @@ their repr prints, class-sensitive equality, hashing, frozen fields,
 keyword construction, copy and pickle.  Also checks that importing the
 package and its command line loads none of the heavy stdlib modules that
 a class-building decorator would pull in, and neither the oracles nor the
-translators."""
+translators; and that a check loads no hashlib (OpenSSL) unless it writes
+a report."""
 
 import copy
+import hashlib
+import json
 import os
 import pickle
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -24,6 +28,7 @@ from epmu.system import (
     Finding,
     InSplitting,
     MultiAgentSystem,
+    system_to_json,
     verify_in_splitting,
 )
 
@@ -235,12 +240,17 @@ class TestCopyAndPickle:
             assert type(c) is type(v) and c == v and repr(c) == repr(v)
 
 
-def test_import_loads_no_class_building_modules():
-    """`import epmu` and `epmu.cli` leave out dataclasses and what it pulls
-    in, and the oracle and translator modules, which a check never calls."""
+def _src_env():
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    return env
+
+
+def test_import_loads_no_class_building_modules():
+    """`import epmu` and `epmu.cli` leave out dataclasses and what it pulls
+    in, and the oracle and translator modules, which a check never calls."""
+    env = _src_env()
     code = (
         "import epmu, epmu.cli, sys; "
         "print(sorted(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'epmu.oracle', "
@@ -251,3 +261,44 @@ def test_import_loads_no_class_building_modules():
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+# in a fresh interpreter: a library check, then each command that reads a
+# formula, first without a report; prints the modules loaded, then writes a
+# report
+FOOTPRINT = textwrap.dedent(
+    """
+    import contextlib, io, sys
+    import epmu, epmu.cli, epmu.translate
+    from epmu import check, parse_formula, parse_system
+
+    system, report = sys.argv[1:]
+    name = check(parse_system(open(system).read()), parse_formula("K a . EX p")).initial_state
+    args = ["--system", system, "--formula", "K a . EX p"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [epmu.cli.main([*cmd, *args]) for cmd in (["check"], ["analyze"], ["oracle", "--depth", "3"])]
+    print(name, codes, sorted(m for m in ("hashlib", "_hashlib") if m in sys.modules))
+    with contextlib.redirect_stdout(io.StringIO()):
+        print(epmu.cli.main(["check", *args, "--report", report]), file=sys.__stdout__)
+    """
+)
+
+
+def test_a_check_without_a_report_loads_no_hashlib(tmp_path):
+    """hashlib brings in OpenSSL, 3.5 MB of resident memory: only a report's
+    input digests and the summary of a name past 1 024 characters load it."""
+    m = MultiAgentSystem([1, 2, 3], 1, [(1, 2), (2, 3), (3, 1)], ["p"], {1: {"p"}, 2: set(), 3: {"p"}},
+                         {"a": {"p"}})
+    system, report = tmp_path / "three.mas", tmp_path / "r.json"
+    system.write_text(system_to_json(m))
+    r = subprocess.run(
+        [sys.executable, "-S", "-c", FOOTPRINT, str(system), str(report)],
+        capture_output=True, text=True, env=_src_env(), timeout=60,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == ["(1,{1}) [1, 0, 1] []", "1"]
+    inputs = json.loads(report.read_text())["inputs"]
+    texts = {"system": system.read_text(), "formula": "K a . EX p"}
+    assert {k: v["sha256"] for k, v in inputs.items()} == {
+        k: hashlib.sha256(text.encode()).hexdigest() for k, text in texts.items()
+    }

@@ -275,6 +275,12 @@ class TestBulkChecks:
                 want = f"{field} is not a list of strings: {five!r}"
                 assert _raised(parse_system, json.dumps(d)) == (SystemFormatError, want)
 
+    def test_string_id_is_named_by_its_repr(self):
+        d = {"states": [{"id": "x", "atoms": 5}], "initial": "x", "transitions": [["x", "x"]],
+             "atoms": [], "agents": {}}
+        want = "state 'x': 'atoms' is not a list of strings: 5"
+        assert _raised(parse_system, json.dumps(d)) == (SystemFormatError, want)
+
     @pytest.mark.parametrize("place", sorted(PLACES))
     def test_label_and_obs_atoms(self, place):
         at = min(PLACES[place], 4)

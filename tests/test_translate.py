@@ -553,6 +553,12 @@ class TestParityEncoding:
         # o plays u everywhere, so o's encoding is defined and agrees
         assert self.check_game(g, 1) == (1 in parity_oracle(g, 1))
 
+    def test_level_count_past_the_cap_raises_before_building(self):
+        # one binder and one atom per level: 10**30 levels would never finish
+        g = TestPriorities.two_state_game({1: 10**30, 2: 1})
+        with pytest.raises(CapacityExceeded, match=f"^state/node count {10**30} exceeds cap 1000000 during parity encoding$"):
+            parity_encoding(g, 0)
+
     @pytest.mark.parametrize("index", [-1, 2, True, False, 1.0, "0", None])
     def test_player_index_is_0_or_1(self, index):
         with pytest.raises(EpmuError, match=f"^player index {re.escape(repr(index))} is not 0 or 1$"):
