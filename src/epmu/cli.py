@@ -226,16 +226,16 @@ def cmd_translate(args):
     if args.mode == "atl-until":
         g = parse_labeled_system(_read_file(args.system))
         mprime, phi = atl_until_instance(g, args.agent, args.p1, args.p2, dual=args.dual)
-        names = [("atom", args.p1), ("atom", args.p2)]
+        agent, names = args.agent, [("atom", args.p1), ("atom", args.p2)]
     else:
         game = parse_parity_game(_read_file(args.game))
         mprime, phi = parity_encoding(game, args.player, cap=cap)
-        names = []
+        agent, names = game.player(args.player), []
     # everything that can fail runs before --out is created, all four texts
     # included, and so does the refusal of a name the formula files could
-    # not spell (the translation builds its own names from these)
-    for a in sorted(depth_guarded("translation", fm.agents_of, phi)):
-        names += [("agent", a), *[("action", act) for act in mprime.alphabets[a]]]
+    # not spell (the translation builds its own names from these, and the
+    # formula's one agent is the encoder's)
+    names += [("agent", agent), *[("action", act) for act in mprime.alphabets[agent]]]
     for kind, name in names:
         if not fm.is_name(name):
             raise EpmuError(f"{kind} {name!r} is not a name the formula syntax can spell")

@@ -245,18 +245,26 @@ def agents_of(f):
 
 
 def modal_depth(f):
-    """Maximum nesting of AX/EX/<..>/[..] operators."""
-    if isinstance(f, (AX, EX, DiamondAct, BoxAct)):
-        return 1 + modal_depth(f.child)
-    if not f.children():
-        return 0
-    return max(modal_depth(c) for c in f.children())
+    """Maximum nesting of AX/EX/<..>/[..] operators; iterative, so deep
+    formulas are fine."""
+    depth, stack = 0, [(f, 0)]
+    while stack:
+        f, d = stack.pop()
+        if isinstance(f, (AX, EX, DiamondAct, BoxAct)):
+            d += 1
+            depth = max(depth, d)
+        stack.extend([(c, d) for c in f.children()])
+    return depth
 
 
 def is_fixpoint_free(f):
-    if isinstance(f, BINDERS):
-        return False
-    return all(is_fixpoint_free(c) for c in f.children())
+    stack = [f]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, BINDERS):
+            return False
+        stack.extend(f.children())
+    return True
 
 
 def _rebuild(f, new_children):

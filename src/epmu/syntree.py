@@ -1,58 +1,28 @@
 """Annotated syntactic trees and the non-mixing fragment gate.
 
-Each node records its subformula, its free variables and closedness, and the
-set of agents whose epistemic operators are reachable from it along entirely
-non-closed paths.  A node labeled with a variable is a leaf.
+`build_syntree` is the one maker of `SynNode`s.  Each node holds its
+subformula, its children, its free variables and closedness, its AgNCl (the
+agents whose epistemic operators are reachable from it along entirely
+non-closed paths) and whether a binder lies at or below it.  A node labeled
+with a variable is a leaf.
 """
 
 from __future__ import annotations
 
 from . import formula as fm
 from .distinction import chain_order
-from .errors import NonChainAgents, UnknownAgent
-from .formula import FrozenRecord, Record, _set
+from .errors import NonChainAgents
+from .formula import FrozenRecord, _set
 
 
-class SynNode(Record):
-    """A node of the tree; `form` is its subformula, `path` the child
-    indices (1 or 2) from the root down to it, and `binds` says that a
-    fixpoint binder is this node or below it.  Nodes hash and compare by
-    identity; `build_syntree` makes them without `__init__` and sets every
-    field itself.
+class SynNode:
+    """A node of the tree: `form` is its subformula, `children` its child
+    nodes (at most two, left to right), `free` its free variables and
+    `closed` whether there are none, `agncl` its AgNCl, and `binds` whether
+    a fixpoint binder is this node or below it.  Only `build_syntree` makes
+    nodes, and it sets every field; nodes compare and hash by identity."""
 
-    `path` is stored as `_link`: None for the empty path, else the pair
-    (`_link` of the path less its last index, that index).  A child's pair
-    extends its parent's, so a tree holds one pair per node, not one tuple
-    of its depth; the tuple is built on read."""
-
-    __slots__ = ("_link", "form", "closed", "agncl", "children", "free", "binds")
-    _fields = ("path", "form", "closed", "agncl", "children", "free", "binds")
-    __eq__, __hash__ = object.__eq__, object.__hash__
-
-    def __init__(self, path, form, closed, agncl=frozenset(), children=None,
-                 free=frozenset(), binds=False):
-        self.path = path
-        self.form = form
-        self.closed = closed
-        self.agncl = agncl
-        self.children = [] if children is None else children
-        self.free = free
-        self.binds = binds
-
-    @property
-    def path(self):
-        ks, link = [], self._link
-        while link is not None:
-            link, k = link
-            ks.append(k)
-        return tuple(reversed(ks))
-
-    @path.setter
-    def path(self, path):
-        link = None
-        for k in path:
-            link = link, k
-        self._link = link
+    __slots__ = ("form", "closed", "agncl", "children", "free", "binds")
 
     def __iter__(self):
         """Pre-order, left to right; iterative, so deep trees are fine."""
@@ -87,12 +57,12 @@ def build_syntree(f):
     operator's own agent, and empty where it is closed."""
     new, empty = SynNode.__new__, frozenset()
     top = []
-    stack = [(f, None, top)]
+    stack = [(f, top, None)]
     pop, push = stack.pop, stack.append
     while stack:
-        f, link, out = pop()
-        if out is None:  # f is a node whose children are done, link its shape
-            node, shape = f, link
+        f, out, shape = pop()
+        if shape is not None:  # f is a node whose children are done
+            node = f
             if shape == _TWO:
                 left, right = node.children
                 free = left.free | right.free
@@ -113,15 +83,15 @@ def build_syntree(f):
         if shape is None:
             raise TypeError(f"cannot build a syntactic tree over {f!r}")
         node = new(SynNode)
-        node._link, node.form, node.children = link, f, []
+        node.form, node.children = f, []
         out.append(node)
         if shape > _VAR:
-            push((node, shape, None))
+            push((node, None, shape))
             if shape == _TWO:
-                push((f.right, (link, 2), node.children))
-                push((f.left, (link, 1), node.children))
+                push((f.right, node.children, None))
+                push((f.left, node.children, None))
             else:
-                push((f.body if shape == _BINDER else f.child, (link, 1), node.children))
+                push((f.body if shape == _BINDER else f.child, node.children, None))
             continue
         node.free = frozenset((f.name,)) if shape == _VAR else empty
         node.closed, node.agncl, node.binds = shape == _LEAF, empty, False
@@ -174,16 +144,24 @@ def check_non_mixing(tree, obs):
     So every node's set lies in its top's, which comes earlier in pre-order,
     and a subset of a chain is a chain: the verdict, the first witness and
     the `UnknownAgent` are those of a walk over every node."""
-    for node in _part_tops(tree):
-        for a in sorted(node.agncl):
-            if a not in obs:
-                raise UnknownAgent(a)
-        if len(node.agncl) > 1:
+    for top in _part_tops(tree):
+        if top.agncl:
             try:
-                chain_order(obs, node.agncl)
+                chain_order(obs, top.agncl)
             except NonChainAgents as e:
-                return FragmentVerdict(False, FragmentWitness(node.path, e.agent_a, e.agent_b))
+                return FragmentVerdict(False, FragmentWitness(_path_to(tree, top), e.agent_a, e.agent_b))
     return FragmentVerdict(True)
+
+
+def _path_to(tree, top):
+    """The child indices (1 or 2) from the root down to a part top, found
+    by one walk through the nodes that bind."""
+    stack = [(tree, ())]
+    while stack[-1][0] is not top:
+        node, path = stack.pop()
+        if node.binds:
+            stack.extend([(c, path + (k,)) for k, c in enumerate(node.children, 1)])
+    return stack[-1][1]
 
 
 def _part_tops(tree):

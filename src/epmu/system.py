@@ -333,7 +333,7 @@ class InSplitting:
     def __init__(self, source, target, chi):
         self.source = source  # fine system
         self.target = target  # coarse system
-        self.chi = dict(chi)
+        self.chi = chi  # fine state -> coarse state, kept as given
 
     def pullback(self, coarse_set):
         """chi^{-1}; a boolean-algebra homomorphism on state sets."""

@@ -598,6 +598,16 @@ class TestOracle:
         data = json.loads(capsys.readouterr().out)
         assert data["root_holds"] is True
 
+    @pytest.mark.parametrize("text, depth", [
+        (" & ".join(["p"] * 340), 2),
+        ("EX " * 400 + "p", 400),
+    ], ids=["340-way-and", "400-deep-EX"])
+    def test_deep_formula_gets_the_answer_check_gives(self, loop_file, capsys, text, depth):
+        assert main(["check", "--system", loop_file, "--formula", text]) == 0
+        capsys.readouterr()
+        assert main(["oracle", "--system", loop_file, "--formula", text, "--depth", str(depth)]) == 0
+        assert capsys.readouterr() == ("true\n", "")
+
     def test_negative_depth_exit_three(self, sys2_file, capsys):
         code = main([
             "oracle", "--system", sys2_file, "--formula", "p", "--depth", "-3",

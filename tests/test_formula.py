@@ -221,6 +221,43 @@ class TestUnfold:
         assert fm.is_fixpoint_free(unfold_fixpoint(to_positive_form(f), 3))
 
 
+def _reference_modal_depth(f):
+    if isinstance(f, (AX, EX, fm.DiamondAct, fm.BoxAct)):
+        return 1 + _reference_modal_depth(f.child)
+    return max([_reference_modal_depth(c) for c in f.children()], default=0)
+
+
+def _reference_fixpoint_free(f):
+    return not isinstance(f, fm.BINDERS) and all([_reference_fixpoint_free(c) for c in f.children()])
+
+
+class TestIterativeWalks:
+    """modal_depth and is_fixpoint_free walk an explicit stack: the answers
+    of the recursive definitions, at any depth."""
+
+    def test_same_as_the_definitions(self):
+        kinds = set()
+        for text in _front_end_corpus(11, 4000):
+            try:
+                f = parse_formula(text)
+            except FormulaSyntaxError:
+                continue
+            want = (_reference_modal_depth(f), _reference_fixpoint_free(f))
+            assert (fm.modal_depth(f), fm.is_fixpoint_free(f)) == want, text
+            kinds.add(want[1])
+        assert kinds == {False, True}
+
+    @pytest.mark.parametrize("shape", ["EX", "left-and", "mu", "EX-over-mu"])
+    def test_deep_chains(self, shape):
+        # 5 000 levels, past the recursion limit
+        f = Mu("Z", Or(Atom("p"), EX(Var("Z")))) if shape == "EX-over-mu" else Atom("p")
+        step = {"left-and": lambda g: And(g, EX(Atom("q"))), "mu": lambda g: Mu("Z", g)}.get(shape, EX)
+        for _ in range(5000):
+            f = step(f)
+        depth, free = {"EX": (5000, True), "left-and": (1, True), "mu": (0, False)}.get(shape, (5001, False))
+        assert (fm.modal_depth(f), fm.is_fixpoint_free(f)) == (depth, free)
+
+
 class TestSynTree:
     def test_negation_is_outside_the_grammar(self):
         with pytest.raises(TypeError):
@@ -256,7 +293,7 @@ class TestSynTree:
         binders = 0
         for f in forms:
             for node in build_syntree(f):
-                assert node.closed == (not fm.free_vars(node.form)), node.path
+                assert node.closed == (not fm.free_vars(node.form)), (pretty(f), pretty(node.form))
                 binders += isinstance(node.form, fm.BINDERS)
         assert binders > 100
 
@@ -268,22 +305,22 @@ class TestSynTree:
         assert [n.form for n in frontier_nodes(t)] == [parse_formula("p & EX q")]
 
 
-def _reference_tree(f, path=()):
+def _reference_tree(f):
     """The syntax tree of f by plain recursion over the definitions, as
-    nested tuples (path, form, closed, free, binds, agncl, children)."""
-    kids = [_reference_tree(c, path + (i,)) for i, c in enumerate(f.children(), start=1)]
-    free = set().union(*[k[3] for k in kids])
+    nested tuples (form, closed, free, binds, agncl, children)."""
+    kids = [_reference_tree(c) for c in f.children()]
+    free = set().union(*[k[2] for k in kids])
     if isinstance(f, Var):
         free.add(f.name)
     if isinstance(f, fm.BINDERS):
         free.discard(f.var)
     agncl = set()
     if free:
-        agncl = agncl.union(*[k[5] for k in kids])
+        agncl = agncl.union(*[k[4] for k in kids])
         if isinstance(f, fm.EPISTEMIC):
             agncl.add(f.agent)
-    binds = isinstance(f, fm.BINDERS) or any(k[4] for k in kids)
-    return (path, f, not free, frozenset(free), binds, frozenset(agncl), kids)
+    binds = isinstance(f, fm.BINDERS) or any(k[3] for k in kids)
+    return (f, not free, frozenset(free), binds, frozenset(agncl), kids)
 
 
 def _as_tuples(node):
@@ -291,7 +328,17 @@ def _as_tuples(node):
     assert type(node.closed) is bool and type(node.binds) is bool and type(node.children) is list
     assert type(node.free) is frozenset and type(node.agncl) is frozenset
     kids = [_as_tuples(c) for c in node.children]
-    return (node.path, node.form, node.closed, node.free, node.binds, node.agncl, kids)
+    return (node.form, node.closed, node.free, node.binds, node.agncl, kids)
+
+
+def _with_paths(tree):
+    """(node, path) for each node of a tree in pre-order, where the path
+    is the child indices (1 or 2) from the root down to the node."""
+    stack = [(tree, ())]
+    while stack:
+        node, path = stack.pop()
+        yield node, path
+        stack.extend(reversed([(c, path + (k,)) for k, c in enumerate(node.children, 1)]))
 
 
 class TestSynTreeBuild:
@@ -329,9 +376,9 @@ class TestSynTreeBuild:
         t = build_syntree(f)
         assert t.closed and t.binds == (shape == "mu")
         count = depth = 0
-        for n in t:
+        for n, path in _with_paths(t):
             count += 1
-            depth = max(depth, len(n.path))
+            depth = max(depth, len(path))
             assert n.closed == (n.form != Var("Z0"))
             assert n.binds == (shape == "mu" and n.form != Var("Z0"))
         assert (count, depth) == ({"left-and": 3001}.get(shape, 1501), 1500)
@@ -349,11 +396,10 @@ class TestSynTreeBuild:
             gc.collect()
             tracemalloc.start()
             try:
-                t = build_syntree(f)
+                build_syntree(f)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-                assert len(next(iter(reversed(list(t)))).path) == depth
 
         assert peak(4000) < 3 * peak(2000)
 
@@ -537,7 +583,7 @@ class TestFrontEndCorpus:
 def _reference_gate(tree, obs):
     """The gate read at every node of the tree, in pre-order: the verdict
     as (accepted, witness), or ("unknown", agent)."""
-    for node in tree:
+    for node, path in _with_paths(tree):
         for a in sorted(node.agncl):
             if a not in obs:
                 return "unknown", a
@@ -545,7 +591,7 @@ def _reference_gate(tree, obs):
             try:
                 chain_order(obs, node.agncl)
             except NonChainAgents as e:
-                return False, (node.path, e.agent_a, e.agent_b)
+                return False, (path, e.agent_a, e.agent_b)
     return True, None
 
 
@@ -609,6 +655,29 @@ class TestGateReadsPartTops:
                 outcomes[want[0]] += 1
         assert min(outcomes.values()) > 1000, outcomes
         assert open_roots > 1000 and nested > 200, (open_roots, nested)
+
+    @pytest.mark.parametrize("text, path", [
+        ("K a . W & K b . W", ()),  # an open root is its own top
+        ("C{a,b} p", (1,)),  # the body of the nu that C unfolds to
+        ("nu X . (p & EX X) & AX (mu Y . (r | K b . Y) & P a . Y)", (1, 2, 1, 1)),
+        ("p & EX (mu X . q | EX (nu Y . (K a . Y) & (K b . Y)))", (2, 1, 2, 1, 1)),
+    ])
+    def test_witness_path(self, text, path):
+        # the gate finds a witness's path only when it rejects, by its own
+        # walk; it matches the per-node gate's (node, path) walk
+        tree = build_syntree(to_positive_form(parse_formula(text)))
+        obs = {"a": {"p"}, "b": {"q"}}
+        assert _gate_outcome(tree, obs) == _reference_gate(tree, obs) == (False, (path, "a", "b"))
+
+    @pytest.mark.parametrize("text, agent", [
+        ("mu Z . p | K c . Z", "c"),
+        ("nu Z . K d . Z & P c . Z & K a . Z", "c"),
+    ])
+    def test_first_unknown_agent_in_sorted_order(self, text, agent):
+        tree = build_syntree(to_positive_form(parse_formula(text)))
+        with pytest.raises(UnknownAgent) as e:
+            check_non_mixing(tree, {"a": {"p"}, "b": {"q"}})
+        assert e.value.agent == agent
 
     def test_frontier_nodes_left_to_right(self):
         def reference(node):

@@ -3,8 +3,10 @@
 A caller is a reference by name from the package itself, the scripts, the
 benchmark (whose tracer names what it wraps in strings) or the acceptance
 suite; other tests do not count, and neither does an import, nor a
-reference inside the name's own definition.  The reference layer
-(`oracle.py`, `gen.py`) is exempt: it exists for the tests."""
+reference inside the name's own definition.  Likewise a public class that
+defines `__init__` is called by name, `Name(...)`, from one of those
+modules: Python calls `__init__` itself, so the first check exempts it.  The
+reference layer (`oracle.py`, `gen.py`) is exempt: it exists for the tests."""
 
 import ast
 from pathlib import Path
@@ -87,6 +89,34 @@ def uncalled(definers, callers):
     return out
 
 
+def unconstructed(definers, callers):
+    """The qualified names of the public classes in `definers` that define
+    `__init__` and that no module of `callers` calls by name outside the
+    class itself."""
+    calls = {
+        path: [
+            (node.func.id if isinstance(node.func, ast.Name) else node.func.attr, node.lineno)
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+        ]
+        for path in callers
+    }
+    out = []
+    for path in definers:
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            if not any(isinstance(item, ast.FunctionDef) and item.name == "__init__" for item in node.body):
+                continue
+            if not any(
+                name == node.name and not (other == path and node.lineno <= line <= node.end_lineno)
+                for other, seen in calls.items()
+                for name, line in seen
+            ):
+                out.append(f"{path.stem}.{node.name}")
+    return out
+
+
 def test_every_public_name_has_a_caller():
     definers = [p for p in sorted(SRC.glob("*.py")) if p.name not in REFERENCE_LAYER]
     assert sorted(set(uncalled(definers, CALLERS)) - ALLOWED.keys()) == []
@@ -95,6 +125,11 @@ def test_every_public_name_has_a_caller():
 def test_every_allowed_name_exists_and_has_no_caller():
     definers = [p for p in sorted(SRC.glob("*.py")) if p.name not in REFERENCE_LAYER]
     assert set(uncalled(definers, CALLERS)) >= ALLOWED.keys()
+
+
+def test_every_public_constructor_has_a_caller():
+    definers = [p for p in sorted(SRC.glob("*.py")) if p.name not in REFERENCE_LAYER]
+    assert unconstructed(definers, CALLERS) == []
 
 
 @pytest.fixture
@@ -134,3 +169,35 @@ def test_a_name_without_a_caller_is_found(package):
     # walk calls only itself and is imported but never read; helper's one
     # caller is private, but a caller all the same
     assert uncalled([lib], [lib, user]) == ["lib.Node.__and__", "lib.walk"]
+
+
+def test_a_constructor_without_a_caller_is_found(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text(
+        "class Built:\n"
+        "    def __init__(self):\n"
+        "        self.x = 0\n"
+        "class Cloned:\n"
+        "    def __init__(self):\n"
+        "        self.x = 0\n"
+        "    def clone(self):\n"
+        "        return Cloned()\n"
+        "class Made:\n"
+        "    def __init__(self):\n"
+        "        self.x = 0\n"
+        "class Plain:\n"
+        "    pass\n"
+        "class _Hidden:\n"
+        "    def __init__(self):\n"
+        "        self.x = 0\n"
+    )
+    user = tmp_path / "user.py"
+    user.write_text(
+        "import lib\n"
+        "from lib import Built\n"
+        "node = Built()\n"
+        "fresh = lib.Made.__new__(lib.Made)\n"
+    )
+    # Cloned calls only itself, Made is made without __init__, Plain has
+    # none, and _Hidden is private
+    assert unconstructed([lib], [lib, user]) == ["lib.Cloned", "lib.Made"]

@@ -23,7 +23,7 @@ from epmu.checker import Verdict
 from epmu.distinction import compute_gamma, insplitting, is_distinguished
 from epmu.formula import parse_formula, to_positive_form
 from epmu.oracle import NodeSet
-from epmu.syntree import FragmentVerdict, FragmentWitness, SynNode, build_syntree, check_non_mixing
+from epmu.syntree import FragmentVerdict, FragmentWitness, build_syntree, check_non_mixing
 from epmu.system import (
     Finding,
     InSplitting,
@@ -155,7 +155,7 @@ class TestEquality:
 
     def test_syntax_nodes_compare_by_identity(self):
         f = fm.Atom("p")
-        a, b = SynNode((), f, closed=True), SynNode((), f, closed=True)
+        a, b = build_syntree(f), build_syntree(f)
         assert a != b and a == a and len({a, b}) == 2
 
 
@@ -190,14 +190,16 @@ class TestFrozen:
 
 class TestConstruction:
     def test_syntax_node_keywords(self):
-        f = fm.Atom("p")
-        child = SynNode((1,), f, closed=True)
-        node = SynNode((), f, closed=False, children=[child], binds=True)
-        assert (node.path, node.form, node.closed, node.binds) == ((), f, False, True)
-        assert node.children == [child] and node.agncl == frozenset() and node.free == frozenset()
-        assert SynNode((), f, closed=True).children == []
-        assert SynNode((), f, closed=True).children is not SynNode((), f, closed=True).children
-        node.free = frozenset({"Z"})  # a syntax node is filled in after construction
+        # build_syntree is the one maker of syntax nodes and sets every field
+        f = fm.Mu("Z", fm.And(fm.Atom("p"), fm.Var("Z")))
+        node = build_syntree(f)
+        (body,) = node.children
+        left, right = body.children
+        assert (node.form, node.closed, node.binds, node.free, node.agncl) == (f, True, True, frozenset(), frozenset())
+        assert (body.closed, body.binds, body.free) == (False, False, frozenset({"Z"}))
+        assert (left.form, left.closed, left.children, right.children) == (fm.Atom("p"), True, [], [])
+        assert left.children is not right.children
+        node.free = frozenset({"Z"})  # a syntax node is a plain mutable object
         assert node.free == {"Z"}
 
     def test_verdict_keywords(self):
@@ -238,6 +240,24 @@ class TestCopyAndPickle:
         for v in self._values():
             c = pickle.loads(pickle.dumps(v))
             assert type(c) is type(v) and c == v and repr(c) == repr(v)
+
+    def test_syntax_tree(self):
+        # a node compares by identity, so compare every field of every node
+        # in pre-order; the child counts give the shape
+        def fields(tree):
+            return [(n.form, n.closed, n.agncl, n.free, n.binds, len(n.children)) for n in tree]
+
+        tree = build_syntree(to_positive_form(parse_formula(
+            "mu Z . p | K a . EX (nu Y . q & K b . EX Y & EX Z) | C{a,b} (r & EX Z)"
+        )))
+        shallow = copy.copy(tree)
+        assert shallow is not tree and shallow.children is tree.children
+        assert fields(shallow) == fields(tree)
+        copies = [copy.deepcopy(tree)]
+        copies += [pickle.loads(pickle.dumps(tree, p)) for p in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+        for c in copies:
+            assert fields(c) == fields(tree)
+            assert not {id(n) for n in c} & {id(n) for n in tree}
 
 
 def _src_env():
